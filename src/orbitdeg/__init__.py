@@ -50,7 +50,7 @@ from .model import (
     validate,
 )
 from .newton import MonomialSupport, Polygon, SideData, local_invariants, newton_polygon, qualifying_sides, side_data, yun_squarefree
-from .series import KJet2, TruncSeries, exp_linear, rational_to_string, to_rational
+from .series import TruncSeries, exp_linear, rational_to_string, to_rational
 
 __version__ = "0.1.0"
 
@@ -63,7 +63,6 @@ __all__ = [
     "FlexPoint",
     "IrreduciblePoint",
     "IrreducibleSingularity",
-    "KJet2",
     "LinearComponent",
     "MonomialSupport",
     "NewtonSide",

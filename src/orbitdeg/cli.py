@@ -60,10 +60,14 @@ def _assemble(path: str, erratum_strict: bool) -> engine.OrbitReport:
 
 
 def _emit_report(report: engine.OrbitReport, fmt: str) -> None:
-    if fmt == "pretty":
-        print(engine.report_to_text(report))
-    else:
-        print(json.dumps(engine.report_to_obj(report), indent=2))
+    try:
+        if fmt == "pretty":
+            text = engine.report_to_text(report)
+        else:
+            text = json.dumps(engine.report_to_obj(report), indent=2)
+    except ValueError as exc:  # a number beyond the interpreter's int-to-string digit limit
+        raise _CliError(f"cannot write the report: {exc}", EXIT_INVALID) from None
+    print(text)
 
 
 def _int_csv(text: str) -> list[int]:
@@ -249,9 +253,9 @@ def _cmd_contribution(args: argparse.Namespace) -> int:
 def _cmd_newton(args: argparse.Namespace) -> int:
     text = _read_text(args.path)
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise _CliError(f"{args.path}: {exc.msg} (line {exc.lineno}, column {exc.colno})", EXIT_IO) from None
+        data = model.decode_json(text)
+    except model.DescriptorParseError as exc:
+        raise _CliError(f"{args.path}: {exc}", EXIT_IO) from None
     try:
         degree = data["degree"]
         terms = [(int(j), int(k), coeff) for j, k, coeff in data["terms"]]

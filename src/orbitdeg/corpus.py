@@ -8,7 +8,6 @@ passes only when every expected value is reproduced.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -54,52 +53,55 @@ _EXPECTED_KEYS = {"orbit_dimension", "predegree", "degree", "app", "a"}
 
 
 def check_fixture(path: Path, erratum_strict: bool = False) -> FixtureResult:
-    """Recompute one fixture and collect exact-value mismatches."""
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    name = data.get("name", path.stem)
-    result = FixtureResult(name=name, path=path)
+    """Recompute one fixture and collect exact-value mismatches.
 
+    A fixture that cannot be read, decoded, computed or compared fails
+    with a one-line reason, so one bad file does not stop the replay.
+    """
+    result = FixtureResult(name=path.stem, path=path)
     try:
+        data = model.decode_json(path.read_text(encoding="utf-8"))
+        result.name = str(data.get("name", path.stem))
         descriptor = model.descriptor_from_obj(data["descriptor"])
         report = engine.assemble(descriptor, erratum_strict=erratum_strict)
-    except (KeyError, model.DescriptorError, engine.EngineError) as exc:
+    except (OSError, ValueError, AttributeError, KeyError, model.DescriptorError, engine.EngineError) as exc:
         result.failures.append(f"fixture did not compute: {exc}")
         return result
-
     expected = data.get("expected", {})
-    unknown = set(expected) - _EXPECTED_KEYS
-    if unknown:
-        result.failures.append(f"unknown expected keys: {sorted(unknown)}")
-
-    if "orbit_dimension" in expected:
-        want = expected["orbit_dimension"]
-        if report.orbit_dimension != want:
-            result.failures.append(f"orbit_dimension: expected {want}, got {report.orbit_dimension}")
-    if "predegree" in expected:
-        want = to_rational(expected["predegree"])
-        if report.predegree != want:
-            result.failures.append(
-                f"predegree: expected {rational_to_string(want)}, got {rational_to_string(report.predegree)}"
-            )
-    if "degree" in expected:
-        want = to_rational(expected["degree"])
-        if report.degree != want:
-            got = "absent" if report.degree is None else rational_to_string(report.degree)
-            result.failures.append(f"degree: expected {rational_to_string(want)}, got {got}")
-    if "app" in expected:
-        got = report.app.to_strings()
-        want_list = [rational_to_string(v) for v in expected["app"]]
-        if got != want_list:
-            result.failures.append(f"app: expected {want_list}, got {got}")
-    if "a" in expected:
-        for index, value in expected["a"].items():
-            want = to_rational(value)
-            got_value = report.predegree_polynomial[int(index)]
-            if got_value != want:
+    try:
+        unknown = set(expected) - _EXPECTED_KEYS
+        if unknown:
+            result.failures.append(f"unknown expected keys: {sorted(unknown)}")
+        if "orbit_dimension" in expected:
+            want = expected["orbit_dimension"]
+            if report.orbit_dimension != want:
+                result.failures.append(f"orbit_dimension: expected {want}, got {report.orbit_dimension}")
+        if "predegree" in expected:
+            want = to_rational(expected["predegree"])
+            if report.predegree != want:
                 result.failures.append(
-                    f"a{index}: expected {rational_to_string(want)}, got {rational_to_string(got_value)}"
+                    f"predegree: expected {rational_to_string(want)}, got {rational_to_string(report.predegree)}"
                 )
+        if "degree" in expected:
+            want = to_rational(expected["degree"])
+            if report.degree != want:
+                got = "absent" if report.degree is None else rational_to_string(report.degree)
+                result.failures.append(f"degree: expected {rational_to_string(want)}, got {got}")
+        if "app" in expected:
+            got = report.app.to_strings()
+            want_list = [rational_to_string(v) for v in expected["app"]]
+            if got != want_list:
+                result.failures.append(f"app: expected {want_list}, got {got}")
+        if "a" in expected:
+            for index, value in expected["a"].items():
+                want = to_rational(value)
+                got_value = report.predegree_polynomial[int(index)]
+                if got_value != want:
+                    result.failures.append(
+                        f"a{index}: expected {rational_to_string(want)}, got {rational_to_string(got_value)}"
+                    )
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        result.failures.append(f"expected values could not be compared: {exc}")
     return result
 
 

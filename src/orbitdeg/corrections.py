@@ -1,11 +1,12 @@
-"""Closed-form correction terms and multiplicative point factors.
+"""Closed-form correction terms of the adjusted predegree polynomial.
 
 Each global feature of a curve (a line component, a nonlinear component)
-contributes an additive correction series of order >= 3; each local
-feature (tangent cone, polygon side, truncation, irreducible
-singularity, inflection) contributes a correction of order >= 6, which
-may equivalently be applied as the multiplicative factor (1 + term)
-because cross terms of two order-6 series vanish in Q[H]/(H^9).
+contributes a correction series of order >= 3; each local feature
+(tangent cone, polygon side, truncation, irreducible singularity,
+inflection) contributes one of order >= 6.  Any product of two such
+terms has order >= 9 and vanishes in Q[H]/(H^9), so the polynomial is
+exp(d*H) * (1 + sum of all terms); the point "factors" below are 1 + term,
+and several features, or copies of one, combine by adding their terms.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import model
-from .series import KJet2, TruncSeries, exp_linear, to_rational
+from .series import TruncSeries, exp_linear, to_rational
 
 F = Fraction
 
@@ -39,10 +40,6 @@ class Correction:
 
     kind: str
     term: TruncSeries
-
-    def factor(self) -> TruncSeries:
-        """The multiplicative form 1 + term (valid for local kinds)."""
-        return TruncSeries.one() + self.term
 
 
 def _power_sum(values: Sequence[int], power: int) -> int:
@@ -324,38 +321,30 @@ def local_correction_from_quadratic(
 # ---------------------------------------------------------------------------
 
 
-def pair_jet(a: object, b: object) -> KJet2:
-    """Order-2 jet of a^2*b^2/((1+a*k)^3 (1+b*k)^3) - 4/((1+k)^3 (1+2k)^3)."""
-    qa, qb = to_rational(a), to_rational(b)
-    main = (qa * qa * qb * qb) * (KJet2.inverse_cube(qa) * KJet2.inverse_cube(qb))
-    base = 4 * (KJet2.inverse_cube(1) * KJet2.inverse_cube(2))
-    return main - base
-
-
-def _jet_to_factor(jet: KJet2) -> TruncSeries:
-    """1 minus the series whose H^6..H^8 coefficients read off the jet."""
-    q0, q1, q2 = jet.coeffs
-    return TruncSeries.one() - TruncSeries.from_terms({6: q0 / 720, 7: q1 / 5040, 8: q2 / 40320})
+def pair_jet(a: int, b: int) -> tuple[int, int, int]:
+    """The k^0, k^1, k^2 Taylor coefficients of
+    a^2*b^2/((1+a*k)^3 (1+b*k)^3) - 4/((1+k)^3 (1+2k)^3)."""
+    p = a * a * b * b
+    return (p - 4, -3 * p * (a + b) + 36, 3 * p * (2 * a * a + 3 * a * b + 2 * b * b) - 192)
 
 
 def irreducible_singularity_factor(sing: model.IrreducibleSingularity) -> TruncSeries:
-    """Multiplicative contribution of an irreducible singularity.
+    """Contribution 1 + term of an irreducible singularity.
 
     With e_0 = n, e_{r+1} = 0, and d_j the running gcd chain, the jet
-    m*n*P(m, n) + sum_j (e_{j+1} - e_j) * d_j * P(d_j, 2*d_j) is expanded
-    to order 2 and read into the H^6..H^8 coefficients.
+    q = m*n*P(m, n) + sum_j (e_{j+1} - e_j) * d_j * P(d_j, 2*d_j) gives
+    term = -(q0*H^6/6! + q1*H^7/7! + q2*H^8/8!).
     """
     problems = model.irreducible_violations(sing)
     if problems:
         raise FeatureError(str(problems[0]))
     chain = sing.gcd_chain()
     exponents = (sing.n,) + sing.essential + (0,)
-    jet = sing.m * sing.n * pair_jet(sing.m, sing.n)
+    weighted = [(sing.m * sing.n, pair_jet(sing.m, sing.n))]
     for j in range(len(sing.essential) + 1):
-        step = exponents[j + 1] - exponents[j]
-        if step:
-            jet = jet + step * chain[j] * pair_jet(chain[j], 2 * chain[j])
-    return _jet_to_factor(jet)
+        weighted.append(((exponents[j + 1] - exponents[j]) * chain[j], pair_jet(chain[j], 2 * chain[j])))
+    q0, q1, q2 = (sum(w * jet[i] for w, jet in weighted) for i in range(3))
+    return TruncSeries.from_terms({0: 1, 6: F(-q0, 720), 7: F(-q1, 5040), 8: F(-q2, 40320)})
 
 
 def flexes_absorbed(sing: model.IrreducibleSingularity) -> int:
@@ -379,15 +368,15 @@ _FLEX_PRINTED = TruncSeries.from_terms({0: 1, 6: F(-1, 42), 7: F(3, 70), 8: F(-1
 
 
 def flex_factor(printed: bool = False) -> TruncSeries:
-    """The multiplicative factor of a single ordinary inflection."""
+    """The contribution 1 + term of a single ordinary inflection."""
     return _FLEX_PRINTED if printed else _FLEX_DERIVED
 
 
 def flex_equivalent(count: int, printed: bool = False) -> TruncSeries:
-    """The factor accounting for `count` ordinary inflections."""
+    """The contribution 1 + count*term of `count` ordinary inflections."""
     if count < 0:
         raise FeatureError("flex count must be >= 0")
-    return flex_factor(printed) ** count
+    return 1 + count * (flex_factor(printed) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -396,8 +385,9 @@ def flex_equivalent(count: int, printed: bool = False) -> TruncSeries:
 
 
 def _branch_contact_factor(m: int, r: int) -> TruncSeries:
-    """Per-tangent-line factor of an ordinary multiple point of multiplicity
-    m whose nonlinear branch meets its tangent with total multiplicity r."""
+    """Per-tangent-line contribution 1 + term of an ordinary multiple point
+    of multiplicity m whose nonlinear branch meets its tangent with total
+    multiplicity r."""
     h6 = -r * (2 - 3 * r + r * r - 12 * m + 3 * r * m + 6 * m * m)
     h7 = 3 * r * (
         -12 + 2 * r - 2 * r**2 + r**3 + 10 * m - 8 * r * m + 3 * r**2 * m - 20 * m**2 + 6 * r * m**2 + 10 * m**3
@@ -421,7 +411,8 @@ def _branch_contact_factor(m: int, r: int) -> TruncSeries:
 
 
 def ordinary_multiple_point_factor(m: int, contacts: Sequence[int]) -> TruncSeries:
-    """Multiplicative contribution of an ordinary multiple point.
+    """Contribution 1 + term of an ordinary multiple point: the tangent-cone
+    term plus one branch term per nonlinear branch.
 
     `m` counts all branches (linear and nonlinear); `contacts` lists, for
     each nonlinear branch, the intersection multiplicity of the curve
@@ -434,9 +425,9 @@ def ordinary_multiple_point_factor(m: int, contacts: Sequence[int]) -> TruncSeri
         raise FeatureError(f"at most m = {m} branches")
     if any(r < m + 1 for r in contacts):
         raise FeatureError(f"contacts must be >= m + 1 = {m + 1}")
-    result = tangent_cone_correction((1,) * m).factor()
+    result = 1 + tangent_cone_correction((1,) * m).term
     for r in contacts:
-        result = result * _branch_contact_factor(m, r)
+        result = result + (_branch_contact_factor(m, r) - 1)
     return result
 
 

@@ -1,10 +1,10 @@
 """Assembly of adjusted predegree polynomials and derived orbit data.
 
-The adjusted predegree polynomial of a curve is
-exp(d*H) * (1 + sum of global corrections) * product of local factors,
-where global corrections (lines, nonlinear components) combine
-additively and local factors multiplicatively; both compositions agree
-for the local terms because their orders are at least 6.
+The adjusted predegree polynomial of a degree-d curve is one sum pushed
+through exp(d*H): exp(d*H) * (1 + sum of the breakdown's terms).  Global
+terms (lines, nonlinear components) have order >= 3 and local ones order
+>= 6, so the cross terms of the paper's exp(d*H) * (1 + global) *
+prod(1 + local) have order >= 9 and vanish in Q[H]/(H^9).
 
 From the polynomial the report reads off the predegree coefficients
 a_i = i! * c_i, the orbit dimension (largest i with a_i nonzero), the
@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 from . import corrections, model
 from .corrections import Correction
-from .series import KJet2, TruncSeries, exp_linear, rational_to_string
+from .series import TruncSeries, exp_linear, rational_to_string
 
 F = Fraction
 
@@ -39,15 +39,15 @@ class ValidationError(EngineError):
         super().__init__(f"invalid descriptor: {summary}")
 
 
-#: Factor per transversal intersection of two nonlinear components.
+#: Contribution 1 + term per transversal intersection of two nonlinear components.
 PAIR_CROSSING_FACTOR = TruncSeries.from_terms(
     {0: 1, 6: F(-1, 9), 7: F(11, 40), 8: F(-311, 960)}
 )
-#: Factor per transversal intersection of a nonlinear component and a line.
+#: Contribution 1 + term per transversal intersection of a nonlinear component and a line.
 LINE_CROSSING_FACTOR = TruncSeries.from_terms(
     {0: 1, 6: F(-1, 24), 7: F(7, 60), 8: F(-13, 80)}
 )
-#: Factor per point of simple tangency of a line with a curve.
+#: Contribution 1 + term per point of simple tangency of a line with a curve.
 SIMPLE_TANGENCY_FACTOR = TruncSeries.from_terms(
     {0: 1, 6: F(-1, 6), 7: F(7, 15), 8: F(-13, 20)}
 )
@@ -149,34 +149,25 @@ def assemble(descriptor: model.CurveDescriptor, *, erratum_strict: bool = False)
         raise ValidationError(violations)
     d = descriptor.degree
     breakdown: list[tuple[str, Correction]] = []
-
-    global_sum = TruncSeries.zero()
     for i, line in enumerate(descriptor.linear):
-        corr = corrections.line_correction(line.mult, line.meets, d)
-        breakdown.append((f"linear[{i}]", corr))
-        global_sum = global_sum + corr.term
+        breakdown.append((f"linear[{i}]", corrections.line_correction(line.mult, line.meets, d)))
     for i, comp in enumerate(descriptor.nonlinear):
-        corr = corrections.nonlinear_correction(d, comp.deg, comp.mult)
-        breakdown.append((f"nonlinear[{i}]", corr))
-        global_sum = global_sum + corr.term
-
-    app = exp_linear(d) * (TruncSeries.one() + global_sum)
+        breakdown.append((f"nonlinear[{i}]", corrections.nonlinear_correction(d, comp.deg, comp.mult)))
 
     flex_in_use = False
     for i, feature in enumerate(descriptor.points):
         if isinstance(feature, model.FlexPoint) and feature.contact == 3:
             flex_in_use = True
-        for label, corr in _feature_corrections(feature, i, erratum_strict):
-            breakdown.append((label, corr))
-            app = app * (TruncSeries.one() + corr.term)
+        breakdown.extend(_feature_corrections(feature, i, erratum_strict))
 
     count = model.resolved_flex_count(descriptor)
     if count:
         flex_in_use = True
         factor = corrections.flex_equivalent(count, printed=erratum_strict)
-        breakdown.append(("ordinary_flexes", Correction(corrections.KIND_FLEX, factor - TruncSeries.one())))
-        app = app * factor
+        breakdown.append(("ordinary_flexes", Correction(corrections.KIND_FLEX, factor - 1)))
 
+    total = sum((corr.term for _, corr in breakdown), TruncSeries.one())
+    app = exp_linear(d) * total
     notes = (_ERRATUM_NOTE,) if erratum_strict and flex_in_use else ()
     return _build_report(app, breakdown, descriptor.stabilizer_degree, notes)
 
@@ -198,18 +189,19 @@ def union(
     """
     if min(crossings, line_crossings, tangencies) < 0:
         raise EngineError("intersection counts must be >= 0")
-    app = left.app * right.app
     breakdown = [(f"left.{label}", corr) for label, corr in left.breakdown]
     breakdown += [(f"right.{label}", corr) for label, corr in right.breakdown]
+    meeting = TruncSeries.one()
     for count, factor, label in (
         (crossings, PAIR_CROSSING_FACTOR, "crossings"),
         (line_crossings, LINE_CROSSING_FACTOR, "line_crossings"),
         (tangencies, SIMPLE_TANGENCY_FACTOR, "tangencies"),
     ):
         if count:
-            piece = factor**count
-            app = app * piece
-            breakdown.append((label, Correction(corrections.KIND_LOCAL, piece - TruncSeries.one())))
+            term = count * (factor - 1)
+            meeting = meeting + term
+            breakdown.append((label, Correction(corrections.KIND_LOCAL, term)))
+    app = left.app * right.app * meeting
     notes = tuple(dict.fromkeys(left.erratum_notes + right.erratum_notes))
     return _build_report(app, breakdown, stabilizer_degree, notes)
 
@@ -454,8 +446,8 @@ def predegree_from_cusp_types(degree: int, points: Sequence[tuple[int, int]]) ->
     parametrized as (t^m, t^n) with coprime exponents (ordinary flexes
     being the (1, k) cases), assuming the orbit has dimension 8.
 
-    Each point enters through the order-2 jet of
-    m*n*(m^2 n^2/((1+mk)^3 (1+nk)^3) - 4/((1+k)^3 (1+2k)^3)); ordinary
+    Each point enters through m*n times the k^0..k^2 Taylor coefficients
+    of m^2 n^2/((1+mk)^3 (1+nk)^3) - 4/((1+k)^3 (1+2k)^3); ordinary
     flexes not listed explicitly are budgeted automatically as (1, 3)
     points, 3d(d-2) minus the absorbed count.
     """
@@ -466,16 +458,10 @@ def predegree_from_cusp_types(degree: int, points: Sequence[tuple[int, int]]) ->
     remaining = 3 * d * (d - 2) - sum(3 * m * n - 2 * m - 2 * n for m, n in points)
     if remaining < 0:
         raise EngineError("absorbed flexes exceed the 3d(d-2) budget")
-    jet = 4 * d * d * (KJet2.inverse_cube(1) * KJet2.inverse_cube(2))
-    for m, n in points:
-        jet = jet + m * n * corrections.pair_jet(m, n)
-    if remaining:
-        jet = jet + remaining * 3 * corrections.pair_jet(1, 3)
-    envelope = KJet2((1, 8 * d, 28 * d * d))
-    value = F(d**8) - (envelope * jet).coeffs[2]
-    if value.denominator != 1:
-        raise EngineError(f"closed form produced a non-integer value {value}")
-    return int(value)
+    weighted = [(4 * d * d, (1, -9, 48)), (3 * remaining, corrections.pair_jet(1, 3))]
+    weighted += [(m * n, corrections.pair_jet(m, n)) for m, n in points]
+    q0, q1, q2 = (sum(w * jet[i] for w, jet in weighted) for i in range(3))
+    return d**8 - (q2 + 8 * d * q1 + 28 * d * d * q0)
 
 
 # ---------------------------------------------------------------------------

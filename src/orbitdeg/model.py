@@ -625,13 +625,21 @@ def descriptor_from_obj(obj: Any) -> CurveDescriptor:
     )
 
 
-def parse(text: str) -> CurveDescriptor:
-    """Parse a JSON descriptor; raises DescriptorParseError / DescriptorSchemaError."""
+def decode_json(text: str) -> Any:
+    """Decode JSON text, raising DescriptorParseError on bad syntax, on an
+    integer beyond the interpreter's digit limit and on nesting beyond its
+    recursion limit."""
     try:
-        obj = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise DescriptorParseError(exc.msg, exc.lineno, exc.colno) from None
-    return descriptor_from_obj(obj)
+    except (ValueError, RecursionError) as exc:
+        raise DescriptorParseError(str(exc)) from None
+
+
+def parse(text: str) -> CurveDescriptor:
+    """Parse a JSON descriptor; raises DescriptorParseError / DescriptorSchemaError."""
+    return descriptor_from_obj(decode_json(text))
 
 
 # ---------------------------------------------------------------------------

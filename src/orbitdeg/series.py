@@ -1,11 +1,10 @@
-"""Exact arithmetic for truncated power series and small jets.
+"""Exact arithmetic for truncated power series.
 
 Every quantity in this package lives in the quotient ring Q[H]/(H^9): a
 series keeps the nine coefficients of H^0..H^8 as `fractions.Fraction`
 values, and any product term of degree nine or higher is silently
-discarded.  A second, much smaller ring Q[k]/(k^3) (:class:`KJet2`) is
-used where only the first three Taylor coefficients of a rational
-expression in an auxiliary indeterminate are needed.
+discarded.  The adjusted predegree polynomial is one such series,
+exp(d*H) * (1 + sum of correction terms), built with a single product.
 
 There is no floating point anywhere; equality of series is exact.
 """
@@ -21,9 +20,6 @@ RationalLike = Union[Fraction, int, str]
 
 #: Number of retained coefficients: H^0 through H^8.
 TRUNCATION_ORDER = 9
-
-#: Number of retained jet coefficients: k^0 through k^2.
-JET_ORDER = 3
 
 
 def to_rational(value: RationalLike) -> Fraction:
@@ -280,98 +276,3 @@ def exp_linear(scale: RationalLike) -> TruncSeries:
     """The truncated exponential of scale*H: sum of (scale*H)^i / i! for i < 9."""
     d = to_rational(scale)
     return TruncSeries(d**i / factorial(i) for i in range(TRUNCATION_ORDER))
-
-
-class KJet2:
-    """An order-2 jet j0 + j1*k + j2*k^2 in Q[k]/(k^3)."""
-
-    __slots__ = ("coeffs",)
-
-    coeffs: tuple[Fraction, ...]
-
-    def __init__(self, coeffs: Iterable[RationalLike] = ()):
-        values = [to_rational(c) for c in coeffs]
-        if len(values) > JET_ORDER:
-            raise ValueError(f"jet holds at most {JET_ORDER} coefficients")
-        values.extend([Fraction(0)] * (JET_ORDER - len(values)))
-        object.__setattr__(self, "coeffs", tuple(values))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("KJet2 is immutable")
-
-    @classmethod
-    def zero(cls) -> "KJet2":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "KJet2":
-        return cls((1,))
-
-    @classmethod
-    def constant(cls, value: RationalLike) -> "KJet2":
-        return cls((value,))
-
-    @classmethod
-    def inverse_cube(cls, a: RationalLike) -> "KJet2":
-        """The jet of (1 + a*k)**-3, i.e. (1, -3a, 6a^2)."""
-        q = to_rational(a)
-        return cls((Fraction(1), -3 * q, 6 * q * q))
-
-    def __add__(self, other: object) -> "KJet2":
-        if isinstance(other, KJet2):
-            return KJet2(a + b for a, b in zip(self.coeffs, other.coeffs))
-        scalar = _coerce_scalar(other)
-        if scalar is None:
-            return NotImplemented
-        return self + KJet2.constant(scalar)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: object) -> "KJet2":
-        if isinstance(other, KJet2):
-            return KJet2(a - b for a, b in zip(self.coeffs, other.coeffs))
-        scalar = _coerce_scalar(other)
-        if scalar is None:
-            return NotImplemented
-        return self - KJet2.constant(scalar)
-
-    def __rsub__(self, other: object) -> "KJet2":
-        scalar = _coerce_scalar(other)
-        if scalar is None:
-            return NotImplemented
-        return KJet2.constant(scalar) - self
-
-    def __neg__(self) -> "KJet2":
-        return KJet2(-a for a in self.coeffs)
-
-    def __mul__(self, other: object) -> "KJet2":
-        if isinstance(other, KJet2):
-            a, b = self.coeffs, other.coeffs
-            return KJet2(
-                (
-                    a[0] * b[0],
-                    a[0] * b[1] + a[1] * b[0],
-                    a[0] * b[2] + a[1] * b[1] + a[2] * b[0],
-                )
-            )
-        scalar = _coerce_scalar(other)
-        if scalar is None:
-            return NotImplemented
-        return KJet2(a * scalar for a in self.coeffs)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, KJet2):
-            return self.coeffs == other.coeffs
-        scalar = _coerce_scalar(other)
-        if scalar is None:
-            return NotImplemented
-        return self == KJet2.constant(scalar)
-
-    def __hash__(self) -> int:
-        return hash(("KJet2", self.coeffs))
-
-    def __repr__(self) -> str:
-        c0, c1, c2 = (rational_to_string(c) for c in self.coeffs)
-        return f"KJet2(({c0}, {c1}, {c2}))"

@@ -213,3 +213,51 @@ def test_corpus_missing_dir(capsys, tmp_path):
     code, _, err = run(capsys, "corpus", "--dir", str(tmp_path / "missing"))
     assert code == 2
     assert "not found" in err
+
+
+def test_compute_oversized_integer_is_a_parse_error(capsys, tmp_path):
+    path = tmp_path / "big.json"
+    path.write_text('{"degree": ' + "9" * 5000 + "}", encoding="utf-8")
+    code, out, err = run(capsys, "compute", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_deeply_nested_json_is_a_parse_error(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    for command in ("compute", "newton"):
+        code, out, err = run(capsys, command, str(path))
+        assert code == 2, command
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_compute_report_beyond_digit_limit(capsys, tmp_path):
+    path = tmp_path / "huge.json"
+    huge = 10**600
+    path.write_text(json.dumps({"degree": huge, "nonlinear": [{"deg": huge}]}), encoding="utf-8")
+    for fmt in ("json", "pretty"):
+        code, out, err = run(capsys, "compute", str(path), "--format", fmt)
+        assert code == 1, fmt
+        assert out == ""
+        assert err.startswith("error: cannot write the report") and err.count("\n") == 1
+
+
+def test_corpus_bad_fixtures_fail_without_stopping_replay(capsys, tmp_path):
+    target = tmp_path / "corpus"
+    target.mkdir()
+    good = json.loads((corpus.corpus_dir() / "smooth-conic.json").read_text(encoding="utf-8"))
+    (target / "a-invalid-json.json").write_text("{not json", encoding="utf-8")
+    (target / "b-no-descriptor.json").write_text(json.dumps({"name": "no-descriptor"}), encoding="utf-8")
+    bad_a = dict(good, name="bad-a", expected={"a": {"x": "1"}})
+    (target / "c-bad-a.json").write_text(json.dumps(bad_a), encoding="utf-8")
+    (target / "d-smooth-conic.json").write_text(json.dumps(good), encoding="utf-8")
+    code, out, err = run(capsys, "corpus", "--dir", str(target))
+    assert code == 1
+    assert err == ""
+    lines = out.splitlines()
+    assert [line.split()[-1] for line in lines if not line.startswith(" ")][:4] == ["FAIL", "FAIL", "FAIL", "pass"]
+    assert lines[-1] == "1/4 fixtures passed"
+    assert len(lines) == 4 + 3 + 1  # one status line per fixture, one reason per failure, the summary

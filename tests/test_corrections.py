@@ -223,6 +223,28 @@ def test_quadratic_route_linear_in_delta():
 # -- irreducible singularities --------------------------------------------------
 
 
+def taylor_k2(numerator, linear_roots):
+    """k^0..k^2 Taylor coefficients of numerator / prod((1 + c*k)^3), by
+    multiplying out the denominator and inverting it term by term."""
+    denominator = [F(1), F(0), F(0)]
+    for c in linear_roots:
+        for _ in range(3):
+            denominator = [denominator[0], denominator[1] + c * denominator[0], denominator[2] + c * denominator[1]]
+    inverse = []
+    for n in range(3):
+        known = sum((denominator[j] * inverse[n - j] for j in range(1, n + 1)), F(0))
+        inverse.append(((1 if n == 0 else 0) - known) / denominator[0])
+    return [numerator * c for c in inverse]
+
+
+def test_pair_jet_against_taylor_expansion():
+    base = taylor_k2(4, (1, 2))
+    for a in range(1, 9):
+        for b in range(1, 9):
+            main = taylor_k2(a * a * b * b, (a, b))
+            assert corrections.pair_jet(a, b) == tuple(x - y for x, y in zip(main, base)), (a, b)
+
+
 def test_unibranch_factor_smooth_point():
     assert corrections.irreducible_singularity_factor(model.IrreducibleSingularity(1, 2)) == ONE
 

@@ -1,11 +1,13 @@
 """Assembly, unions, scaling, and the independent top-coefficient routes."""
 
+import dataclasses
+import json
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from orbitdeg import engine, model
+from orbitdeg import corpus, corrections, engine, model
 from orbitdeg.series import TruncSeries, exp_linear
 from conftest import random_descriptor, scaled_descriptor
 
@@ -60,14 +62,7 @@ def test_smooth_quartic_predegree():
 
 
 def test_dimension_law_on_fixtures():
-    import json
-
-    from orbitdeg import corpus
-
-    descriptors = [CONIC, CUSPIDAL_CUBIC, smooth_curve(4), LINE]
-    for path in corpus.fixture_paths(corpus.corpus_dir()):
-        with open(path, encoding="utf-8") as fh:
-            descriptors.append(model.descriptor_from_obj(json.load(fh)["descriptor"]))
+    descriptors = [CONIC, CUSPIDAL_CUBIC, smooth_curve(4), LINE] + fixture_descriptors()
     for descriptor in descriptors:
         report = engine.assemble(descriptor)
         assert report.predegree != 0
@@ -76,15 +71,80 @@ def test_dimension_law_on_fixtures():
         assert coefficients[report.orbit_dimension] > 0
 
 
+def fixture_descriptors():
+    out = []
+    for path in corpus.fixture_paths(corpus.corpus_dir()):
+        with open(path, encoding="utf-8") as fh:
+            out.append(model.descriptor_from_obj(json.load(fh)["descriptor"]))
+    return out
+
+
+def product_form(descriptor, report, strict):
+    """The paper's multiplicative formula exp(dH) * (1 + G) * prod(1 + L_i),
+    with the automatic inflections as flex_factor ** count."""
+    global_sum = TruncSeries.zero()
+    local_factors = []
+    for label, corr in report.breakdown:
+        if corr.kind in (corrections.KIND_LINE, corrections.KIND_NONLINEAR):
+            global_sum = global_sum + corr.term
+        elif label == "ordinary_flexes":
+            count = model.resolved_flex_count(descriptor)
+            local_factors.append(corrections.flex_factor(printed=strict) ** count)
+        else:
+            local_factors.append(ONE + corr.term)
+    app = exp_linear(descriptor.degree) * (ONE + global_sum)
+    for factor in local_factors:
+        app = app * factor
+    return app
+
+
 def test_breakdown_reassembles_additively():
     rng = random.Random(40)
-    for _ in range(30):
-        descriptor = random_descriptor(rng)
-        report = engine.assemble(descriptor)
-        total = TruncSeries.zero()
-        for _, corr in report.breakdown:
-            total = total + corr.term
-        assert report.app == exp_linear(descriptor.degree) * (ONE + total)
+    descriptors = fixture_descriptors() + [random_descriptor(rng) for _ in range(30)]
+    for descriptor in descriptors:
+        # strict-mode predegrees need not be divisible by the stabilizer degree
+        descriptor = dataclasses.replace(descriptor, stabilizer_degree=None)
+        for strict in (False, True):
+            report = engine.assemble(descriptor, erratum_strict=strict)
+            total = TruncSeries.zero()
+            for _, corr in report.breakdown:
+                total = total + corr.term
+            assert report.app == exp_linear(descriptor.degree) * (ONE + total)
+            assert report.app == product_form(descriptor, report, strict)
+
+
+def test_union_matches_product_form():
+    rng = random.Random(45)
+    reports = [engine.assemble(d) for d in fixture_descriptors()[:6]]
+    reports += [engine.assemble(random_descriptor(rng)) for _ in range(6)]
+    for _ in range(20):
+        left, right = rng.choice(reports), rng.choice(reports)
+        counts = [rng.randint(0, 4) for _ in range(3)]
+        factors = (engine.PAIR_CROSSING_FACTOR, engine.LINE_CROSSING_FACTOR, engine.SIMPLE_TANGENCY_FACTOR)
+        expected = left.app * right.app
+        for factor, count in zip(factors, counts):
+            expected = expected * factor**count
+        got = engine.union(left, right, crossings=counts[0], line_crossings=counts[1], tangencies=counts[2])
+        assert got.app == expected
+
+
+def test_one_series_product_per_assembly(monkeypatch):
+    products = []
+    original = TruncSeries.__mul__
+
+    def counting(self, other):
+        if isinstance(other, TruncSeries):
+            products.append(other)
+        return original(self, other)
+
+    monkeypatch.setattr(TruncSeries, "__mul__", counting)
+    # no line components: line_correction builds its term with products of its own
+    sextic = [d for d in fixture_descriptors() if d.degree == 6 and not d.linear][0]
+    report = engine.assemble(sextic)
+    assert len(products) == 1
+    products.clear()
+    engine.union(report, report, crossings=2, line_crossings=1, tangencies=3)
+    assert len(products) == 2
 
 
 def test_validation_error_raised():

@@ -1,4 +1,4 @@
-"""Ring arithmetic in Q[H]/(H^9) and the order-2 jets."""
+"""Ring arithmetic in Q[H]/(H^9)."""
 
 import random
 from fractions import Fraction as F
@@ -6,7 +6,7 @@ from math import factorial
 
 import pytest
 
-from orbitdeg.series import KJet2, TruncSeries, exp_linear, rational_to_string, to_rational
+from orbitdeg.series import TruncSeries, exp_linear, rational_to_string, to_rational
 from conftest import random_rational
 
 
@@ -156,33 +156,3 @@ def test_rational_strings():
     with pytest.raises(ValueError):
         to_rational("3.5")
 
-
-def jet_mul_reference(a, b):
-    out = [F(0)] * 3
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            if i + j < 3:
-                out[i + j] += x * y
-    return KJet2(out)
-
-
-def test_inverse_cube_jets():
-    assert KJet2.inverse_cube(0) == KJet2((1, 0, 0))
-    assert KJet2.inverse_cube(1) == KJet2((1, -3, 6))
-
-
-def test_jet_product_against_reference():
-    left = KJet2.inverse_cube(1)
-    right = KJet2.inverse_cube(2)
-    assert right == KJet2((1, -6, 24))
-    product = left * right
-    assert product == jet_mul_reference(left.coeffs, right.coeffs)
-    assert product == KJet2((1, -9, 48))
-
-
-def test_jet_product_random_against_reference():
-    rng = random.Random(10)
-    for _ in range(30):
-        a = KJet2(random_rational(rng) for _ in range(3))
-        b = KJet2(random_rational(rng) for _ in range(3))
-        assert a * b == jet_mul_reference(a.coeffs, b.coeffs)
