@@ -17,9 +17,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import reprlib
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import Any
 
 from . import corpus as corpus_mod
 from . import corrections, engine, model, newton
@@ -250,6 +252,33 @@ def _cmd_contribution(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _newton_input(data: Any) -> tuple[int, list[tuple[int, int, Any]]]:
+    """The degree and the (j, k, coefficient) terms of a decoded newton file.
+
+    The degree and the exponents must be JSON integers (decoded as exactly
+    `int`): a float, a string or a boolean is rejected rather than rounded
+    or coerced.
+    """
+    if not isinstance(data, dict):
+        raise ValueError("expected a JSON object")
+    for key in ("degree", "terms"):
+        if key not in data:
+            raise ValueError(f'missing key "{key}"')
+    degree, terms = data["degree"], data["terms"]
+    if type(degree) is not int:
+        raise ValueError(f'"degree": expected an integer, got {type(degree).__name__}')
+    if not isinstance(terms, list):
+        raise ValueError(f'"terms": expected an array, got {type(terms).__name__}')
+    out = []
+    for index, term in enumerate(terms):
+        if not (isinstance(term, list) and len(term) == 3 and type(term[0]) is int and type(term[1]) is int):
+            raise ValueError(
+                f"term {index}: expected [j, k, coefficient] with integer j and k, got {reprlib.repr(term)}"
+            )
+        out.append(tuple(term))
+    return degree, out
+
+
 def _cmd_newton(args: argparse.Namespace) -> int:
     text = _read_text(args.path)
     try:
@@ -257,13 +286,12 @@ def _cmd_newton(args: argparse.Namespace) -> int:
     except model.DescriptorParseError as exc:
         raise _CliError(f"{args.path}: {exc}", EXIT_IO) from None
     try:
-        degree = data["degree"]
-        terms = [(int(j), int(k), coeff) for j, k, coeff in data["terms"]]
+        degree, terms = _newton_input(data)
         support = newton.MonomialSupport.from_terms(degree, terms)
         polygon = newton.newton_polygon(support)
         multiplicity, contact = newton.local_invariants(support)
         sides = [newton.side_data(support, side) for side in newton.qualifying_sides(polygon)]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise _CliError(f"{args.path}: {exc}", EXIT_INVALID) from None
 
     payload = {

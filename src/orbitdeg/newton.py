@@ -10,23 +10,29 @@ off each side's coefficient string and root-multiplicity profile.
 Root multiplicities are obtained without factoring: a squarefree
 decomposition over the rationals already reveals how many roots (over
 the algebraic closure) occur with each multiplicity, which is all the
-downstream power sums need.
+downstream power sums need.  The decomposition is Yun's algorithm run
+over the integers with a primitive polynomial-remainder-sequence gcd,
+which keeps coefficients from growing the way Euclid's algorithm over Q
+makes them grow.
 
-Univariate polynomials are plain lists of Fractions, constant term
-first, with no trailing zeros.
+Univariate polynomials are plain lists of integers, constant term first,
+with no trailing zeros; only the reported squarefree factors are monic
+lists of Fractions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from itertools import zip_longest
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from . import model
 from .series import RationalLike, to_rational
 
 Poly = list[Fraction]
+ZPoly = list[int]
 
 Side = tuple[tuple[int, int], tuple[int, int]]
 
@@ -152,9 +158,9 @@ def side_data(support: MonomialSupport, side: Side) -> SideData:
     span = gcd(j1 - j0, k0 - k1)
     step_j = (j1 - j0) // span
     step_k = (k0 - k1) // span
-    gammas = tuple(
-        support.coefficient(j0 + t * step_j, k0 - t * step_k) for t in range(span + 1)
-    )
+    lookup = {(j, k): coeff for j, k, coeff in support.terms}
+    zero = Fraction(0)
+    gammas = tuple(lookup.get((j0 + t * step_j, k0 - t * step_k), zero) for t in range(span + 1))
     # Dehomogenize the side polynomial at the second coordinate; the
     # coefficient of xi^u is gamma_{span - u}.
     coeffs: Poly = [gammas[span - u] for u in range(span + 1)]
@@ -193,70 +199,85 @@ def local_invariants(support: MonomialSupport) -> tuple[int, int | None]:
 
 
 # ---------------------------------------------------------------------------
-# exact univariate polynomials (constant term first, no trailing zeros)
+# exact univariate polynomials over Z (constant term first, no trailing zeros)
 # ---------------------------------------------------------------------------
 
 
-def poly_trim(p: Sequence[RationalLike]) -> Poly:
-    out = [to_rational(c) for c in p]
-    while out and out[-1] == 0:
-        out.pop()
-    return out
+def _trim(p: list) -> list:
+    while p and not p[-1]:
+        p.pop()
+    return p
 
 
-def poly_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> Poly:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            if y:
-                out[i + j] += x * y
-    return poly_trim(out)
-
-
-def poly_derivative(p: Sequence[Fraction]) -> Poly:
-    return poly_trim([i * c for i, c in enumerate(p)][1:])
-
-
-def poly_divmod(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[Poly, Poly]:
-    a = poly_trim(a)
-    b = poly_trim(b)
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    quotient = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    remainder = list(a)
-    lead = b[-1]
-    while len(remainder) >= len(b):
-        shift = len(remainder) - len(b)
-        factor = remainder[-1] / lead
-        quotient[shift] = factor
-        for i, c in enumerate(b):
-            remainder[shift + i] -= factor * c
-        remainder = poly_trim(remainder[:-1])
-        if not remainder:
-            break
-    return poly_trim(quotient), remainder
-
-
-def poly_monic(p: Sequence[Fraction]) -> Poly:
-    p = poly_trim(p)
+def _primitive(p: Sequence[int]) -> ZPoly:
+    """p divided by its content, with a positive leading coefficient."""
     if not p:
         return []
-    lead = p[-1]
-    return [c / lead for c in p]
+    content = gcd(*p)
+    if p[-1] < 0:
+        content = -content
+    return [c // content for c in p]
 
 
-def poly_gcd(a: Sequence[Fraction], b: Sequence[Fraction]) -> Poly:
-    """Monic greatest common divisor via the Euclidean algorithm."""
-    a = poly_trim(a)
-    b = poly_trim(b)
+def poly_derivative(p: Sequence[int]) -> ZPoly:
+    return [i * c for i, c in enumerate(p)][1:]
+
+
+def poly_divmod(a: Sequence[int], b: Sequence[int]) -> tuple[ZPoly, ZPoly]:
+    """Division with remainder in Z[x]: a = quotient * b + remainder.
+
+    Every quotient coefficient must be an integer, as it is whenever b is
+    primitive and divides a over Q (Gauss's lemma); otherwise this raises
+    ArithmeticError.
+    """
+    remainder = _trim(list(a))
+    b = _trim(list(b))
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    n = len(b) - 1
+    lead = b[-1]
+    quotient = [0] * max(0, len(remainder) - n)
+    for shift in range(len(quotient) - 1, -1, -1):
+        factor, rest = divmod(remainder[shift + n], lead)
+        if rest:
+            raise ArithmeticError("polynomial quotient is not integral")
+        if factor:
+            quotient[shift] = factor
+            for i in range(n):
+                remainder[shift + i] -= factor * b[i]
+    return quotient, _trim(remainder[:n])
+
+
+def _pseudo_remainder(a: Sequence[int], b: Sequence[int]) -> ZPoly:
+    """A nonzero integer multiple of the remainder of a by b."""
+    r = list(a)
+    n = len(b) - 1
+    lead = b[-1]
+    while len(r) > n:
+        top = r.pop()
+        common = gcd(top, lead)
+        scale, factor = lead // common, top // common
+        shift = len(r) - n
+        if scale != 1:
+            r = [scale * c for c in r]
+        for i in range(n):
+            r[shift + i] -= factor * b[i]
+        _trim(r)
+    return r
+
+
+def poly_gcd(a: Sequence[int], b: Sequence[int]) -> ZPoly:
+    """Greatest common divisor in Z[x] by the primitive polynomial remainder
+    sequence (Knuth, TAOCP vol. 2, 4.6.1): each pseudo-remainder is divided
+    by its content.  The result is primitive with a positive leading
+    coefficient."""
+    a = _primitive(_trim(list(a)))
+    b = _primitive(_trim(list(b)))
+    if len(a) < len(b):
+        a, b = b, a
     while b:
-        _, r = poly_divmod(a, b)
-        a, b = b, r
-    return poly_monic(a)
+        a, b = b, _primitive(_pseudo_remainder(a, b))
+    return a
 
 
 def yun_squarefree(p: Sequence[RationalLike]) -> list[tuple[int, Poly]]:
@@ -264,35 +285,33 @@ def yun_squarefree(p: Sequence[RationalLike]) -> list[tuple[int, Poly]]:
 
     The product of factor**multiplicity over all pairs reproduces the
     input up to its leading coefficient; factors of degree zero are not
-    reported.
+    reported.  Yun's algorithm runs on the primitive integer multiple of
+    the input, where every division it makes is exact.
     """
-    p = poly_trim(p)
-    if not p:
+    coeffs = _trim([to_rational(c) for c in p])
+    if not coeffs:
         raise ValueError("zero polynomial has no squarefree decomposition")
     out: list[tuple[int, Poly]] = []
-    if len(p) == 1:
+    if len(coeffs) == 1:
         return out
-    dp = poly_derivative(p)
-    g = poly_gcd(p, dp)
-    b, _ = poly_divmod(p, g)
-    c, _ = poly_divmod(dp, g)
-    d = poly_trim([x - y for x, y in _padded(c, poly_derivative(b))])
+    scale = lcm(*(c.denominator for c in coeffs))
+    f = _primitive([c.numerator * (scale // c.denominator) for c in coeffs])
+    df = poly_derivative(f)
+    g = poly_gcd(f, df)
+    b, _ = poly_divmod(f, g)
+    c, _ = poly_divmod(df, g)
+    d = _difference(c, poly_derivative(b))
     i = 1
     while len(b) > 1:
         factor = poly_gcd(b, d)
         if len(factor) > 1:
-            out.append((i, factor))
+            out.append((i, [Fraction(x, factor[-1]) for x in factor]))
         b, _ = poly_divmod(b, factor)
-        quotient, _ = poly_divmod(d, factor)
-        d = poly_trim([x - y for x, y in _padded(quotient, poly_derivative(b))])
+        c, _ = poly_divmod(d, factor)
+        d = _difference(c, poly_derivative(b))
         i += 1
     return out
 
 
-def _padded(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[tuple[Fraction, Fraction]]:
-    width = max(len(a), len(b))
-    zero = Fraction(0)
-    return [
-        (a[i] if i < len(a) else zero, b[i] if i < len(b) else zero)
-        for i in range(width)
-    ]
+def _difference(a: Sequence[int], b: Sequence[int]) -> ZPoly:
+    return _trim([x - y for x, y in zip_longest(a, b, fillvalue=0)])

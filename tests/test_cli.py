@@ -224,6 +224,41 @@ def test_compute_oversized_integer_is_a_parse_error(capsys, tmp_path):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "body",
+    [
+        {"degree": 4, "terms": [[0, 2, 1], [1.7, 1, 1]]},
+        {"degree": 4, "terms": [[0, 2, 1], [True, 1, 1]]},
+        {"degree": 4, "terms": [[0, 2, 1], ["1", 1, 1]]},
+    ],
+)
+def test_newton_rejects_non_integer_exponents(capsys, tmp_path, body):
+    path = tmp_path / "support.json"
+    path.write_text(json.dumps(body), encoding="utf-8")
+    code, out, err = run(capsys, "newton", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {path}: term 1: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"degree": 4}', 'missing key "terms"'),
+        ('{"terms": [[0, 2, 1]]}', 'missing key "degree"'),
+        ("[[0, 2, 1]]", "expected a JSON object"),
+        ('{"degree": 4.0, "terms": [[0, 2, 1]]}', '"degree": expected an integer, got float'),
+    ],
+)
+def test_newton_malformed_input_messages(capsys, tmp_path, text, message):
+    path = tmp_path / "support.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "newton", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {path}: {message}\n"
+
+
 def test_deeply_nested_json_is_a_parse_error(capsys, tmp_path):
     path = tmp_path / "deep.json"
     path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")

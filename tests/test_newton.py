@@ -4,9 +4,13 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
+from oracles import poly_derivative, poly_monic, poly_mul, poly_trim
 from orbitdeg import newton
-from orbitdeg.newton import MonomialSupport, poly_monic, poly_mul, poly_trim, yun_squarefree
+from orbitdeg.newton import MonomialSupport, yun_squarefree
 
 # the quartic (y^2 - x z)^2 = y^3 z written out at the point (1:0:0), tangent z = 0
 QUARTIC_TERMS = [(4, 0, 1), (2, 1, -2), (0, 2, 1), (3, 1, -1)]
@@ -219,3 +223,99 @@ def test_yun_reconstruction_random():
                 rebuilt = poly_mul(rebuilt, factor)
         assert total == len(product) - 1
         assert poly_monic(product) == poly_trim(rebuilt)
+
+
+def test_poly_gcd_is_primitive_with_positive_lead():
+    # gcd of 6(x - 1)^2 (x + 2) and -4(x - 1)(x + 3)
+    a = [12, -18, 0, 6]
+    b = [12, -8, -4]
+    assert newton.poly_gcd(a, b) == [-1, 1]
+    assert newton.poly_gcd(b, a) == [-1, 1]
+    assert newton.poly_gcd([-2, 0, -4], []) == [1, 0, 2]
+
+
+def test_poly_divmod_is_exact_division_over_the_integers():
+    # (3x + 2)(x^2 - 5) by 3x + 2; 3x^3 + 2x^2 - 14x - 11 by the monic x - 1
+    assert newton.poly_divmod([-10, -15, 2, 3], [2, 3]) == ([-5, 0, 1], [])
+    assert newton.poly_divmod([-11, -14, 2, 3], [-1, 1]) == ([-9, 5, 3], [-20])
+    with pytest.raises(ArithmeticError):
+        newton.poly_divmod([1, 0, 1], [1, 2])
+    with pytest.raises(ZeroDivisionError):
+        newton.poly_divmod([1, 1], [0])
+
+
+rationals = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+nonzero_rationals = rationals.filter(bool)
+# a factor of degree 1 or 2 whose leading coefficient need not be 1
+factors = st.builds(lambda low, lead: [*low, lead], st.lists(rationals, min_size=1, max_size=2), nonzero_rationals)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(factors, st.integers(1, 3)), min_size=1, max_size=3), nonzero_rationals)
+def test_yun_properties(blocks, lead):
+    product = [lead]
+    for factor, mult in blocks:
+        for _ in range(mult):
+            product = poly_mul(product, factor)
+    result = yun_squarefree(product)
+    assert result == oracles.yun_squarefree(product)
+    rebuilt = [F(1)]
+    for mult, factor in result:
+        assert factor[-1] == 1 and all(type(c) is F for c in factor)
+        for _ in range(mult):
+            rebuilt = poly_mul(rebuilt, factor)
+    assert rebuilt == poly_monic(product)
+    assert [mult for mult, _ in result] == sorted({mult for mult, _ in result})
+    for i, (_, factor) in enumerate(result):
+        assert oracles.poly_gcd(factor, poly_derivative(factor)) == [1]
+        for _, other in result[i + 1 :]:
+            assert oracles.poly_gcd(factor, other) == [1]
+
+
+def _int_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _blocks_product(degree):
+    """Monic integer factors -- x + c for c = 1, -1, 2, -2, ... and
+    irreducible quadratics x^2 + x + c -- raised to multiplicities cycling
+    through 1, 2, 3, 4 until the product has the given degree, scaled by
+    -3.  Returns the product and the expected [(multiplicity, factor)]."""
+    linear = ([c, 1] for n in range(1, degree + 1) for c in (n, -n))
+    quadratic = ([c, 1, 1] for c in range(1, degree + 1))
+    by_mult = {}
+    total = 0
+    for step in range(degree):
+        mult = step % 4 + 1
+        factor = next(quadratic) if step % 3 == 2 else next(linear)
+        if total + mult * (len(factor) - 1) > degree:
+            factor, mult = next(linear), 1
+            if total + 1 > degree:
+                break
+        by_mult[mult] = _int_mul(by_mult.get(mult, [1]), factor)
+        total += mult * (len(factor) - 1)
+    product = [-3]
+    for mult, factor in by_mult.items():
+        for _ in range(mult):
+            product = _int_mul(product, factor)
+    assert len(product) - 1 == degree
+    return product, sorted(by_mult.items())
+
+
+@pytest.mark.parametrize("degree", [78, 100])
+def test_yun_high_degree_product(degree):
+    # Euclid over Q took seconds at degree 78: its remainder coefficients
+    # grow to thousands of bits
+    product, expected = _blocks_product(degree)
+    result = yun_squarefree(product)
+    assert [(mult, [int(c) for c in factor]) for mult, factor in result] == expected
+    assert all(c.denominator == 1 for _, factor in result for c in factor)
+    rebuilt = [1]
+    for mult, factor in expected:
+        for _ in range(mult):
+            rebuilt = _int_mul(rebuilt, factor)
+    assert [-3 * c for c in rebuilt] == product
