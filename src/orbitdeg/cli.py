@@ -25,7 +25,7 @@ from typing import Any
 
 from . import corpus as corpus_mod
 from . import corrections, engine, model, newton
-from .series import rational_to_string, to_rational
+from .series import predegree_strings, rational_to_string, to_rational
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -49,6 +49,8 @@ def _load_descriptor(path: str) -> model.CurveDescriptor:
     text = _read_text(path)
     try:
         return model.parse(text)
+    except model.DescriptorValueError as exc:
+        raise _CliError(f"{path}: {exc}", EXIT_INVALID) from None
     except model.DescriptorError as exc:
         raise _CliError(f"{path}: {exc}", EXIT_IO) from None
 
@@ -205,28 +207,26 @@ def _require(args: argparse.Namespace, names: list[str]) -> None:
 
 def _cmd_contribution(args: argparse.Namespace) -> int:
     payload: dict[str, object] = {"kind": args.kind}
+    corr = None
     try:
         if args.kind in ("line", "type1"):
             _require(args, ["mult", "degree"])
             corr = corrections.line_correction(args.mult, args.meets or [], args.degree)
-            payload["term"] = corr.term.to_strings()
         elif args.kind in ("nonlinear", "type2"):
             _require(args, ["degree", "e", "mult"])
             corr = corrections.nonlinear_correction(args.degree, args.e, args.mult)
-            payload["term"] = corr.term.to_strings()
         elif args.kind in ("tangent-cone", "type3"):
             _require(args, ["lines"])
-            payload["term"] = corrections.tangent_cone_correction(args.lines).term.to_strings()
+            corr = corrections.tangent_cone_correction(args.lines)
         elif args.kind in ("side", "type4"):
             _require(args, ["side_from", "side_to", "s"])
             side = model.NewtonSide(
                 args.side_from[0], args.side_from[1], args.side_to[0], args.side_to[1], tuple(args.s)
             )
-            payload["term"] = corrections.newton_side_correction(side).term.to_strings()
+            corr = corrections.newton_side_correction(side)
         elif args.kind in ("truncation", "type5"):
             _require(args, ["ell", "weight", "s"])
-            trunc = model.Truncation(args.ell, args.weight, tuple(args.s))
-            payload["term"] = corrections.truncation_correction(trunc).term.to_strings()
+            corr = corrections.truncation_correction(model.Truncation(args.ell, args.weight, tuple(args.s)))
         elif args.kind == "irreducible":
             _require(args, ["m", "n"])
             sing = model.IrreducibleSingularity(args.m, args.n, tuple(args.essential))
@@ -245,19 +245,21 @@ def _cmd_contribution(args: argparse.Namespace) -> int:
             corr = corrections.local_correction_from_quadratic(
                 args.alpha, args.beta, args.gamma, args.rho, args.delta
             )
-            payload["term"] = corr.term.to_strings()
     except corrections.FeatureError as exc:
         raise _CliError(str(exc), EXIT_INVALID) from None
+    if corr is not None:
+        payload["term"] = predegree_strings(corr.a, corr.den)
     print(json.dumps(payload, indent=2))
     return EXIT_OK
 
 
-def _newton_input(data: Any) -> tuple[int, list[tuple[int, int, Any]]]:
+def _newton_input(data: Any) -> tuple[int, list[tuple[int, int, Fraction]]]:
     """The degree and the (j, k, coefficient) terms of a decoded newton file.
 
     The degree and the exponents must be JSON integers (decoded as exactly
     `int`): a float, a string or a boolean is rejected rather than rounded
-    or coerced.
+    or coerced.  A coefficient must be an integer or a "num/den" string;
+    a bad one is reported with the index of its term.
     """
     if not isinstance(data, dict):
         raise ValueError("expected a JSON object")
@@ -275,7 +277,11 @@ def _newton_input(data: Any) -> tuple[int, list[tuple[int, int, Any]]]:
             raise ValueError(
                 f"term {index}: expected [j, k, coefficient] with integer j and k, got {reprlib.repr(term)}"
             )
-        out.append(tuple(term))
+        try:
+            coefficient = to_rational(term[2])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"term {index}: {exc}") from None
+        out.append((term[0], term[1], coefficient))
     return degree, out
 
 

@@ -7,18 +7,19 @@ inflection) contributes one of order >= 6.  Any product of two such
 terms has order >= 9 and vanishes in Q[H]/(H^9), so the polynomial is
 exp(d*H) * (1 + sum of all terms); the point "factors" below are 1 + term,
 and several features, or copies of one, combine by adding their terms.
+
+Every term is built in the predegree basis: integers a_0..a_8 over one
+positive denominator, standing for the sum of a_i * H^i / (i! * den).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from . import model
-from .series import TruncSeries, exp_linear, to_rational
-
-F = Fraction
+from .series import TruncSeries, from_predegree, to_rational
 
 KIND_LINE = "I"
 KIND_NONLINEAR = "II"
@@ -34,12 +35,27 @@ class FeatureError(ValueError):
     """A correction was requested for data violating its preconditions."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Correction:
-    """An additive correction term tagged with the feature kind it came from."""
+    """An additive correction term tagged with the feature kind it came from.
+
+    `a` holds the nine integers a_0..a_8 and `den` a positive integer:
+    the term is the sum of a[i] * H^i / (i! * den).
+    """
 
     kind: str
-    term: TruncSeries
+    a: tuple[int, ...]
+    den: int = 1
+
+    @property
+    def term(self) -> TruncSeries:
+        """The term as an exact series, built on each access."""
+        return from_predegree(self.a, self.den)
+
+
+def _local(kind: str, a6: int, a7: int, a8: int, den: int = 1) -> Correction:
+    """A term a6*H^6/6! + a7*H^7/7! + a8*H^8/8!, over `den`."""
+    return Correction(kind, (0, 0, 0, 0, 0, 0, a6, a7, a8), den)
 
 
 def _power_sum(values: Sequence[int], power: int) -> int:
@@ -65,8 +81,11 @@ def line_correction(mult: int, meets: Sequence[int], degree: int) -> Correction:
     """Correction for a line of multiplicity `mult` meeting the rest of the
     curve with multiplicities `meets`, on a curve of the given degree.
 
-    Computed as the antiderivative (zero constant term) of
-    -(m^3/2) * exp(-d*H) * H^2 * prod(1 + r*H + r^2*H^2/2).
+    The antiderivative (zero constant term) of
+    -(m^3/2) * exp(-d*H) * H^2 * prod(1 + r*H + r^2*H^2/2), written out:
+    with r_k the power sums of the intersection multiplicities, a_3..a_8 are
+    -m^3, 3m^4, -6m^5, 10m^3(m^3 + r_3), -15m^3(m^4 + 4m*r_3 + 3r_4) and
+    21m^3(m^5 + 10m^2*r_3 + 15m*r_4 + 6r_5).  The curve degree drops out.
     """
     if mult < 1 or degree < 1 or any(r < 1 for r in meets):
         raise FeatureError("line data must be positive integers")
@@ -74,35 +93,23 @@ def line_correction(mult: int, meets: Sequence[int], degree: int) -> Correction:
         raise FeatureError(
             f"intersection multiplicities sum to {sum(meets)}, expected degree - mult = {degree - mult}"
         )
-    product = exp_linear(-degree) * TruncSeries.monomial(2)
-    for r in meets:
-        product = product * TruncSeries.from_terms({0: 1, 1: r, 2: F(r * r, 2)})
-    term = (product * F(-(mult**3), 2)).antiderivative()
-    return Correction(KIND_LINE, term)
-
-
-def line_correction_closed_form(mult: int, meets: Sequence[int]) -> Correction:
-    """The same line correction written out coefficient by coefficient.
-
-    Independent of the antiderivative route; the two are checked against
-    each other in the test suite.  The curve degree drops out: only the
-    power sums of the intersection multiplicities enter.
-    """
     m = mult
+    m3 = m**3
     r3 = _power_sum(meets, 3)
     r4 = _power_sum(meets, 4)
     r5 = _power_sum(meets, 5)
-    term = -TruncSeries.from_terms(
-        {
-            3: F(m**3, 6),
-            4: F(-(m**4), 8),
-            5: F(m**5, 20),
-            6: F(-(m**3) * (m**3 + r3), 72),
-            7: F(m**3 * (m**4 + 4 * m * r3 + 3 * r4), 336),
-            8: F(-(m**3) * (m**5 + 10 * m**2 * r3 + 15 * m * r4 + 6 * r5), 1920),
-        }
+    a = (
+        0,
+        0,
+        0,
+        -m3,
+        3 * m3 * m,
+        -6 * m3 * m * m,
+        10 * m3 * (m3 + r3),
+        -15 * m3 * (m3 * m + 4 * m * r3 + 3 * r4),
+        21 * m3 * (m3 * m * m + 10 * m * m * r3 + 15 * m * r4 + 6 * r5),
     )
-    return Correction(KIND_LINE, term)
+    return Correction(KIND_LINE, a)
 
 
 def nonlinear_correction(degree: int, component_degree: int, mult: int) -> Correction:
@@ -114,16 +121,9 @@ def nonlinear_correction(degree: int, component_degree: int, mult: int) -> Corre
         raise FeatureError("nonlinear components need degree >= 2 and positive multiplicity")
     if e * m > d:
         raise FeatureError(f"component accounts for degree {e * m} > curve degree {d}")
-    scale = -2 * e * m**5
-    term = scale * TruncSeries.from_terms(
-        {
-            5: F(1, 20),
-            6: F(-(5 * d + 18 * m), 360),
-            7: F((9 * d + 8 * m) * m, 420),
-            8: F(-d * m * m, 60),
-        }
-    )
-    return Correction(KIND_NONLINEAR, term)
+    s = -2 * e * m**5
+    a = (0, 0, 0, 0, 0, 6 * s, -2 * s * (5 * d + 18 * m), 12 * s * m * (9 * d + 8 * m), -672 * s * d * m * m)
+    return Correction(KIND_NONLINEAR, a)
 
 
 # ---------------------------------------------------------------------------
@@ -144,8 +144,7 @@ def tangent_cone_correction(line_mults: Sequence[int]) -> Correction:
     es = _elementary_symmetric(line_mults, 5)
     e1 = es[1]
     prefactor = -e1 * (es[2] * es[3] - e1 * es[4] - es[5])
-    term = prefactor * TruncSeries.from_terms({6: F(1, 24), 7: F(-e1, 28), 8: F(e1 * e1, 64)})
-    return Correction(KIND_TANGENT_CONE, term)
+    return _local(KIND_TANGENT_CONE, 30 * prefactor, -180 * e1 * prefactor, 630 * e1 * e1 * prefactor)
 
 
 def _side_l6(j0: int, k0: int, j1: int, k1: int) -> int:
@@ -242,39 +241,26 @@ def _side_l8(j0: int, k0: int, j1: int, k1: int) -> int:
     )
 
 
-def _side_vertex_series(j0: int, k0: int, j1: int, k1: int) -> TruncSeries:
-    """The vertex polynomial of a side: symmetric in the two endpoints."""
-    return TruncSeries.from_terms(
-        {
-            6: F(_side_l6(j0, k0, j1, k1), 720),
-            7: F(-_side_l7(j0, k0, j1, k1), 5040),
-            8: F(_side_l8(j0, k0, j1, k1), 40320),
-        }
-    )
-
-
-def _side_root_series(span: int, s: Sequence[int]) -> TruncSeries:
-    """The root-data polynomial of a side: (1/S)(4*p5*H^6/6! - 36*p6*H^7/7! + 192*p7*H^8/8!)."""
-    return TruncSeries.from_terms(
-        {
-            6: F(4 * _power_sum(s, 5), 720 * span),
-            7: F(-36 * _power_sum(s, 6), 5040 * span),
-            8: F(192 * _power_sum(s, 7), 40320 * span),
-        }
-    )
-
-
 def newton_side_correction(side: model.NewtonSide) -> Correction:
     """Correction for one qualifying polygon side, -R * (L - G), where R is
-    twice the area of the triangle cut out by the side and the origin.
+    twice the area of the triangle cut out by the side and the origin, L the
+    vertex polynomial (l6*H^6/6! - l7*H^7/7! + l8*H^8/8!, symmetric in the
+    two endpoints) and G the root data (4*p5*H^6/6! - 36*p6*H^7/7! +
+    192*p7*H^8/8!) / S, with S the lattice span and p_k the power sums of
+    the root multiplicities.  S divides R, so the term is integral.
     """
     problems = model.side_violations(side)
     if problems:
         raise FeatureError(str(problems[0]))
-    area2 = side.j1 * side.k0 - side.j0 * side.k1
-    vertex = _side_vertex_series(side.j0, side.k0, side.j1, side.k1)
-    roots = _side_root_series(side.span(), side.s)
-    return Correction(KIND_SIDE, -area2 * (vertex - roots))
+    j0, k0, j1, k1 = side.j0, side.k0, side.j1, side.k1
+    area2 = j1 * k0 - j0 * k1
+    q = area2 // side.span()
+    return _local(
+        KIND_SIDE,
+        -(area2 * _side_l6(j0, k0, j1, k1) - 4 * q * _power_sum(side.s, 5)),
+        area2 * _side_l7(j0, k0, j1, k1) - 36 * q * _power_sum(side.s, 6),
+        -(area2 * _side_l8(j0, k0, j1, k1) - 192 * q * _power_sum(side.s, 7)),
+    )
 
 
 def truncation_correction(trunc: model.Truncation) -> Correction:
@@ -285,15 +271,14 @@ def truncation_correction(trunc: model.Truncation) -> Correction:
     if problems:
         raise FeatureError(str(problems[0]))
     total = sum(trunc.s)
-    weight = trunc.ell * trunc.weight
-    term = -weight * TruncSeries.from_terms(
-        {
-            6: F(4 * (total**5 - _power_sum(trunc.s, 5)), 720),
-            7: F(-36 * (total**6 - _power_sum(trunc.s, 6)), 5040),
-            8: F(192 * (total**7 - _power_sum(trunc.s, 7)), 40320),
-        }
+    w = trunc.ell * trunc.weight.numerator
+    return _local(
+        KIND_TRUNCATION,
+        -4 * w * (total**5 - _power_sum(trunc.s, 5)),
+        36 * w * (total**6 - _power_sum(trunc.s, 6)),
+        -192 * w * (total**7 - _power_sum(trunc.s, 7)),
+        trunc.weight.denominator,
     )
-    return Correction(KIND_TRUNCATION, term)
 
 
 def local_correction_from_quadratic(
@@ -307,13 +292,9 @@ def local_correction_from_quadratic(
     a, b, c, r = (to_rational(v) for v in (alpha, beta, gamma, rho))
     if delta < 1:
         raise FeatureError("the covering degree must be a positive integer")
-    p = a * r * r - b * r + c
-    p1 = -2 * a * r + b
-    p2 = 2 * a
-    term = -delta * TruncSeries.from_terms(
-        {6: p2 / (42 * 720), 7: p1 / (7 * 5040), 8: p / 40320}
-    )
-    return Correction(KIND_LOCAL, term)
+    values = (-delta * 2 * a / 42, -delta * (-2 * a * r + b) / 7, -delta * (a * r * r - b * r + c))
+    den = lcm(*(v.denominator for v in values))
+    return _local(KIND_LOCAL, *(v.numerator * (den // v.denominator) for v in values), den)
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +309,8 @@ def pair_jet(a: int, b: int) -> tuple[int, int, int]:
     return (p - 4, -3 * p * (a + b) + 36, 3 * p * (2 * a * a + 3 * a * b + 2 * b * b) - 192)
 
 
-def irreducible_singularity_factor(sing: model.IrreducibleSingularity) -> TruncSeries:
-    """Contribution 1 + term of an irreducible singularity.
+def irreducible_correction(sing: model.IrreducibleSingularity) -> Correction:
+    """Correction term of an irreducible singularity.
 
     With e_0 = n, e_{r+1} = 0, and d_j the running gcd chain, the jet
     q = m*n*P(m, n) + sum_j (e_{j+1} - e_j) * d_j * P(d_j, 2*d_j) gives
@@ -344,7 +325,12 @@ def irreducible_singularity_factor(sing: model.IrreducibleSingularity) -> TruncS
     for j in range(len(sing.essential) + 1):
         weighted.append(((exponents[j + 1] - exponents[j]) * chain[j], pair_jet(chain[j], 2 * chain[j])))
     q0, q1, q2 = (sum(w * jet[i] for w, jet in weighted) for i in range(3))
-    return TruncSeries.from_terms({0: 1, 6: F(-q0, 720), 7: F(-q1, 5040), 8: F(-q2, 40320)})
+    return _local(KIND_IRREDUCIBLE, -q0, -q1, -q2)
+
+
+def irreducible_singularity_factor(sing: model.IrreducibleSingularity) -> TruncSeries:
+    """Contribution 1 + term of an irreducible singularity."""
+    return 1 + irreducible_correction(sing).term
 
 
 def flexes_absorbed(sing: model.IrreducibleSingularity) -> int:
@@ -359,24 +345,31 @@ def flexes_absorbed(sing: model.IrreducibleSingularity) -> int:
     return count
 
 
-#: The H^6..H^8 data of an ordinary inflection (contact 3) as derived from
-#: the general contact formula.  A value of -1/42 for the H^6 coefficient
-#: circulates in print; it is inconsistent with every cross-check in this
+#: (a6, a7, a8) and denominator of an ordinary inflection (contact 3): the
+#: term -H^6/48 + 3*H^7/70 - 197*H^8/4480 derived from the general contact
+#: formula, and the same with the H^6 coefficient -1/42 that circulates in
+#: print.  The printed value is inconsistent with every cross-check in this
 #: package (see README), but can be selected to reproduce the discrepancy.
-_FLEX_DERIVED = TruncSeries.from_terms({0: 1, 6: F(-1, 48), 7: F(3, 70), 8: F(-197, 4480)})
-_FLEX_PRINTED = TruncSeries.from_terms({0: 1, 6: F(-1, 42), 7: F(3, 70), 8: F(-197, 4480)})
+_FLEX_DERIVED = ((-15, 216, -1773), 1)
+_FLEX_PRINTED = ((-120, 1512, -12411), 7)
+
+
+def flex_correction(count: int, printed: bool = False) -> Correction:
+    """The term of `count` ordinary inflections: count times that of one."""
+    if count < 0:
+        raise FeatureError("flex count must be >= 0")
+    (a6, a7, a8), den = _FLEX_PRINTED if printed else _FLEX_DERIVED
+    return _local(KIND_FLEX, count * a6, count * a7, count * a8, den)
 
 
 def flex_factor(printed: bool = False) -> TruncSeries:
     """The contribution 1 + term of a single ordinary inflection."""
-    return _FLEX_PRINTED if printed else _FLEX_DERIVED
+    return flex_equivalent(1, printed)
 
 
 def flex_equivalent(count: int, printed: bool = False) -> TruncSeries:
     """The contribution 1 + count*term of `count` ordinary inflections."""
-    if count < 0:
-        raise FeatureError("flex count must be >= 0")
-    return 1 + count * (flex_factor(printed) - 1)
+    return 1 + flex_correction(count, printed).term
 
 
 # ---------------------------------------------------------------------------
@@ -384,10 +377,10 @@ def flex_equivalent(count: int, printed: bool = False) -> TruncSeries:
 # ---------------------------------------------------------------------------
 
 
-def _branch_contact_factor(m: int, r: int) -> TruncSeries:
-    """Per-tangent-line contribution 1 + term of an ordinary multiple point
-    of multiplicity m whose nonlinear branch meets its tangent with total
-    multiplicity r."""
+def _branch_contact(m: int, r: int) -> tuple[int, int, int]:
+    """(a6, a7, a8) of the per-tangent-line term of an ordinary multiple
+    point of multiplicity m whose nonlinear branch meets its tangent with
+    total multiplicity r."""
     h6 = -r * (2 - 3 * r + r * r - 12 * m + 3 * r * m + 6 * m * m)
     h7 = 3 * r * (
         -12 + 2 * r - 2 * r**2 + r**3 + 10 * m - 8 * r * m + 3 * r**2 * m - 20 * m**2 + 6 * r * m**2 + 10 * m**3
@@ -407,7 +400,7 @@ def _branch_contact_factor(m: int, r: int) -> TruncSeries:
         + 20 * r * m**3
         + 30 * m**4
     )
-    return TruncSeries.from_terms({0: 1, 6: F(h6, 720), 7: F(h7, 5040), 8: F(h8, 40320)})
+    return h6, h7, h8
 
 
 def ordinary_multiple_point_factor(m: int, contacts: Sequence[int]) -> TruncSeries:
@@ -425,103 +418,7 @@ def ordinary_multiple_point_factor(m: int, contacts: Sequence[int]) -> TruncSeri
         raise FeatureError(f"at most m = {m} branches")
     if any(r < m + 1 for r in contacts):
         raise FeatureError(f"contacts must be >= m + 1 = {m + 1}")
-    result = 1 + tangent_cone_correction((1,) * m).term
+    total = list(tangent_cone_correction((1,) * m).a[6:])
     for r in contacts:
-        result = result + (_branch_contact_factor(m, r) - 1)
-    return result
-
-
-def ordinary_multiple_point_factor_sym(m: int, contacts: Sequence[int]) -> TruncSeries:
-    """The same contribution through the elementary-symmetric form.
-
-    An independent transcription used as an oracle for
-    `ordinary_multiple_point_factor`.
-    """
-    e = _elementary_symmetric(contacts, 5)
-    e1, e2, e3, e4, e5 = e[1], e[2], e[3], e[4], e[5]
-    h6 = (
-        -2 * e1
-        + 3 * e1**2
-        - e1**3
-        - 6 * e2
-        + 3 * e1 * e2
-        - 3 * e3
-        + 12 * e1 * m
-        - 3 * e1**2 * m
-        + 6 * e2 * m
-        + 6 * m**2
-        - 6 * e1 * m**2
-        - 15 * m**3
-        + 10 * m**4
-        - m**6
-    )
-    h7 = (
-        -36 * e1
-        + 6 * e1**2
-        - 6 * e1**3
-        + 3 * e1**4
-        - 12 * e2
-        + 18 * e1 * e2
-        - 12 * e1**2 * e2
-        + 6 * e2**2
-        - 18 * e3
-        + 12 * e1 * e3
-        - 12 * e4
-        + 30 * e1 * m
-        - 24 * e1**2 * m
-        + 9 * e1**3 * m
-        + 48 * e2 * m
-        - 27 * e1 * e2 * m
-        + 27 * e3 * m
-        - 60 * e1 * m**2
-        + 18 * e1**2 * m**2
-        - 36 * e2 * m**2
-        - 36 * m**3
-        + 30 * e1 * m**3
-        + 90 * m**4
-        - 60 * m**5
-        + 6 * m**7
-    )
-    h8 = (
-        192 * e1
-        - 6 * e1**3
-        + 9 * e1**4
-        - 6 * e1**5
-        + 18 * e1 * e2
-        - 36 * e1**2 * e2
-        + 30 * e1**3 * e2
-        + 18 * e2**2
-        - 30 * e1 * e2**2
-        - 18 * e3
-        + 36 * e1 * e3
-        - 30 * e1**2 * e3
-        + 30 * e2 * e3
-        - 36 * e4
-        + 30 * e1 * e4
-        - 30 * e5
-        - 30 * e1**2 * m
-        + 36 * e1**3 * m
-        - 18 * e1**4 * m
-        + 60 * e2 * m
-        - 108 * e1 * e2 * m
-        + 72 * e1**2 * e2 * m
-        - 36 * e2**2 * m
-        + 108 * e3 * m
-        - 72 * e1 * e3 * m
-        + 72 * e4 * m
-        - 90 * e1 * m**2
-        + 90 * e1**2 * m**2
-        - 36 * e1**3 * m**2
-        - 180 * e2 * m**2
-        + 108 * e1 * e2 * m**2
-        - 108 * e3 * m**2
-        + 180 * e1 * m**3
-        - 60 * e1**2 * m**3
-        + 120 * e2 * m**3
-        + 126 * m**4
-        - 90 * e1 * m**4
-        - 315 * m**5
-        + 210 * m**6
-        - 21 * m**8
-    )
-    return TruncSeries.from_terms({0: 1, 6: F(h6, 720), 7: F(h7, 5040), 8: F(h8, 40320)})
+        total = [x + y for x, y in zip(total, _branch_contact(m, r))]
+    return 1 + _local(KIND_LOCAL, *total).term

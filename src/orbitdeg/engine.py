@@ -6,6 +6,12 @@ terms (lines, nonlinear components) have order >= 3 and local ones order
 >= 6, so the cross terms of the paper's exp(d*H) * (1 + global) *
 prod(1 + local) have order >= 9 and vanish in Q[H]/(H^9).
 
+All of it runs in the predegree basis, where a series is the sum of
+a_i * H^i / i! with integer a_i over one common denominator.  There a
+product is the binomial convolution (f*g)_k = sum_j C(k, j) f_j g_{k-j},
+exp(d*H) is (d^i), and replacing H by m*H multiplies a_i by m^i; the
+report's series and rationals are built once, from the result.
+
 From the polynomial the report reads off the predegree coefficients
 a_i = i! * c_i, the orbit dimension (largest i with a_i nonzero), the
 predegree a_dim, and, when a stabilizer degree is supplied, the degree
@@ -16,12 +22,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd, lcm
 from typing import Optional, Sequence
 
 from . import corrections, model
 from .corrections import Correction
-from .series import TruncSeries, exp_linear, rational_to_string
+from .series import TRUNCATION_ORDER, TruncSeries, from_predegree, predegree_strings, rational_to_string
 
 F = Fraction
 
@@ -39,18 +45,15 @@ class ValidationError(EngineError):
         super().__init__(f"invalid descriptor: {summary}")
 
 
-#: Contribution 1 + term per transversal intersection of two nonlinear components.
-PAIR_CROSSING_FACTOR = TruncSeries.from_terms(
-    {0: 1, 6: F(-1, 9), 7: F(11, 40), 8: F(-311, 960)}
-)
-#: Contribution 1 + term per transversal intersection of a nonlinear component and a line.
-LINE_CROSSING_FACTOR = TruncSeries.from_terms(
-    {0: 1, 6: F(-1, 24), 7: F(7, 60), 8: F(-13, 80)}
-)
-#: Contribution 1 + term per point of simple tangency of a line with a curve.
-SIMPLE_TANGENCY_FACTOR = TruncSeries.from_terms(
-    {0: 1, 6: F(-1, 6), 7: F(7, 15), 8: F(-13, 20)}
-)
+#: (a6, a7, a8) of the term per transversal intersection of two nonlinear
+#: components (1 + term = 1 - H^6/9 + 11*H^7/40 - 311*H^8/960), per
+#: transversal intersection of a nonlinear component and a line, and per
+#: point of simple tangency of a line with a curve.
+PAIR_CROSSING = (-80, 1386, -13062)
+LINE_CROSSING = (-30, 588, -6552)
+SIMPLE_TANGENCY = (-120, 2352, -26208)
+
+_BINOMIALS = tuple(tuple(comb(k, j) for j in range(k + 1)) for k in range(TRUNCATION_ORDER))
 
 _ERRATUM_NOTE = (
     "strict mode: the ordinary-inflection factor uses the circulated H^6 "
@@ -72,16 +75,38 @@ class OrbitReport:
     erratum_notes: tuple[str, ...] = ()
 
 
+def _convolve(f: Sequence[int], g: Sequence[int]) -> list[int]:
+    """The product of two series in the predegree basis, truncated at H^9."""
+    out = [0] * TRUNCATION_ORDER
+    for j, y in enumerate(g):
+        if y:
+            for k in range(j, TRUNCATION_ORDER):
+                out[k] += _BINOMIALS[k][j] * f[k - j] * y
+    return out
+
+
+def _integers(report: OrbitReport) -> tuple[list[int], int]:
+    """The report's predegree coefficients as integers over one denominator."""
+    den = lcm(*[c.denominator for c in report.predegree_polynomial])
+    return [c.numerator * (den // c.denominator) for c in report.predegree_polynomial], den
+
+
 def _build_report(
-    app: TruncSeries,
+    a: Sequence[int],
+    den: int,
     breakdown: Sequence[tuple[str, Correction]],
     stabilizer_degree: Optional[int],
     erratum_notes: tuple[str, ...] = (),
 ) -> OrbitReport:
-    coefficients = app.app_coefficients()
+    """The report of the polynomial sum of a[i] * H^i / (i! * den)."""
+    # Tuples here and below are built from lists, not generators: tuple() of
+    # a generator allocates ten slots and then shrinks, and the shrunk tuples
+    # collect in CPython's per-size free lists, so a long run's peak memory
+    # grows.
+    coefficients = tuple([F(v, den) for v in a])
     dimension = 0
-    for i, a in enumerate(coefficients):
-        if a != 0:
+    for i, v in enumerate(a):
+        if v:
             dimension = i
     predegree = coefficients[dimension]
     degree: Optional[Fraction] = None
@@ -93,7 +118,7 @@ def _build_report(
                 f"{rational_to_string(predegree)} into a positive integer"
             )
     return OrbitReport(
-        app=app,
+        app=from_predegree(a, den),
         predegree_polynomial=coefficients,
         orbit_dimension=dimension,
         predegree=predegree,
@@ -114,15 +139,13 @@ def _feature_corrections(
     out: list[tuple[str, Correction]] = []
     if isinstance(feature, model.FlexPoint):
         if erratum_strict and feature.contact == 3:
-            factor = corrections.flex_factor(printed=True)
+            corr = corrections.flex_correction(1, printed=True)
         else:
-            factor = corrections.irreducible_singularity_factor(
-                model.IrreducibleSingularity(1, feature.contact)
-            )
-        out.append((label, Correction(corrections.KIND_FLEX, factor - TruncSeries.one())))
+            single = corrections.irreducible_correction(model.IrreducibleSingularity(1, feature.contact))
+            corr = Correction(corrections.KIND_FLEX, single.a, single.den)
+        out.append((label, corr))
     elif isinstance(feature, model.IrreduciblePoint):
-        factor = corrections.irreducible_singularity_factor(feature.singularity)
-        out.append((label, Correction(corrections.KIND_IRREDUCIBLE, factor - TruncSeries.one())))
+        out.append((label, corrections.irreducible_correction(feature.singularity)))
     else:
         if feature.tangent_cone is not None:
             out.append(
@@ -163,13 +186,18 @@ def assemble(descriptor: model.CurveDescriptor, *, erratum_strict: bool = False)
     count = model.resolved_flex_count(descriptor)
     if count:
         flex_in_use = True
-        factor = corrections.flex_equivalent(count, printed=erratum_strict)
-        breakdown.append(("ordinary_flexes", Correction(corrections.KIND_FLEX, factor - 1)))
+        breakdown.append(("ordinary_flexes", corrections.flex_correction(count, printed=erratum_strict)))
 
-    total = sum((corr.term for _, corr in breakdown), TruncSeries.one())
-    app = exp_linear(d) * total
+    den = lcm(*[corr.den for _, corr in breakdown])
+    total = [den] + [0] * (TRUNCATION_ORDER - 1)
+    for _, corr in breakdown:
+        factor = den // corr.den
+        for i, v in enumerate(corr.a):
+            if v:
+                total[i] += factor * v
+    app = _convolve([d**i for i in range(TRUNCATION_ORDER)], total)
     notes = (_ERRATUM_NOTE,) if erratum_strict and flex_in_use else ()
-    return _build_report(app, breakdown, descriptor.stabilizer_degree, notes)
+    return _build_report(app, den, breakdown, descriptor.stabilizer_degree, notes)
 
 
 def union(
@@ -191,34 +219,39 @@ def union(
         raise EngineError("intersection counts must be >= 0")
     breakdown = [(f"left.{label}", corr) for label, corr in left.breakdown]
     breakdown += [(f"right.{label}", corr) for label, corr in right.breakdown]
-    meeting = TruncSeries.one()
+    meeting = [1] + [0] * (TRUNCATION_ORDER - 1)
     for count, factor, label in (
-        (crossings, PAIR_CROSSING_FACTOR, "crossings"),
-        (line_crossings, LINE_CROSSING_FACTOR, "line_crossings"),
-        (tangencies, SIMPLE_TANGENCY_FACTOR, "tangencies"),
+        (crossings, PAIR_CROSSING, "crossings"),
+        (line_crossings, LINE_CROSSING, "line_crossings"),
+        (tangencies, SIMPLE_TANGENCY, "tangencies"),
     ):
         if count:
-            term = count * (factor - 1)
-            meeting = meeting + term
-            breakdown.append((label, Correction(corrections.KIND_LOCAL, term)))
-    app = left.app * right.app * meeting
+            corr = Correction(corrections.KIND_LOCAL, (0,) * 6 + tuple([count * v for v in factor]))
+            meeting = [x + y for x, y in zip(meeting, corr.a)]
+            breakdown.append((label, corr))
+    (la, lden), (ra, rden) = _integers(left), _integers(right)
+    app = _convolve(_convolve(la, ra), meeting)
     notes = tuple(dict.fromkeys(left.erratum_notes + right.erratum_notes))
-    return _build_report(app, breakdown, stabilizer_degree, notes)
+    return _build_report(app, lden * rden, breakdown, stabilizer_degree, notes)
 
 
 def scale(report: OrbitReport, multiple: int, stabilizer_degree: Optional[int] = None) -> OrbitReport:
-    """Report for the m-fold multiple of a curve: H is replaced by m*H.
+    """Report for the m-fold multiple of a curve: H is replaced by m*H, which
+    multiplies every a_i by m^i.
 
     The stabilizer of the multiple need not match the original curve's,
     so the degree field is only populated when a stabilizer degree is
     passed explicitly.
     """
-    app = report.app.substitute_scaled(multiple)
+    if not isinstance(multiple, int) or multiple < 1:
+        raise ValueError("scaling multiple must be a positive integer")
+    powers = [multiple**i for i in range(TRUNCATION_ORDER)]
+    a, den = _integers(report)
     breakdown = [
-        (label, Correction(corr.kind, corr.term.substitute_scaled(multiple)))
+        (label, Correction(corr.kind, tuple([v * p for v, p in zip(corr.a, powers)]), corr.den))
         for label, corr in report.breakdown
     ]
-    return _build_report(app, breakdown, stabilizer_degree, report.erratum_notes)
+    return _build_report([v * p for v, p in zip(a, powers)], den, breakdown, stabilizer_degree, report.erratum_notes)
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +513,7 @@ def report_to_obj(report: OrbitReport) -> dict:
     if report.degree is not None:
         out["degree"] = rational_to_string(report.degree)
     out["breakdown"] = [
-        {"label": label, "kind": corr.kind, "term": corr.term.to_strings()}
+        {"label": label, "kind": corr.kind, "term": predegree_strings(corr.a, corr.den)}
         for label, corr in report.breakdown
     ]
     if report.erratum_notes:

@@ -45,6 +45,11 @@ class DescriptorSchemaError(DescriptorError):
         super().__init__(f"{path}: {message}")
 
 
+class DescriptorValueError(DescriptorSchemaError):
+    """The JSON matches the schema but a value breaks a rule of the
+    descriptor (the command line exits 1 on it, as on a validation failure)."""
+
+
 @dataclass(frozen=True)
 class Violation:
     """A single validation failure: which field, and what rule it breaks."""
@@ -499,12 +504,12 @@ def _multiple_point_feature(data: dict, path: str, label: Optional[str]) -> Comp
     m = _require_int(data["m"], f"{path}.m")
     contacts = _int_list(data.get("contacts", []), f"{path}.contacts")
     if m < 2:
-        raise DescriptorSchemaError(f"{path}.m", "multiple points need multiplicity >= 2")
+        raise DescriptorValueError(f"{path}.m", "multiple points need multiplicity >= 2")
     if len(contacts) > m:
-        raise DescriptorSchemaError(f"{path}.contacts", f"at most m = {m} branches")
+        raise DescriptorValueError(f"{path}.contacts", f"at most m = {m} branches")
     for i, r in enumerate(contacts):
         if r < m + 1:
-            raise DescriptorSchemaError(f"{path}.contacts[{i}]", f"contact must be >= m + 1 = {m + 1}")
+            raise DescriptorValueError(f"{path}.contacts[{i}]", f"contact must be >= m + 1 = {m + 1}")
     if "absorbed_flexes" in data:
         absorbed = _require_int(data["absorbed_flexes"], f"{path}.absorbed_flexes")
     elif len(contacts) == m:

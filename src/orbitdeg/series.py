@@ -3,8 +3,10 @@
 Every quantity in this package lives in the quotient ring Q[H]/(H^9): a
 series keeps the nine coefficients of H^0..H^8 as `fractions.Fraction`
 values, and any product term of degree nine or higher is silently
-discarded.  The adjusted predegree polynomial is one such series,
-exp(d*H) * (1 + sum of correction terms), built with a single product.
+discarded.  The adjusted predegree polynomial is one such series.  The
+engine computes it in the predegree basis, sum of a_i * H^i / i! with
+integer a_i over one denominator, and `from_predegree` /
+`predegree_strings` turn that form into a series or into its strings.
 
 There is no floating point anywhere; equality of series is exact.
 """
@@ -12,14 +14,17 @@ There is no floating point anywhere; equality of series is exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
-from typing import Iterable, Mapping, Union
+from math import factorial, gcd
+from typing import Iterable, Mapping, Sequence, Union
 
 Rational = Fraction
 RationalLike = Union[Fraction, int, str]
 
 #: Number of retained coefficients: H^0 through H^8.
 TRUNCATION_ORDER = 9
+
+#: i! for i < 9, the denominators of the predegree basis H^i / i!.
+FACTORIALS = tuple(factorial(i) for i in range(TRUNCATION_ORDER))
 
 
 def to_rational(value: RationalLike) -> Fraction:
@@ -276,3 +281,18 @@ def exp_linear(scale: RationalLike) -> TruncSeries:
     """The truncated exponential of scale*H: sum of (scale*H)^i / i! for i < 9."""
     d = to_rational(scale)
     return TruncSeries(d**i / factorial(i) for i in range(TRUNCATION_ORDER))
+
+
+def from_predegree(a: Sequence[int], den: int = 1) -> TruncSeries:
+    """The series sum of a[i] * H^i / (i! * den), for integers a[i] and den > 0."""
+    return TruncSeries([Fraction(v, f * den) for v, f in zip(a, FACTORIALS)])
+
+
+def predegree_strings(a: Sequence[int], den: int = 1) -> list[str]:
+    """`from_predegree(a, den).to_strings()`, written without building the series."""
+    out = []
+    for v, f in zip(a, FACTORIALS):
+        q = f * den
+        g = gcd(v, q)
+        out.append(str(v // g) if g == q else f"{v // g}/{q // g}")
+    return out

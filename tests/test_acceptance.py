@@ -8,6 +8,8 @@ and compared for equality.
 
 import random
 from fractions import Fraction as F
+
+import oracles
 from orbitdeg import corpus, corrections, engine, model, newton
 from orbitdeg.series import TruncSeries, exp_linear
 from conftest import composition, random_descriptor, scaled_descriptor
@@ -218,9 +220,7 @@ def test_criterion_8_oracle_equivalences():
         for _ in range(10):
             rest = rng.randint(0, 6)
             meets = tuple(composition(rng, rest)) if rest else ()
-            assert corrections.line_correction(m, meets, m + rest).term == (
-                corrections.line_correction_closed_form(m, meets).term
-            )
+            assert corrections.line_correction(m, meets, m + rest).term == oracles.line_term(m, meets, m + rest)
 
     # unibranch factor vs side correction for smooth contact points
     for k in range(2, 11):

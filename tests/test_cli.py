@@ -248,12 +248,33 @@ def test_newton_rejects_non_integer_exponents(capsys, tmp_path, body):
         ('{"terms": [[0, 2, 1]]}', 'missing key "degree"'),
         ("[[0, 2, 1]]", "expected a JSON object"),
         ('{"degree": 4.0, "terms": [[0, 2, 1]]}', '"degree": expected an integer, got float'),
+        ('{"degree": 4, "terms": [[0, 2, 1], [0, 1, 1.5]]}', "term 1: cannot interpret float as a rational"),
+        ('{"degree": 4, "terms": [[0, 2, "1/0"]]}', "term 0: invalid rational literal: '1/0'"),
+        ('{"degree": 4, "terms": [[0, 2, true]]}', "term 0: booleans are not rational numbers"),
     ],
 )
 def test_newton_malformed_input_messages(capsys, tmp_path, text, message):
     path = tmp_path / "support.json"
     path.write_text(text, encoding="utf-8")
     code, out, err = run(capsys, "newton", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {path}: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "point, message",
+    [
+        ({"m": 1}, "points[0].m: multiple points need multiplicity >= 2"),
+        ({"m": 2, "contacts": [3, 3, 3]}, "points[0].contacts: at most m = 2 branches"),
+        ({"m": 2, "contacts": [3, 2]}, "points[0].contacts[1]: contact must be >= m + 1 = 3"),
+    ],
+)
+def test_multiple_point_shorthand_errors_are_invalid(capsys, tmp_path, point, message):
+    path = tmp_path / "curve.json"
+    point = dict(point, kind="ordinary_multiple_point")
+    path.write_text(json.dumps({"degree": 4, "nonlinear": [{"deg": 4}], "points": [point]}), encoding="utf-8")
+    code, out, err = run(capsys, "compute", str(path))
     assert code == 1
     assert out == ""
     assert err == f"error: {path}: {message}\n"

@@ -6,6 +6,7 @@ from math import gcd
 
 import pytest
 
+import oracles
 from orbitdeg import corrections, model
 from orbitdeg.series import TruncSeries, exp_linear
 from conftest import composition, random_irreducible, random_side, random_truncation
@@ -51,9 +52,8 @@ def test_line_correction_closed_form_matches_antiderivative():
             rest = rng.randint(0, 6)
             meets = tuple(composition(rng, rest)) if rest else ()
             d = m + rest
-            via_antiderivative = corrections.line_correction(m, meets, d).term
-            closed = corrections.line_correction_closed_form(m, meets).term
-            assert via_antiderivative == closed
+            closed = corrections.line_correction(m, meets, d).term
+            assert closed == oracles.line_term(m, meets, d)
 
 
 def test_line_correction_precondition():
@@ -139,8 +139,8 @@ def test_side_contact_two_is_trivial():
 def test_side_matches_multiple_point_branch_factor():
     for m in range(2, 9):
         side = model.NewtonSide(m - 1, 1, m + 1, 0, (1,))
-        got = ONE + corrections.newton_side_correction(side).term
-        assert got == corrections._branch_contact_factor(m, m + 1)
+        got = corrections.newton_side_correction(side).term
+        assert got == corrections._local(corrections.KIND_LOCAL, *corrections._branch_contact(m, m + 1)).term
 
 
 def test_side_unibranch_display():
@@ -164,9 +164,8 @@ def test_side_vertex_polynomial_symmetry():
     rng = random.Random(22)
     for _ in range(50):
         j0, k0, j1, k1 = (rng.randint(0, 9) for _ in range(4))
-        assert corrections._side_vertex_series(j0, k0, j1, k1) == corrections._side_vertex_series(
-            j1, k1, j0, k0
-        )
+        for vertex_polynomial in (corrections._side_l6, corrections._side_l7, corrections._side_l8):
+            assert vertex_polynomial(j0, k0, j1, k1) == vertex_polynomial(j1, k1, j0, k0)
 
 
 def test_side_precondition():
@@ -344,7 +343,7 @@ def test_multiple_point_matches_symmetric_form():
         contacts = tuple(rng.randint(m + 1, m + 4) for _ in range(branches))
         assert corrections.ordinary_multiple_point_factor(
             m, contacts
-        ) == corrections.ordinary_multiple_point_factor_sym(m, contacts), (m, contacts)
+        ) == oracles.ordinary_multiple_point_factor_sym(m, contacts), (m, contacts)
 
 
 def test_smooth_branches_display():

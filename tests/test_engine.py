@@ -6,12 +6,17 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from orbitdeg import corpus, corrections, engine, model
-from orbitdeg.series import TruncSeries, exp_linear
+from orbitdeg.series import TRUNCATION_ORDER, TruncSeries, exp_linear
 from conftest import random_descriptor, scaled_descriptor
+from strategies import descriptors
 
 ONE = TruncSeries.one()
+PROPERTY = settings(max_examples=60, deadline=None)
 
 
 def series(terms):
@@ -120,7 +125,7 @@ def test_union_matches_product_form():
     for _ in range(20):
         left, right = rng.choice(reports), rng.choice(reports)
         counts = [rng.randint(0, 4) for _ in range(3)]
-        factors = (engine.PAIR_CROSSING_FACTOR, engine.LINE_CROSSING_FACTOR, engine.SIMPLE_TANGENCY_FACTOR)
+        factors = (oracles.PAIR_CROSSING_FACTOR, oracles.LINE_CROSSING_FACTOR, oracles.SIMPLE_TANGENCY_FACTOR)
         expected = left.app * right.app
         for factor, count in zip(factors, counts):
             expected = expected * factor**count
@@ -128,23 +133,63 @@ def test_union_matches_product_form():
         assert got.app == expected
 
 
-def test_one_series_product_per_assembly(monkeypatch):
-    products = []
-    original = TruncSeries.__mul__
+@PROPERTY
+@given(descriptors())
+def test_app_equals_product_form_property(descriptor):
+    for strict in (False, True):
+        report = engine.assemble(descriptor, erratum_strict=strict)
+        assert report.app == product_form(descriptor, report, strict)
 
-    def counting(self, other):
-        if isinstance(other, TruncSeries):
-            products.append(other)
-        return original(self, other)
 
-    monkeypatch.setattr(TruncSeries, "__mul__", counting)
-    # no line components: line_correction builds its term with products of its own
-    sextic = [d for d in fixture_descriptors() if d.degree == 6 and not d.linear][0]
-    report = engine.assemble(sextic)
-    assert len(products) == 1
-    products.clear()
-    engine.union(report, report, crossings=2, line_crossings=1, tangencies=3)
-    assert len(products) == 2
+@PROPERTY
+@given(descriptors(), st.booleans(), st.integers(1, 4))
+def test_scale_multiplies_each_a_i_by_m_to_the_i(descriptor, strict, multiple):
+    report = engine.assemble(descriptor, erratum_strict=strict)
+    scaled = engine.scale(report, multiple)
+    powers = [multiple**i for i in range(TRUNCATION_ORDER)]
+    assert list(scaled.predegree_polynomial) == [p * a for p, a in zip(powers, report.predegree_polynomial)]
+    assert [(label, corr.kind) for label, corr in scaled.breakdown] == [
+        (label, corr.kind) for label, corr in report.breakdown
+    ]
+    for (_, corr), (_, scaled_corr) in zip(report.breakdown, scaled.breakdown):
+        expected = [p * a for p, a in zip(powers, corr.term.app_coefficients())]
+        assert list(scaled_corr.term.app_coefficients()) == expected
+
+
+UNION_COUNTS = st.fixed_dictionaries(
+    {"crossings": st.integers(0, 4), "line_crossings": st.integers(0, 4), "tangencies": st.integers(0, 4)}
+)
+
+
+@PROPERTY
+@given(descriptors(), descriptors(), descriptors(), st.booleans(), UNION_COUNTS, UNION_COUNTS)
+def test_union_is_commutative_and_associative(first, second, third, strict, counts, more_counts):
+    a, b, c = (engine.assemble(d, erratum_strict=strict) for d in (first, second, third))
+    assert engine.union(a, b, **counts).app == engine.union(b, a, **counts).app
+    left = engine.union(engine.union(a, b, **counts), c, **more_counts)
+    right = engine.union(a, engine.union(b, c, **more_counts), **counts)
+    assert left.app == right.app
+
+
+def test_no_series_products_in_assembly_union_or_scale(monkeypatch):
+    calls = []
+
+    def counting(name):
+        original = getattr(TruncSeries, name)
+
+        def wrapper(self, *args):
+            calls.append(name)
+            return original(self, *args)
+
+        return wrapper
+
+    for name in ("__mul__", "__rmul__", "__pow__", "substitute_scaled"):
+        monkeypatch.setattr(TruncSeries, name, counting(name))
+    for descriptor in fixture_descriptors():
+        report = engine.assemble(descriptor)
+        engine.union(report, report, crossings=2, line_crossings=1, tangencies=3)
+        engine.scale(report, 3)
+    assert calls == []
 
 
 def test_validation_error_raised():
