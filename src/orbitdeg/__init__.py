@@ -27,8 +27,6 @@ from .engine import (
     OrbitReport,
     ValidationError,
     assemble,
-    predegree_direct,
-    predegree_from_cusp_types,
     scale,
     union,
 )
@@ -89,8 +87,6 @@ __all__ = [
     "nonlinear_correction",
     "ordinary_multiple_point_factor",
     "parse",
-    "predegree_direct",
-    "predegree_from_cusp_types",
     "qualifying_sides",
     "rational_to_string",
     "scale",

@@ -9,14 +9,16 @@ Subcommands:
   corpus         replay the bundled golden fixtures
 
 Exit codes: 0 success, 1 validation or precondition failure (and corpus
-mismatches), 2 I/O or parse errors.  Reports go to stdout, diagnostics
-to stderr.
+mismatches), 2 I/O or parse errors, a closed stdout among them.  Reports
+go to stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import re
 import reprlib
 import sys
 from fractions import Fraction
@@ -25,7 +27,7 @@ from typing import Any
 
 from . import corpus as corpus_mod
 from . import corrections, engine, model, newton
-from .series import predegree_strings, rational_to_string, to_rational
+from .series import TruncSeries, predegree_strings, rational_to_string, to_rational
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -124,20 +126,10 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common_output_flags(p_compute)
 
     p_contr = sub.add_parser("contribution", help="print one correction term or point factor")
-    p_contr.add_argument(
-        "kind",
-        choices=(
-            "line", "type1",
-            "nonlinear", "type2",
-            "tangent-cone", "type3",
-            "side", "type4",
-            "truncation", "type5",
-            "irreducible",
-            "multiple-point",
-            "flexes",
-            "local-quadratic",
-        ),
-    )
+    # argparse reads only -N and -N.N as negative numbers; without this a
+    # "-num/den" value after a rational flag is taken for an option.
+    p_contr._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+    p_contr.add_argument("kind", choices=list(_CONTRIBUTIONS))
     p_contr.add_argument("--degree", type=int, help="curve degree (line, nonlinear)")
     p_contr.add_argument("--mult", type=int, help="component or point multiplicity")
     p_contr.add_argument("--meets", type=_int_csv, help="line intersection multiplicities, comma separated")
@@ -198,58 +190,57 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _require(args: argparse.Namespace, names: list[str]) -> None:
-    missing = [name for name in names if getattr(args, name) is None]
-    if missing:
-        flags = ", ".join("--" + name.replace("_", "-") for name in missing)
-        raise _CliError(f"{args.kind}: missing {flags}", EXIT_INVALID)
+def _factor(series: TruncSeries) -> dict[str, object]:
+    return {"factor": series.to_strings()}
+
+
+def _irreducible(args: argparse.Namespace) -> dict[str, object]:
+    sing = model.IrreducibleSingularity(args.m, args.n, tuple(args.essential))
+    return {**_factor(corrections.irreducible_singularity_factor(sing)), "absorbs": corrections.flexes_absorbed(sing)}
+
+
+#: One row per contribution kind: its names (the type1..type5 aliases share
+#: the row of the kind they name), the flags it requires, and its builder,
+#: which returns a correction term or the payload fields of a point factor.
+_KINDS = (
+    (("line", "type1"), ("mult", "degree"), lambda a: corrections.line_correction(a.mult, a.meets or [], a.degree)),
+    (("nonlinear", "type2"), ("degree", "e", "mult"), lambda a: corrections.nonlinear_correction(a.degree, a.e, a.mult)),
+    (("tangent-cone", "type3"), ("lines",), lambda a: corrections.tangent_cone_correction(a.lines)),
+    (
+        ("side", "type4"),
+        ("side_from", "side_to", "s"),
+        lambda a: corrections.newton_side_correction(model.NewtonSide(*a.side_from, *a.side_to, tuple(a.s))),
+    ),
+    (
+        ("truncation", "type5"),
+        ("ell", "weight", "s"),
+        lambda a: corrections.truncation_correction(model.Truncation(a.ell, a.weight, tuple(a.s))),
+    ),
+    (("irreducible",), ("m", "n"), _irreducible),
+    (("multiple-point",), ("m",), lambda a: _factor(corrections.ordinary_multiple_point_factor(a.m, a.contacts or []))),
+    (("flexes",), ("count",), lambda a: _factor(corrections.flex_equivalent(a.count, a.erratum == "strict"))),
+    (
+        ("local-quadratic",),
+        ("alpha", "beta", "gamma", "rho"),
+        lambda a: corrections.local_correction_from_quadratic(a.alpha, a.beta, a.gamma, a.rho, a.delta),
+    ),
+)
+_CONTRIBUTIONS = {kind: (required, build) for names, required, build in _KINDS for kind in names}
 
 
 def _cmd_contribution(args: argparse.Namespace) -> int:
-    payload: dict[str, object] = {"kind": args.kind}
-    corr = None
+    required, build = _CONTRIBUTIONS[args.kind]
+    missing = [name for name in required if getattr(args, name) is None]
+    if missing:
+        flags = ", ".join("--" + name.replace("_", "-") for name in missing)
+        raise _CliError(f"{args.kind}: missing {flags}", EXIT_INVALID)
     try:
-        if args.kind in ("line", "type1"):
-            _require(args, ["mult", "degree"])
-            corr = corrections.line_correction(args.mult, args.meets or [], args.degree)
-        elif args.kind in ("nonlinear", "type2"):
-            _require(args, ["degree", "e", "mult"])
-            corr = corrections.nonlinear_correction(args.degree, args.e, args.mult)
-        elif args.kind in ("tangent-cone", "type3"):
-            _require(args, ["lines"])
-            corr = corrections.tangent_cone_correction(args.lines)
-        elif args.kind in ("side", "type4"):
-            _require(args, ["side_from", "side_to", "s"])
-            side = model.NewtonSide(
-                args.side_from[0], args.side_from[1], args.side_to[0], args.side_to[1], tuple(args.s)
-            )
-            corr = corrections.newton_side_correction(side)
-        elif args.kind in ("truncation", "type5"):
-            _require(args, ["ell", "weight", "s"])
-            corr = corrections.truncation_correction(model.Truncation(args.ell, args.weight, tuple(args.s)))
-        elif args.kind == "irreducible":
-            _require(args, ["m", "n"])
-            sing = model.IrreducibleSingularity(args.m, args.n, tuple(args.essential))
-            payload["factor"] = corrections.irreducible_singularity_factor(sing).to_strings()
-            payload["absorbs"] = corrections.flexes_absorbed(sing)
-        elif args.kind == "multiple-point":
-            _require(args, ["m"])
-            factor = corrections.ordinary_multiple_point_factor(args.m, args.contacts or [])
-            payload["factor"] = factor.to_strings()
-        elif args.kind == "flexes":
-            _require(args, ["count"])
-            factor = corrections.flex_equivalent(args.count, printed=args.erratum == "strict")
-            payload["factor"] = factor.to_strings()
-        else:  # local-quadratic
-            _require(args, ["alpha", "beta", "gamma", "rho"])
-            corr = corrections.local_correction_from_quadratic(
-                args.alpha, args.beta, args.gamma, args.rho, args.delta
-            )
+        fields = build(args)
     except corrections.FeatureError as exc:
         raise _CliError(str(exc), EXIT_INVALID) from None
-    if corr is not None:
-        payload["term"] = predegree_strings(corr.a, corr.den)
-    print(json.dumps(payload, indent=2))
+    if isinstance(fields, corrections.Correction):
+        fields = {"term": predegree_strings(fields.a, fields.den)}
+    print(json.dumps({"kind": args.kind, **fields}, indent=2))
     return EXIT_OK
 
 
@@ -335,17 +326,14 @@ def _cmd_union(args: argparse.Namespace) -> int:
     strict = args.erratum == "strict"
     left = _assemble(args.left, strict)
     right = _assemble(args.right, strict)
-    try:
-        combined = engine.union(
-            left,
-            right,
-            crossings=args.crossings,
-            line_crossings=args.line_crossings,
-            tangencies=args.tangencies,
-            stabilizer_degree=args.stabilizer,
-        )
-    except engine.EngineError as exc:
-        raise _CliError(str(exc), EXIT_INVALID) from None
+    combined = engine.union(
+        left,
+        right,
+        crossings=args.crossings,
+        line_crossings=args.line_crossings,
+        tangencies=args.tangencies,
+        stabilizer_degree=args.stabilizer,
+    )
     _emit_report(combined, args.format)
     return EXIT_OK
 
@@ -354,11 +342,7 @@ def _cmd_scale(args: argparse.Namespace) -> int:
     if args.multiple < 1:
         raise _CliError("--multiple must be a positive integer", EXIT_INVALID)
     report = _assemble(args.path, args.erratum == "strict")
-    try:
-        scaled = engine.scale(report, args.multiple, stabilizer_degree=args.stabilizer)
-    except engine.EngineError as exc:
-        raise _CliError(str(exc), EXIT_INVALID) from None
-    _emit_report(scaled, args.format)
+    _emit_report(engine.scale(report, args.multiple, stabilizer_degree=args.stabilizer), args.format)
     return EXIT_OK
 
 
@@ -382,8 +366,6 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     handlers = {
         "compute": _cmd_compute,
         "contribution": _cmd_contribution,
@@ -393,15 +375,20 @@ def main(argv: list[str] | None = None) -> int:
         "corpus": _cmd_corpus,
     }
     try:
-        return handlers[args.command](args)
+        args = _build_parser().parse_args(argv)
+        code = handlers[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout.  Point it at the null device so that the
+        # interpreter's flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: cannot write to stdout: broken pipe", file=sys.stderr)
+        return EXIT_IO
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except engine.ValidationError as exc:
-        for violation in exc.violations:
-            print(f"invalid: {violation}", file=sys.stderr)
-        return EXIT_INVALID
-    except engine.EngineError as exc:
+    except engine.EngineError as exc:  # union and scale; `_assemble` names the file
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import engine, model
-from .series import rational_to_string, to_rational
+from .series import predegree_strings, rational_to_string, to_rational
 
 ENV_CORPUS_DIR = "ORBITDEG_CORPUS"
 
@@ -88,7 +88,7 @@ def check_fixture(path: Path, erratum_strict: bool = False) -> FixtureResult:
                 got = "absent" if report.degree is None else rational_to_string(report.degree)
                 result.failures.append(f"degree: expected {rational_to_string(want)}, got {got}")
         if "app" in expected:
-            got = report.app.to_strings()
+            got = predegree_strings(report.a, report.den)
             want_list = [rational_to_string(v) for v in expected["app"]]
             if got != want_list:
                 result.failures.append(f"app: expected {want_list}, got {got}")

@@ -35,6 +35,12 @@ class FeatureError(ValueError):
     """A correction was requested for data violating its preconditions."""
 
 
+def _check(problems: list[model.Violation]) -> None:
+    """Raise FeatureError with the first of the model's violations, if any."""
+    if problems:
+        raise FeatureError(str(problems[0]))
+
+
 @dataclass(frozen=True, slots=True)
 class Correction:
     """An additive correction term tagged with the feature kind it came from.
@@ -87,12 +93,7 @@ def line_correction(mult: int, meets: Sequence[int], degree: int) -> Correction:
     -m^3, 3m^4, -6m^5, 10m^3(m^3 + r_3), -15m^3(m^4 + 4m*r_3 + 3r_4) and
     21m^3(m^5 + 10m^2*r_3 + 15m*r_4 + 6r_5).  The curve degree drops out.
     """
-    if mult < 1 or degree < 1 or any(r < 1 for r in meets):
-        raise FeatureError("line data must be positive integers")
-    if sum(meets) != degree - mult:
-        raise FeatureError(
-            f"intersection multiplicities sum to {sum(meets)}, expected degree - mult = {degree - mult}"
-        )
+    _check(model.line_violations(mult, meets, degree))
     m = mult
     m3 = m**3
     r3 = _power_sum(meets, 3)
@@ -117,8 +118,7 @@ def nonlinear_correction(degree: int, component_degree: int, mult: int) -> Corre
     -2*e*m^5 * (H^5/20 - (5d+18m)H^6/360 + (9d+8m)m*H^7/420 - d*m^2*H^8/60).
     """
     d, e, m = degree, component_degree, mult
-    if e < 2 or m < 1:
-        raise FeatureError("nonlinear components need degree >= 2 and positive multiplicity")
+    _check(model.nonlinear_violations(e, m))
     if e * m > d:
         raise FeatureError(f"component accounts for degree {e * m} > curve degree {d}")
     s = -2 * e * m**5
@@ -139,8 +139,7 @@ def tangent_cone_correction(line_mults: Sequence[int]) -> Correction:
     -e1*(e2*e3 - e1*e4 - e5) * (H^6/24 - e1*H^7/28 + e1^2*H^8/64).
     The prefactor vanishes identically when there are at most two lines.
     """
-    if any(v < 1 for v in line_mults):
-        raise FeatureError("tangent-cone multiplicities must be positive")
+    _check(model.tangent_cone_violations(line_mults))
     es = _elementary_symmetric(line_mults, 5)
     e1 = es[1]
     prefactor = -e1 * (es[2] * es[3] - e1 * es[4] - es[5])
@@ -249,9 +248,7 @@ def newton_side_correction(side: model.NewtonSide) -> Correction:
     192*p7*H^8/8!) / S, with S the lattice span and p_k the power sums of
     the root multiplicities.  S divides R, so the term is integral.
     """
-    problems = model.side_violations(side)
-    if problems:
-        raise FeatureError(str(problems[0]))
+    _check(model.side_violations(side))
     j0, k0, j1, k1 = side.j0, side.k0, side.j1, side.k1
     area2 = j1 * k0 - j0 * k1
     q = area2 // side.span()
@@ -267,9 +264,7 @@ def truncation_correction(trunc: model.Truncation) -> Correction:
     """Correction for a branch truncation:
     -ell*W*(4*(S^5-p5)H^6/6! - 36*(S^6-p6)H^7/7! + 192*(S^7-p7)H^8/8!).
     """
-    problems = model.truncation_violations(trunc)
-    if problems:
-        raise FeatureError(str(problems[0]))
+    _check(model.truncation_violations(trunc))
     total = sum(trunc.s)
     w = trunc.ell * trunc.weight.numerator
     return _local(
@@ -316,9 +311,7 @@ def irreducible_correction(sing: model.IrreducibleSingularity) -> Correction:
     q = m*n*P(m, n) + sum_j (e_{j+1} - e_j) * d_j * P(d_j, 2*d_j) gives
     term = -(q0*H^6/6! + q1*H^7/7! + q2*H^8/8!).
     """
-    problems = model.irreducible_violations(sing)
-    if problems:
-        raise FeatureError(str(problems[0]))
+    _check(model.irreducible_violations(sing))
     chain = sing.gcd_chain()
     exponents = (sing.n,) + sing.essential + (0,)
     weighted = [(sing.m * sing.n, pair_jet(sing.m, sing.n))]
@@ -336,9 +329,7 @@ def irreducible_singularity_factor(sing: model.IrreducibleSingularity) -> TruncS
 def flexes_absorbed(sing: model.IrreducibleSingularity) -> int:
     """How many ordinary inflections the singularity absorbs from the
     3d(d-2) budget of a reduced line-free curve."""
-    problems = model.irreducible_violations(sing)
-    if problems:
-        raise FeatureError(str(problems[0]))
+    _check(model.irreducible_violations(sing))
     count = sing.absorbed_flex_count()
     if count < 0:
         raise RuntimeError(f"negative absorbed-flex count {count} for {sing}")
@@ -356,8 +347,7 @@ _FLEX_PRINTED = ((-120, 1512, -12411), 7)
 
 def flex_correction(count: int, printed: bool = False) -> Correction:
     """The term of `count` ordinary inflections: count times that of one."""
-    if count < 0:
-        raise FeatureError("flex count must be >= 0")
+    _check(model.flex_count_violations(count))
     (a6, a7, a8), den = _FLEX_PRINTED if printed else _FLEX_DERIVED
     return _local(KIND_FLEX, count * a6, count * a7, count * a8, den)
 
@@ -412,12 +402,7 @@ def ordinary_multiple_point_factor(m: int, contacts: Sequence[int]) -> TruncSeri
     with that branch's tangent line.  Linear branches carry no factor of
     their own but enter through m.
     """
-    if m < 2:
-        raise FeatureError("multiple points need multiplicity >= 2")
-    if len(contacts) > m:
-        raise FeatureError(f"at most m = {m} branches")
-    if any(r < m + 1 for r in contacts):
-        raise FeatureError(f"contacts must be >= m + 1 = {m + 1}")
+    _check(model.multiple_point_violations(m, contacts))
     total = list(tangent_cone_correction((1,) * m).a[6:])
     for r in contacts:
         total = [x + y for x, y in zip(total, _branch_contact(m, r))]

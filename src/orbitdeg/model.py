@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Any, Optional, Union
+from typing import Any, Optional, Sequence, Union
 
 from .series import rational_to_string, to_rational
 
@@ -221,100 +221,118 @@ def resolved_flex_count(descriptor: CurveDescriptor) -> int:
 # ---------------------------------------------------------------------------
 
 
+def line_violations(mult: int, meets: Sequence[int], degree: int, path: str = "line") -> list[Violation]:
+    """Checks for a line of multiplicity `mult` meeting the rest of a
+    degree-`degree` curve with multiplicities `meets` (empty list = valid)."""
+    if mult < 1:
+        return [Violation(f"{path}.mult", "multiplicity must be a positive integer")]
+    if any(r < 1 for r in meets):
+        return [Violation(f"{path}.meets", "intersection multiplicities must be positive")]
+    if sum(meets) != degree - mult:
+        return [
+            Violation(
+                f"{path}.meets",
+                f"intersection multiplicities sum to {sum(meets)}, expected degree - mult = {degree - mult}",
+            )
+        ]
+    return []
+
+
+def nonlinear_violations(deg: int, mult: int, path: str = "nonlinear") -> list[Violation]:
+    """Checks for a component of degree `deg` >= 2 and multiplicity `mult`."""
+    if deg < 2:
+        return [Violation(f"{path}.deg", "nonlinear components must have degree >= 2")]
+    if mult < 1:
+        return [Violation(f"{path}.mult", "multiplicity must be a positive integer")]
+    return []
+
+
+def tangent_cone_violations(line_mults: Sequence[int], path: str = "tangent_cone") -> list[Violation]:
+    """Checks for the multiplicities of the lines in a tangent cone."""
+    if any(v < 1 for v in line_mults):
+        return [Violation(path, "line multiplicities must be positive")]
+    return []
+
+
+def flex_count_violations(count: int, path: str = "flexes") -> list[Violation]:
+    """Checks for an explicit count of ordinary inflections."""
+    if count < 0:
+        return [Violation(path, "flex count must be >= 0")]
+    return []
+
+
+def multiple_point_violations(m: int, contacts: Sequence[int], path: str = "multiple_point") -> list[Violation]:
+    """Checks for an ordinary multiple point of multiplicity m whose
+    nonlinear branches meet their tangents with the given contacts."""
+    if m < 2:
+        return [Violation(f"{path}.m", "multiple points need multiplicity >= 2")]
+    if len(contacts) > m:
+        return [Violation(f"{path}.contacts", f"at most m = {m} branches")]
+    for i, r in enumerate(contacts):
+        if r < m + 1:
+            return [Violation(f"{path}.contacts[{i}]", f"contact must be >= m + 1 = {m + 1}")]
+    return []
+
+
 def irreducible_violations(sing: IrreducibleSingularity, path: str = "singularity") -> list[Violation]:
-    """Invariant checks for a one-branch singularity (empty list = valid)."""
-    out: list[Violation] = []
-    _validate_irreducible(sing, path, out)
-    return out
-
-
-def side_violations(side: NewtonSide, path: str = "side") -> list[Violation]:
-    """Invariant checks for a polygon side (empty list = valid)."""
-    out: list[Violation] = []
-    _validate_side(side, path, out)
-    return out
-
-
-def truncation_violations(trunc: Truncation, path: str = "truncation") -> list[Violation]:
-    """Invariant checks for a truncation feature (empty list = valid)."""
-    out: list[Violation] = []
-    _validate_truncation(trunc, path, out)
-    return out
-
-
-def _validate_irreducible(sing: IrreducibleSingularity, path: str, out: list[Violation]) -> None:
+    """Checks for a one-branch singularity (empty list = valid)."""
     if sing.m < 1:
-        out.append(Violation(f"{path}.m", "multiplicity must be a positive integer"))
-        return
+        return [Violation(f"{path}.m", "multiplicity must be a positive integer")]
     if sing.n <= sing.m:
-        out.append(Violation(f"{path}.n", f"contact order must exceed the multiplicity {sing.m}"))
-        return
-    previous = None
-    for idx, e in enumerate(sing.essential):
-        epath = f"{path}.essential[{idx}]"
-        if previous is not None and e <= previous:
-            out.append(Violation(epath, "exponents must be strictly increasing"))
-            return
-        previous = e
+        return [Violation(f"{path}.n", f"contact order must exceed the multiplicity {sing.m}")]
+    for idx in range(1, len(sing.essential)):
+        if sing.essential[idx] <= sing.essential[idx - 1]:
+            return [Violation(f"{path}.essential[{idx}]", "exponents must be strictly increasing")]
     if sing.essential and sing.essential[0] < sing.n:
-        out.append(
-            Violation(f"{path}.essential[0]", f"first exponent must be >= the contact order {sing.n}")
-        )
-        return
+        return [Violation(f"{path}.essential[0]", f"first exponent must be >= the contact order {sing.n}")]
     chain = sing.gcd_chain()
     for idx, e in enumerate(sing.essential):
         if e % chain[idx] == 0:
-            out.append(
+            return [
                 Violation(
                     f"{path}.essential[{idx}]",
                     f"{e} is a multiple of gcd {chain[idx]}, so it is not essential",
                 )
-            )
-            return
+            ]
     if chain[-1] != 1:
-        out.append(
-            Violation(path, f"gcd of multiplicity and exponents is {chain[-1]}, not 1 (branch not reduced)")
-        )
-        return
+        return [Violation(path, f"gcd of multiplicity and exponents is {chain[-1]}, not 1 (branch not reduced)")]
     if sing.n % sing.m != 0 and (not sing.essential or sing.essential[0] != sing.n):
-        out.append(
+        return [
             Violation(
                 f"{path}.n",
                 f"{sing.n} is not a multiple of {sing.m}, so it is itself essential and must open the exponent list",
             )
-        )
+        ]
+    return []
 
 
-def _validate_side(side: NewtonSide, path: str, out: list[Violation]) -> None:
+def side_violations(side: NewtonSide, path: str = "side") -> list[Violation]:
+    """Checks for a polygon side (empty list = valid)."""
     for name in ("j0", "k0", "j1", "k1"):
         if getattr(side, name) < 0:
-            out.append(Violation(f"{path}.{name}", "endpoint coordinates must be non-negative"))
-            return
+            return [Violation(f"{path}.{name}", "endpoint coordinates must be non-negative")]
     if side.j0 >= side.j1:
-        out.append(Violation(path, "endpoints must satisfy j0 < j1"))
-        return
-    drop = side.k0 - side.k1
-    run = side.j1 - side.j0
-    if not 0 < drop < run:
-        out.append(Violation(path, "side slope must lie strictly between -1 and 0"))
-        return
+        return [Violation(path, "endpoints must satisfy j0 < j1")]
+    if not 0 < side.k0 - side.k1 < side.j1 - side.j0:
+        return [Violation(path, "side slope must lie strictly between -1 and 0")]
     if any(v < 1 for v in side.s):
-        out.append(Violation(f"{path}.s", "root multiplicities must be positive"))
-        return
+        return [Violation(f"{path}.s", "root multiplicities must be positive")]
     span = side.span()
     if sum(side.s) != span:
-        out.append(
-            Violation(f"{path}.s", f"root multiplicities sum to {sum(side.s)}, expected the lattice span {span}")
-        )
+        return [Violation(f"{path}.s", f"root multiplicities sum to {sum(side.s)}, expected the lattice span {span}")]
+    return []
 
 
-def _validate_truncation(trunc: Truncation, path: str, out: list[Violation]) -> None:
+def truncation_violations(trunc: Truncation, path: str = "truncation") -> list[Violation]:
+    """Checks for a truncation feature (empty list = valid)."""
+    out: list[Violation] = []
     if trunc.ell < 1:
         out.append(Violation(f"{path}.ell", "ell must be a positive integer"))
     if trunc.weight <= 0:
         out.append(Violation(f"{path}.W", "weight must be positive"))
     if not trunc.s or any(v < 1 for v in trunc.s):
         out.append(Violation(f"{path}.s", "conic multiplicities must be a non-empty list of positive integers"))
+    return out
 
 
 def validate(descriptor: CurveDescriptor) -> list[Violation]:
@@ -331,29 +349,10 @@ def validate(descriptor: CurveDescriptor) -> list[Violation]:
 
     degree_sum = 0
     for idx, line in enumerate(descriptor.linear):
-        path = f"linear[{idx}]"
-        if line.mult < 1:
-            out.append(Violation(f"{path}.mult", "multiplicity must be a positive integer"))
-            continue
+        out += line_violations(line.mult, line.meets, d, f"linear[{idx}]")
         degree_sum += line.mult
-        if any(r < 1 for r in line.meets):
-            out.append(Violation(f"{path}.meets", "intersection multiplicities must be positive"))
-            continue
-        if sum(line.meets) != d - line.mult:
-            out.append(
-                Violation(
-                    f"{path}.meets",
-                    f"intersection multiplicities sum to {sum(line.meets)}, expected degree - mult = {d - line.mult}",
-                )
-            )
     for idx, comp in enumerate(descriptor.nonlinear):
-        path = f"nonlinear[{idx}]"
-        if comp.deg < 2:
-            out.append(Violation(f"{path}.deg", "nonlinear components must have degree >= 2"))
-            continue
-        if comp.mult < 1:
-            out.append(Violation(f"{path}.mult", "multiplicity must be a positive integer"))
-            continue
+        out += nonlinear_violations(comp.deg, comp.mult, f"nonlinear[{idx}]")
         degree_sum += comp.deg * comp.mult
     if not out and degree_sum != d:
         out.append(
@@ -369,14 +368,14 @@ def validate(descriptor: CurveDescriptor) -> list[Violation]:
             if feature.contact < 3:
                 out.append(Violation(f"{path}.contact", "flex contact order must be >= 3"))
         elif isinstance(feature, IrreduciblePoint):
-            _validate_irreducible(feature.singularity, path, out)
+            out += irreducible_violations(feature.singularity, path)
         else:
-            if feature.tangent_cone is not None and any(v < 1 for v in feature.tangent_cone.line_mults):
-                out.append(Violation(f"{path}.tangent_cone", "line multiplicities must be positive"))
+            if feature.tangent_cone is not None:
+                out += tangent_cone_violations(feature.tangent_cone.line_mults, f"{path}.tangent_cone")
             for sidx, side in enumerate(feature.sides):
-                _validate_side(side, f"{path}.sides[{sidx}]", out)
+                out += side_violations(side, f"{path}.sides[{sidx}]")
             for tidx, trunc in enumerate(feature.truncations):
-                _validate_truncation(trunc, f"{path}.truncations[{tidx}]", out)
+                out += truncation_violations(trunc, f"{path}.truncations[{tidx}]")
             if feature.absorbed_flexes < 0:
                 out.append(Violation(f"{path}.absorbed_flexes", "absorbed flex count must be >= 0"))
 
@@ -395,8 +394,7 @@ def validate(descriptor: CurveDescriptor) -> list[Violation]:
                 )
             )
     elif isinstance(descriptor.flexes, int):
-        if descriptor.flexes < 0:
-            out.append(Violation("flexes", "flex count must be >= 0"))
+        out += flex_count_violations(descriptor.flexes)
     else:
         out.append(Violation("flexes", 'flex count must be an integer or "auto"'))
 
@@ -503,13 +501,9 @@ def _multiple_point_feature(data: dict, path: str, label: Optional[str]) -> Comp
         raise DescriptorSchemaError(path, 'missing "m"')
     m = _require_int(data["m"], f"{path}.m")
     contacts = _int_list(data.get("contacts", []), f"{path}.contacts")
-    if m < 2:
-        raise DescriptorValueError(f"{path}.m", "multiple points need multiplicity >= 2")
-    if len(contacts) > m:
-        raise DescriptorValueError(f"{path}.contacts", f"at most m = {m} branches")
-    for i, r in enumerate(contacts):
-        if r < m + 1:
-            raise DescriptorValueError(f"{path}.contacts[{i}]", f"contact must be >= m + 1 = {m + 1}")
+    problems = multiple_point_violations(m, contacts, path)
+    if problems:
+        raise DescriptorValueError(problems[0].path, problems[0].message)
     if "absorbed_flexes" in data:
         absorbed = _require_int(data["absorbed_flexes"], f"{path}.absorbed_flexes")
     elif len(contacts) == m:

@@ -10,15 +10,21 @@ routes than the shipped integer formulas: the line term as an
 antiderivative of a series product, the ordinary-multiple-point factor
 through elementary symmetric functions of the contacts, and the union
 factors as printed.
+
+The direct route evaluates the top coefficient a_8 of a curve with an
+8-dimensional orbit from hand-expanded closed forms, one per feature,
+without the series assembly; `predegree_from_cusp_types` is the closed
+form for line-free curves whose special points are all (t^m, t^n) points.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import zip_longest
+from math import gcd
 from typing import Sequence
 
-from orbitdeg.corrections import _elementary_symmetric
+from orbitdeg import corrections, engine, model
 from orbitdeg.series import TruncSeries, exp_linear
 
 F = Fraction
@@ -121,7 +127,7 @@ def line_term(mult: int, meets: Sequence[int], degree: int) -> TruncSeries:
 def ordinary_multiple_point_factor_sym(m: int, contacts: Sequence[int]) -> TruncSeries:
     """`corrections.ordinary_multiple_point_factor` through the
     elementary-symmetric form, an independent transcription."""
-    e = _elementary_symmetric(contacts, 5)
+    e = corrections._elementary_symmetric(contacts, 5)
     e1, e2, e3, e4, e5 = e[1], e[2], e[3], e[4], e[5]
     h6 = (
         -2 * e1
@@ -216,3 +222,246 @@ def ordinary_multiple_point_factor_sym(m: int, contacts: Sequence[int]) -> Trunc
 PAIR_CROSSING_FACTOR = TruncSeries.from_terms({0: 1, 6: F(-1, 9), 7: F(11, 40), 8: F(-311, 960)})
 LINE_CROSSING_FACTOR = TruncSeries.from_terms({0: 1, 6: F(-1, 24), 7: F(7, 60), 8: F(-13, 80)})
 SIMPLE_TANGENCY_FACTOR = TruncSeries.from_terms({0: 1, 6: F(-1, 6), 7: F(7, 15), 8: F(-13, 20)})
+
+
+# ---------------------------------------------------------------------------
+# direct route to the top coefficient
+# ---------------------------------------------------------------------------
+
+
+def _direct_line(d: int, m: int, meets: Sequence[int]) -> Fraction:
+    r3 = sum(r**3 for r in meets)
+    r4 = sum(r**4 for r in meets)
+    r5 = sum(r**5 for r in meets)
+    return F(
+        m**3
+        * (
+            d**3 * (10 * d**2 - 15 * d * m + 6 * m**2)
+            + 10 * (28 * d**2 - 48 * d * m + 21 * m**2) * ((d - m) ** 3 - r3)
+            - 45 * (8 * d - 7 * m) * ((d - m) ** 4 - r4)
+            + 126 * ((d - m) ** 5 - r5)
+        )
+    )
+
+
+def _direct_nonlinear(d: int, e: int, m: int) -> Fraction:
+    return F(16 * d * e * m**5 * (7 * d**2 - 18 * d * m + 12 * m**2))
+
+
+def _direct_tangent_cone(d: int, line_mults: Sequence[int]) -> Fraction:
+    es = corrections._elementary_symmetric(line_mults, 5)
+    e1 = es[1]
+    return F(30 * e1 * (es[2] * es[3] - e1 * es[4] - es[5]) * (28 * d**2 - 48 * d * e1 + 21 * e1**2))
+
+
+def _direct_side_vertex_polynomial(j0: int, k0: int, j1: int, k1: int, d: int) -> int:
+    return (
+        90 * j0**4 * k0**2
+        + 180 * j0**3 * k0**3
+        + 90 * j0**2 * k0**4
+        + 60 * j0**3 * k0**2 * j1
+        + 90 * j0**2 * k0**3 * j1
+        + 30 * j0 * k0**4 * j1
+        + 36 * j0**2 * k0**2 * j1**2
+        + 36 * j0 * k0**3 * j1**2
+        + 6 * k0**4 * j1**2
+        + 18 * j0 * k0**2 * j1**3
+        + 9 * k0**3 * j1**3
+        + 6 * k0**2 * j1**4
+        - 240 * j0**3 * k0**2 * d
+        - 240 * j0**2 * k0**3 * d
+        - 144 * j0**2 * k0**2 * j1 * d
+        - 96 * j0 * k0**3 * j1 * d
+        - 72 * j0 * k0**2 * j1**2 * d
+        - 24 * k0**3 * j1**2 * d
+        - 24 * k0**2 * j1**3 * d
+        + 168 * j0**2 * k0**2 * d**2
+        + 84 * j0 * k0**2 * j1 * d**2
+        + 28 * k0**2 * j1**2 * d**2
+        + 30 * j0**4 * k0 * k1
+        + 90 * j0**3 * k0**2 * k1
+        + 60 * j0**2 * k0**3 * k1
+        + 48 * j0**3 * k0 * j1 * k1
+        + 108 * j0**2 * k0**2 * j1 * k1
+        + 48 * j0 * k0**3 * j1 * k1
+        + 54 * j0**2 * k0 * j1**2 * k1
+        + 81 * j0 * k0**2 * j1**2 * k1
+        + 18 * k0**3 * j1**2 * k1
+        + 48 * j0 * k0 * j1**3 * k1
+        + 36 * k0**2 * j1**3 * k1
+        + 30 * k0 * j1**4 * k1
+        - 96 * j0**3 * k0 * d * k1
+        - 144 * j0**2 * k0**2 * d * k1
+        - 144 * j0**2 * k0 * j1 * d * k1
+        - 144 * j0 * k0**2 * j1 * d * k1
+        - 144 * j0 * k0 * j1**2 * d * k1
+        - 72 * k0**2 * j1**2 * d * k1
+        - 96 * k0 * j1**3 * d * k1
+        + 84 * j0**2 * k0 * d**2 * k1
+        + 112 * j0 * k0 * j1 * d**2 * k1
+        + 84 * k0 * j1**2 * d**2 * k1
+        + 6 * j0**4 * k1**2
+        + 36 * j0**3 * k0 * k1**2
+        + 36 * j0**2 * k0**2 * k1**2
+        + 18 * j0**3 * j1 * k1**2
+        + 81 * j0**2 * k0 * j1 * k1**2
+        + 54 * j0 * k0**2 * j1 * k1**2
+        + 36 * j0**2 * j1**2 * k1**2
+        + 108 * j0 * k0 * j1**2 * k1**2
+        + 36 * k0**2 * j1**2 * k1**2
+        + 60 * j0 * j1**3 * k1**2
+        + 90 * k0 * j1**3 * k1**2
+        + 90 * j1**4 * k1**2
+        - 24 * j0**3 * d * k1**2
+        - 72 * j0**2 * k0 * d * k1**2
+        - 72 * j0**2 * j1 * d * k1**2
+        - 144 * j0 * k0 * j1 * d * k1**2
+        - 144 * j0 * j1**2 * d * k1**2
+        - 144 * k0 * j1**2 * d * k1**2
+        - 240 * j1**3 * d * k1**2
+        + 28 * j0**2 * d**2 * k1**2
+        + 84 * j0 * j1 * d**2 * k1**2
+        + 168 * j1**2 * d**2 * k1**2
+        + 9 * j0**3 * k1**3
+        + 18 * j0**2 * k0 * k1**3
+        + 36 * j0**2 * j1 * k1**3
+        + 48 * j0 * k0 * j1 * k1**3
+        + 90 * j0 * j1**2 * k1**3
+        + 60 * k0 * j1**2 * k1**3
+        + 180 * j1**3 * k1**3
+        - 24 * j0**2 * d * k1**3
+        - 96 * j0 * j1 * d * k1**3
+        - 240 * j1**2 * d * k1**3
+        + 6 * j0**2 * k1**4
+        + 30 * j0 * j1 * k1**4
+        + 90 * j1**2 * k1**4
+    )
+
+
+def _direct_side(d: int, j0: int, k0: int, j1: int, k1: int, s: Sequence[int]) -> Fraction:
+    area2 = j1 * k0 - j0 * k1
+    span = gcd(j1 - j0, k0 - k1)
+    p5 = sum(v**5 for v in s)
+    p6 = sum(v**6 for v in s)
+    p7 = sum(v**7 for v in s)
+    vertex_part = area2 * _direct_side_vertex_polynomial(j0, k0, j1, k1, d)
+    root_part = F(16 * area2, span) * (7 * d**2 * p5 - 18 * d * p6 + 12 * p7)
+    return vertex_part - root_part
+
+
+def _direct_truncation(d: int, trunc: model.Truncation) -> Fraction:
+    total = sum(trunc.s)
+    p5 = sum(v**5 for v in trunc.s)
+    p6 = sum(v**6 for v in trunc.s)
+    p7 = sum(v**7 for v in trunc.s)
+    return (
+        trunc.ell
+        * trunc.weight
+        * (192 * (total**7 - p7) - 288 * d * (total**6 - p6) + 112 * d**2 * (total**5 - p5))
+    )
+
+
+def irreducible_truncations(sing: model.IrreducibleSingularity) -> list[model.Truncation]:
+    """The truncation features through which an irreducible singularity
+    contributes, one per essential exponent past the initial grouping."""
+    chain = sing.gcd_chain()
+    es = sing.essential
+    out: list[model.Truncation] = []
+    if es and sing.n % sing.m == 0:
+        out.append(model.Truncation(ell=1, weight=F(es[0]), s=(chain[1],) * (sing.m // chain[1])))
+    for j in range(2, len(es) + 1):
+        weight = F(
+            sum((chain[t - 1] - chain[t]) * es[t - 1] for t in range(1, j)) + chain[j - 1] * es[j - 1],
+            sing.m,
+        )
+        out.append(
+            model.Truncation(
+                ell=sing.m // chain[j - 1],
+                weight=weight,
+                s=(chain[j],) * (chain[j - 1] // chain[j]),
+            )
+        )
+    return out
+
+
+def _direct_top_coefficient(descriptor: model.CurveDescriptor) -> Fraction:
+    """d^8 minus the direct per-feature top-coefficient contributions.
+
+    Evaluated from closed-form integer expressions, independently of the
+    series assembly; equals 8! times the H^8 coefficient of the
+    adjusted predegree polynomial for every valid descriptor.
+    """
+    d = descriptor.degree
+    total = F(d**8)
+    for line in descriptor.linear:
+        total -= _direct_line(d, line.mult, line.meets)
+    for comp in descriptor.nonlinear:
+        total -= _direct_nonlinear(d, comp.deg, comp.mult)
+    for feature in descriptor.points:
+        if isinstance(feature, model.FlexPoint):
+            total -= _direct_side(d, 0, 1, feature.contact, 0, (1,))
+        elif isinstance(feature, model.IrreduciblePoint):
+            sing = feature.singularity
+            total -= _direct_side(d, 0, sing.m, sing.n, 0, (gcd(sing.m, sing.n),))
+            for trunc in irreducible_truncations(sing):
+                total -= _direct_truncation(d, trunc)
+        else:
+            if feature.tangent_cone is not None:
+                total -= _direct_tangent_cone(d, feature.tangent_cone.line_mults)
+            for side in feature.sides:
+                if not side.suppress:
+                    total -= _direct_side(d, side.j0, side.k0, side.j1, side.k1, side.s)
+            for trunc in feature.truncations:
+                total -= _direct_truncation(d, trunc)
+    count = model.resolved_flex_count(descriptor)
+    if count:
+        total -= count * _direct_side(d, 0, 1, 3, 0, (1,))
+    return total
+
+
+def predegree_direct(descriptor: model.CurveDescriptor) -> int:
+    """The predegree by direct summation of top-coefficient contributions.
+
+    Only applicable when the orbit has dimension 8 (checked by running
+    the assembly); serves as an end-to-end cross-check of `assemble`.
+    """
+    violations = model.validate(descriptor)
+    if violations:
+        raise engine.ValidationError(violations)
+    report = engine.assemble(descriptor)
+    if report.orbit_dimension < 8:
+        raise engine.EngineError(
+            f"direct formula inapplicable: orbit dimension is {report.orbit_dimension}, not 8"
+        )
+    value = _direct_top_coefficient(descriptor)
+    if value.denominator != 1:
+        raise engine.EngineError(f"direct route produced a non-integer value {value}")
+    return int(value)
+
+
+# ---------------------------------------------------------------------------
+# closed form for curves whose special points are parametrized (t^m, t^n)
+# ---------------------------------------------------------------------------
+
+
+def predegree_from_cusp_types(degree: int, points: Sequence[tuple[int, int]]) -> int:
+    """Predegree of a reduced line-free curve whose special points are all
+    parametrized as (t^m, t^n) with coprime exponents (ordinary flexes
+    being the (1, k) cases), assuming the orbit has dimension 8.
+
+    Each point enters through m*n times the k^0..k^2 Taylor coefficients
+    of m^2 n^2/((1+mk)^3 (1+nk)^3) - 4/((1+k)^3 (1+2k)^3); ordinary
+    flexes not listed explicitly are budgeted automatically as (1, 3)
+    points, 3d(d-2) minus the absorbed count.
+    """
+    d = degree
+    for m, n in points:
+        if m < 1 or n <= m or gcd(m, n) != 1:
+            raise engine.EngineError(f"({m}, {n}) is not a coprime multiplicity/contact pair")
+    remaining = 3 * d * (d - 2) - sum(3 * m * n - 2 * m - 2 * n for m, n in points)
+    if remaining < 0:
+        raise engine.EngineError("absorbed flexes exceed the 3d(d-2) budget")
+    weighted = [(4 * d * d, (1, -9, 48)), (3 * remaining, corrections.pair_jet(1, 3))]
+    weighted += [(m * n, corrections.pair_jet(m, n)) for m, n in points]
+    q0, q1, q2 = (sum(w * jet[i] for w, jet in weighted) for i in range(3))
+    return d**8 - (q2 + 8 * d * q1 + 28 * d * d * q0)

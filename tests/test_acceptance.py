@@ -206,14 +206,14 @@ def test_criterion_8_oracle_equivalences():
             descriptor = model.descriptor_from_obj(json.load(fh)["descriptor"])
         report = engine.assemble(descriptor)
         if report.orbit_dimension == 8:
-            assert engine.predegree_direct(descriptor) == report.predegree
+            assert oracles.predegree_direct(descriptor) == report.predegree
             dim8 += 1
     assert dim8 >= 10
     rng = random.Random(80)
     for _ in range(200):
         descriptor = random_descriptor(rng)
         report = engine.assemble(descriptor)
-        assert engine._direct_top_coefficient(descriptor) == report.predegree_polynomial[8]
+        assert oracles._direct_top_coefficient(descriptor) == report.predegree_polynomial[8]
 
     # both line-correction routes
     for m in range(1, 6):
@@ -247,7 +247,7 @@ def test_criterion_8_oracle_equivalences():
             for m, n in points
         )
         report = engine.assemble(with_points(d, features))
-        assert report.predegree == engine.predegree_from_cusp_types(d, points), (d, points)
+        assert report.predegree == oracles.predegree_from_cusp_types(d, points), (d, points)
 
     # scaling law at the descriptor level
     done = 0

@@ -1,13 +1,25 @@
 """Command-line behavior: exit codes, output channels, corpus replay."""
 
+import contextlib
+import io
 import json
+import os
 import shutil
+import subprocess
+import sys
+import tempfile
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from orbitdeg import cli, corpus
+from orbitdeg import cli, corpus, engine, model
 from orbitdeg.series import TruncSeries
+from strategies import descriptors
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 CONIC_TEXT = '{"degree": 2, "flexes": 0, "nonlinear": [{"deg": 2, "mult": 1}]}'
 LINE_TEXT = '{"degree": 1, "flexes": 0, "linear": [{"mult": 1, "meets": []}]}'
@@ -120,6 +132,62 @@ def test_contribution_missing_flag(capsys):
     code, _, err = run(capsys, "contribution", "type5", "--ell", "1")
     assert code == 1
     assert "missing" in err
+
+
+@pytest.mark.parametrize(
+    "spaced, joined, code",
+    [
+        (
+            ["local-quadratic", "--alpha", "7", "--beta", "-3/11", "--gamma", "2", "--rho", "4"],
+            ["local-quadratic", "--alpha", "7", "--beta=-3/11", "--gamma", "2", "--rho", "4"],
+            0,
+        ),
+        (
+            ["local-quadratic", "--alpha", "-1/2", "--beta", "1", "--gamma", "-2/3", "--rho", "-4/5"],
+            ["local-quadratic", "--alpha=-1/2", "--beta", "1", "--gamma=-2/3", "--rho=-4/5"],
+            0,
+        ),
+        (["truncation", "--ell", "1", "--W", "-1/2", "--s", "1"], ["truncation", "--ell", "1", "--W=-1/2", "--s", "1"], 1),
+        (["type5", "--ell", "1", "--weight", "-3/4", "--s", "1"], ["type5", "--ell", "1", "--weight=-3/4", "--s", "1"], 1),
+    ],
+)
+def test_contribution_negative_fraction_values(capsys, spaced, joined, code):
+    result = run(capsys, "contribution", *spaced)
+    assert result[0] == code
+    assert result == run(capsys, "contribution", *joined)
+
+
+def test_closed_stdout_exits_2_without_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "orbitdeg.cli", "corpus"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            text=True,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: cannot write to stdout: broken pipe\n"
+
+
+@settings(max_examples=40, deadline=None)
+@given(descriptors(), st.booleans())
+def test_compute_json_equals_library_report(descriptor, strict):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "curve.json"
+        path.write_text(model.serialize(descriptor), encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["compute", str(path), "--erratum", "strict" if strict else "derived"])
+    assert (code, err.getvalue()) == (0, "")
+    report = engine.assemble(descriptor, erratum_strict=strict)
+    assert out.getvalue() == json.dumps(engine.report_to_obj(report), indent=2) + "\n"
 
 
 def test_newton_command(capsys, tmp_path):

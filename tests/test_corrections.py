@@ -90,7 +90,34 @@ def test_nonlinear_correction_precondition():
         corrections.nonlinear_correction(3, 2, 2)
 
 
+@pytest.mark.parametrize(
+    "build, problems",
+    [
+        (lambda: corrections.line_correction(0, (1,), 1), model.line_violations(0, (1,), 1)),
+        (lambda: corrections.line_correction(1, (0, 2), 3), model.line_violations(1, (0, 2), 3)),
+        (lambda: corrections.line_correction(1, (), 0), model.line_violations(1, (), 0)),
+        (lambda: corrections.nonlinear_correction(3, 1, 1), model.nonlinear_violations(1, 1)),
+        (lambda: corrections.nonlinear_correction(3, 2, 0), model.nonlinear_violations(2, 0)),
+        (lambda: corrections.tangent_cone_correction((1, 0, 1)), model.tangent_cone_violations((1, 0, 1))),
+        (lambda: corrections.flex_correction(-1), model.flex_count_violations(-1)),
+        (lambda: corrections.ordinary_multiple_point_factor(1, ()), model.multiple_point_violations(1, ())),
+    ],
+)
+def test_builders_raise_the_first_model_violation(build, problems):
+    assert problems
+    with pytest.raises(corrections.FeatureError) as excinfo:
+        build()
+    assert str(excinfo.value) == str(problems[0])
+
+
 # -- tangent cones -----------------------------------------------------------
+
+
+def test_tangent_cone_precondition():
+    for mults in ((1, 0, 1), (-1,), (2, 1, -3)):
+        with pytest.raises(corrections.FeatureError):
+            corrections.tangent_cone_correction(mults)
+    assert corrections.tangent_cone_correction(()).term.is_zero()
 
 
 def test_tangent_cone_vanishes_for_two_lines():
@@ -304,6 +331,13 @@ def test_flexes_absorbed_examples():
 # -- ordinary multiple points ----------------------------------------------------
 
 
+def test_ordinary_multiple_point_factor_precondition():
+    for m, contacts in ((1, ()), (0, ()), (2, (3, 3, 3)), (3, (4, 3)), (2, (2,))):
+        with pytest.raises(corrections.FeatureError):
+            corrections.ordinary_multiple_point_factor(m, contacts)
+    assert corrections.ordinary_multiple_point_factor(2, ()) == ONE
+
+
 def test_multiple_point_general_node():
     got = corrections.ordinary_multiple_point_factor(2, (3, 3))
     assert got == series({0: 1, 6: F(-1, 6), 7: F(101, 280), 8: F(-25, 64)})
@@ -370,6 +404,13 @@ def test_flex_equivalent_examples():
         model.IrreducibleSingularity(1, 3)
     )
     assert corrections.flex_equivalent(6).coeffs[6] == F(-6, 48)
+
+
+def test_flex_correction_precondition():
+    for printed in (False, True):
+        with pytest.raises(corrections.FeatureError):
+            corrections.flex_correction(-1, printed)
+        assert corrections.flex_correction(0, printed).term.is_zero()
 
 
 def test_flex_factor_conventions():

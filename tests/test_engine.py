@@ -322,7 +322,7 @@ def test_scaling_law_random_descriptors():
 
 
 def test_direct_route_fixture_values():
-    assert engine.predegree_direct(smooth_curve(4)) == 14280
+    assert oracles.predegree_direct(smooth_curve(4)) == 14280
     sextic = model.CurveDescriptor(
         degree=6,
         nonlinear=(model.NonlinearComponent(6, 1),),
@@ -331,12 +331,12 @@ def test_direct_route_fixture_values():
         ),
         flexes="auto",
     )
-    assert engine.predegree_direct(sextic) == 908064
+    assert oracles.predegree_direct(sextic) == 908064
 
 
 def test_direct_route_rejects_small_orbits():
     with pytest.raises(engine.EngineError):
-        engine.predegree_direct(CONIC)
+        oracles.predegree_direct(CONIC)
 
 
 def test_direct_route_matches_assembly_random():
@@ -344,15 +344,15 @@ def test_direct_route_matches_assembly_random():
     for _ in range(60):
         descriptor = random_descriptor(rng)
         report = engine.assemble(descriptor)
-        assert engine._direct_top_coefficient(descriptor) == report.predegree_polynomial[8]
+        assert oracles._direct_top_coefficient(descriptor) == report.predegree_polynomial[8]
 
 
 def test_closed_form_route():
-    assert engine.predegree_from_cusp_types(4, []) == 14280
-    assert engine.predegree_from_cusp_types(4, [(2, 3)]) == 10320
-    assert engine.predegree_from_cusp_types(6, [(2, 3)] * 9) == 908064
+    assert oracles.predegree_from_cusp_types(4, []) == 14280
+    assert oracles.predegree_from_cusp_types(4, [(2, 3)]) == 10320
+    assert oracles.predegree_from_cusp_types(6, [(2, 3)] * 9) == 908064
     for d in range(3, 8):
-        assert engine.predegree_from_cusp_types(d, []) == engine.assemble(smooth_curve(d)).predegree
+        assert oracles.predegree_from_cusp_types(d, []) == engine.assemble(smooth_curve(d)).predegree
 
 
 def test_closed_form_matches_assembly_on_cusp_curves():
@@ -377,7 +377,7 @@ def test_closed_form_matches_assembly_on_cusp_curves():
         descriptor = model.CurveDescriptor(
             degree=d, nonlinear=(model.NonlinearComponent(d, 1),), points=features, flexes="auto"
         )
-        assert engine.assemble(descriptor).predegree == engine.predegree_from_cusp_types(d, points)
+        assert engine.assemble(descriptor).predegree == oracles.predegree_from_cusp_types(d, points)
 
 
 def test_erratum_strict_changes_flex_dependent_values():

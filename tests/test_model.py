@@ -1,12 +1,16 @@
 """Descriptor model: validation rules, JSON parsing, round-trips."""
 
+import dataclasses
 import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitdeg import corpus, model
 from conftest import random_descriptor
+from strategies import descriptors
 
 
 def violations_of(descriptor):
@@ -172,6 +176,32 @@ def test_parse_serialize_round_trip_random():
         descriptor = random_descriptor(rng)
         again = model.parse(model.serialize(descriptor))
         assert again == descriptor
+
+
+@st.composite
+def dressed_descriptors(draw) -> model.CurveDescriptor:
+    """A drawn descriptor plus what `strategies.descriptors` leaves out:
+    point labels, suppressed sides, automatic flexes and a stabilizer degree.
+    The result need not be valid; parsing does not validate."""
+    base = draw(descriptors())
+    points = []
+    for point in base.points:
+        if isinstance(point, model.CompositePoint):
+            sides = tuple(dataclasses.replace(side, suppress=draw(st.booleans())) for side in point.sides)
+            point = dataclasses.replace(point, sides=sides)
+        points.append(dataclasses.replace(point, label=draw(st.none() | st.text(max_size=6))))
+    return dataclasses.replace(
+        base,
+        points=tuple(points),
+        flexes=draw(st.sampled_from([base.flexes, model.AUTO_FLEXES])),
+        stabilizer_degree=draw(st.none() | st.integers(1, 100)),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(dressed_descriptors(), st.sampled_from([None, 2]))
+def test_parse_inverts_serialize(descriptor, indent):
+    assert model.parse(model.serialize(descriptor, indent=indent)) == descriptor
 
 
 def test_parse_serialize_round_trip_corpus():
