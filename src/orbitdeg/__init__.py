@@ -10,15 +10,14 @@ multiplicities plus local features of their special points.
 
 from .corrections import (
     Correction,
-    flex_equivalent,
-    flex_factor,
+    flex_correction,
     flexes_absorbed,
-    irreducible_singularity_factor,
+    irreducible_correction,
     line_correction,
     local_correction_from_quadratic,
+    multiple_point_correction,
     newton_side_correction,
     nonlinear_correction,
-    ordinary_multiple_point_factor,
     tangent_cone_correction,
     truncation_correction,
 )
@@ -48,7 +47,7 @@ from .model import (
     validate,
 )
 from .newton import MonomialSupport, Polygon, SideData, local_invariants, newton_polygon, qualifying_sides, side_data, yun_squarefree
-from .series import TruncSeries, exp_linear, rational_to_string, to_rational
+from .series import TruncSeries, rational_to_string, to_rational
 
 __version__ = "0.1.0"
 
@@ -74,18 +73,16 @@ __all__ = [
     "ValidationError",
     "Violation",
     "assemble",
-    "exp_linear",
-    "flex_equivalent",
-    "flex_factor",
+    "flex_correction",
     "flexes_absorbed",
-    "irreducible_singularity_factor",
+    "irreducible_correction",
     "line_correction",
     "local_correction_from_quadratic",
     "local_invariants",
+    "multiple_point_correction",
     "newton_polygon",
     "newton_side_correction",
     "nonlinear_correction",
-    "ordinary_multiple_point_factor",
     "parse",
     "qualifying_sides",
     "rational_to_string",

@@ -27,7 +27,7 @@ from typing import Any
 
 from . import corpus as corpus_mod
 from . import corrections, engine, model, newton
-from .series import TruncSeries, predegree_strings, rational_to_string, to_rational
+from .series import predegree_strings, rational_to_string, to_rational
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -127,8 +127,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_contr = sub.add_parser("contribution", help="print one correction term or point factor")
     # argparse reads only -N and -N.N as negative numbers; without this a
-    # "-num/den" value after a rational flag is taken for an option.
-    p_contr._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+    # "-num/den" value after a rational flag, or a list such as "-1,2" after
+    # a list flag, is taken for an option.
+    p_contr._negative_number_matcher = re.compile(r"^-\d+(/\d+|(,-?\d+)+)?$|^-\d*\.\d+$")
     p_contr.add_argument("kind", choices=list(_CONTRIBUTIONS))
     p_contr.add_argument("--degree", type=int, help="curve degree (line, nonlinear)")
     p_contr.add_argument("--mult", type=int, help="component or point multiplicity")
@@ -151,6 +152,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_contr.add_argument("--rho", type=_rational, help="degree offset of the distinguished line")
     p_contr.add_argument("--delta", type=int, default=1, help="covering degree")
     p_contr.add_argument("--erratum", choices=("derived", "strict"), default="derived")
+    # the flag each destination is named by when it is missing
+    p_contr.set_defaults(flags={a.dest: max(a.option_strings, key=len) for a in p_contr._actions if a.option_strings})
 
     p_newton = sub.add_parser("newton", help="polygon and side data from a monomial support")
     p_newton.add_argument("path", help="JSON file: {\"degree\": d, \"terms\": [[j, k, \"num/den\"], ...]}")
@@ -190,13 +193,14 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _factor(series: TruncSeries) -> dict[str, object]:
-    return {"factor": series.to_strings()}
+def _factor(corr: corrections.Correction) -> dict[str, object]:
+    """The payload of a point factor, 1 + the point's term."""
+    return {"factor": predegree_strings((corr.den,) + corr.a[1:], corr.den)}
 
 
 def _irreducible(args: argparse.Namespace) -> dict[str, object]:
     sing = model.IrreducibleSingularity(args.m, args.n, tuple(args.essential))
-    return {**_factor(corrections.irreducible_singularity_factor(sing)), "absorbs": corrections.flexes_absorbed(sing)}
+    return {**_factor(corrections.irreducible_correction(sing)), "absorbs": corrections.flexes_absorbed(sing)}
 
 
 #: One row per contribution kind: its names (the type1..type5 aliases share
@@ -217,8 +221,8 @@ _KINDS = (
         lambda a: corrections.truncation_correction(model.Truncation(a.ell, a.weight, tuple(a.s))),
     ),
     (("irreducible",), ("m", "n"), _irreducible),
-    (("multiple-point",), ("m",), lambda a: _factor(corrections.ordinary_multiple_point_factor(a.m, a.contacts or []))),
-    (("flexes",), ("count",), lambda a: _factor(corrections.flex_equivalent(a.count, a.erratum == "strict"))),
+    (("multiple-point",), ("m",), lambda a: _factor(corrections.multiple_point_correction(a.m, a.contacts or []))),
+    (("flexes",), ("count",), lambda a: _factor(corrections.flex_correction(a.count, a.erratum == "strict"))),
     (
         ("local-quadratic",),
         ("alpha", "beta", "gamma", "rho"),
@@ -232,7 +236,7 @@ def _cmd_contribution(args: argparse.Namespace) -> int:
     required, build = _CONTRIBUTIONS[args.kind]
     missing = [name for name in required if getattr(args, name) is None]
     if missing:
-        flags = ", ".join("--" + name.replace("_", "-") for name in missing)
+        flags = ", ".join(args.flags[name] for name in missing)
         raise _CliError(f"{args.kind}: missing {flags}", EXIT_INVALID)
     try:
         fields = build(args)

@@ -5,8 +5,8 @@ contributes a correction series of order >= 3; each local feature
 (tangent cone, polygon side, truncation, irreducible singularity,
 inflection) contributes one of order >= 6.  Any product of two such
 terms has order >= 9 and vanishes in Q[H]/(H^9), so the polynomial is
-exp(d*H) * (1 + sum of all terms); the point "factors" below are 1 + term,
-and several features, or copies of one, combine by adding their terms.
+exp(d*H) * (1 + sum of all terms): the paper's factor of a point is
+1 + its term, and several features, or copies of one, add their terms.
 
 Every term is built in the predegree basis: integers a_0..a_8 over one
 positive denominator, standing for the sum of a_i * H^i / (i! * den).
@@ -16,10 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import lcm
+from operator import mul
 from typing import Sequence
 
 from . import model
-from .series import TruncSeries, from_predegree, to_rational
+from .series import TruncSeries, to_rational
 
 KIND_LINE = "I"
 KIND_NONLINEAR = "II"
@@ -55,8 +56,8 @@ class Correction:
 
     @property
     def term(self) -> TruncSeries:
-        """The term as an exact series, built on each access."""
-        return from_predegree(self.a, self.den)
+        """The term as a read-only series view."""
+        return TruncSeries(self.a, self.den)
 
 
 def _local(kind: str, a6: int, a7: int, a8: int, den: int = 1) -> Correction:
@@ -146,98 +147,30 @@ def tangent_cone_correction(line_mults: Sequence[int]) -> Correction:
     return _local(KIND_TANGENT_CONE, 30 * prefactor, -180 * e1 * prefactor, 630 * e1 * e1 * prefactor)
 
 
-def _side_l6(j0: int, k0: int, j1: int, k1: int) -> int:
-    return (
-        6 * j0**2 * k0**2
-        + 3 * j0 * j1 * k0**2
-        + j1**2 * k0**2
-        + 3 * j0**2 * k0 * k1
-        + 4 * j0 * j1 * k0 * k1
-        + 3 * j1**2 * k0 * k1
-        + j0**2 * k1**2
-        + 3 * j0 * j1 * k1**2
-        + 6 * j1**2 * k1**2
-    )
+#: 420 / (i + 1) for i <= 6: the integral of t^i over [0, 1], times 420 = lcm(1..7).
+_MOMENTS = tuple(420 // (i + 1) for i in range(7))
 
 
-def _side_l7(j0: int, k0: int, j1: int, k1: int) -> int:
-    return (
-        30 * j0**3 * k0**2
-        + 18 * j0**2 * j1 * k0**2
-        + 9 * j0 * j1**2 * k0**2
-        + 3 * j1**3 * k0**2
-        + 30 * j0**2 * k0**3
-        + 12 * j0 * j1 * k0**3
-        + 3 * j1**2 * k0**3
-        + 12 * j0**3 * k0 * k1
-        + 18 * j0**2 * j1 * k0 * k1
-        + 18 * j0 * j1**2 * k0 * k1
-        + 12 * j1**3 * k0 * k1
-        + 18 * j0**2 * k0**2 * k1
-        + 18 * j0 * j1 * k0**2 * k1
-        + 9 * j1**2 * k0**2 * k1
-        + 3 * j0**3 * k1**2
-        + 9 * j0**2 * j1 * k1**2
-        + 18 * j0 * j1**2 * k1**2
-        + 30 * j1**3 * k1**2
-        + 9 * j0**2 * k0 * k1**2
-        + 18 * j0 * j1 * k0 * k1**2
-        + 18 * j1**2 * k0 * k1**2
-        + 3 * j0**2 * k1**3
-        + 12 * j0 * j1 * k1**3
-        + 30 * j1**2 * k1**3
-    )
+def _times_linear(f: Sequence[int], s0: int, s1: int) -> list[int]:
+    """The polynomial f(t) * (s0 + s1*t), coefficients constant term first."""
+    return [s0 * f[0]] + [s0 * f[i] + s1 * f[i - 1] for i in range(1, len(f))] + [s1 * f[-1]]
 
 
-def _side_l8(j0: int, k0: int, j1: int, k1: int) -> int:
-    return (
-        90 * j0**4 * k0**2
-        + 60 * j0**3 * j1 * k0**2
-        + 36 * j0**2 * j1**2 * k0**2
-        + 18 * j0 * j1**3 * k0**2
-        + 6 * j1**4 * k0**2
-        + 180 * j0**3 * k0**3
-        + 90 * j0**2 * j1 * k0**3
-        + 36 * j0 * j1**2 * k0**3
-        + 9 * j1**3 * k0**3
-        + 90 * j0**2 * k0**4
-        + 30 * j0 * j1 * k0**4
-        + 6 * j1**2 * k0**4
-        + 30 * j0**4 * k0 * k1
-        + 48 * j0**3 * j1 * k0 * k1
-        + 54 * j0**2 * j1**2 * k0 * k1
-        + 48 * j0 * j1**3 * k0 * k1
-        + 30 * j1**4 * k0 * k1
-        + 90 * j0**3 * k0**2 * k1
-        + 108 * j0**2 * j1 * k0**2 * k1
-        + 81 * j0 * j1**2 * k0**2 * k1
-        + 36 * j1**3 * k0**2 * k1
-        + 60 * j0**2 * k0**3 * k1
-        + 48 * j0 * j1 * k0**3 * k1
-        + 18 * j1**2 * k0**3 * k1
-        + 6 * j0**4 * k1**2
-        + 18 * j0**3 * j1 * k1**2
-        + 36 * j0**2 * j1**2 * k1**2
-        + 60 * j0 * j1**3 * k1**2
-        + 90 * j1**4 * k1**2
-        + 36 * j0**3 * k0 * k1**2
-        + 81 * j0**2 * j1 * k0 * k1**2
-        + 108 * j0 * j1**2 * k0 * k1**2
-        + 90 * j1**3 * k0 * k1**2
-        + 36 * j0**2 * k0**2 * k1**2
-        + 54 * j0 * j1 * k0**2 * k1**2
-        + 36 * j1**2 * k0**2 * k1**2
-        + 9 * j0**3 * k1**3
-        + 36 * j0**2 * j1 * k1**3
-        + 90 * j0 * j1**2 * k1**3
-        + 180 * j1**3 * k1**3
-        + 18 * j0**2 * k0 * k1**3
-        + 48 * j0 * j1 * k0 * k1**3
-        + 60 * j1**2 * k0 * k1**3
-        + 6 * j0**2 * k1**4
-        + 30 * j0 * j1 * k1**4
-        + 90 * j1**2 * k1**4
-    )
+def _side_vertex_polynomials(j0: int, k0: int, j1: int, k1: int) -> tuple[int, int, int]:
+    """(l6, l7, l8) = 30, 180 and 630 times the integrals over 0 <= t <= 1 of
+    (jk)^2, (jk)^2 (j+k) and (jk)^2 (j+k)^2 along the side j = (1-t)j0 + t*j1,
+    k = (1-t)k0 + t*k1: symmetric in the endpoints, since t <-> 1-t swaps them.
+
+    The integrands are expanded in t as integers, and sum(c_i * t^i)
+    integrates to sum(c_i * 420/(i+1)) / 420 with one exact division.
+    """
+    dj, dk = j1 - j0, k1 - k0
+    p0, p1, p2 = j0 * k0, j0 * dk + k0 * dj, dj * dk  # jk = p0 + p1*t + p2*t^2
+    q6 = [p0 * p0, 2 * p0 * p1, p1 * p1 + 2 * p0 * p2, 2 * p1 * p2, p2 * p2]
+    q7 = _times_linear(q6, j0 + k0, dj + dk)
+    q8 = _times_linear(q7, j0 + k0, dj + dk)
+    l6, l7, l8 = (w * sum(map(mul, q, _MOMENTS)) // 420 for w, q in ((30, q6), (180, q7), (630, q8)))
+    return l6, l7, l8
 
 
 def newton_side_correction(side: model.NewtonSide) -> Correction:
@@ -249,14 +182,14 @@ def newton_side_correction(side: model.NewtonSide) -> Correction:
     the root multiplicities.  S divides R, so the term is integral.
     """
     _check(model.side_violations(side))
-    j0, k0, j1, k1 = side.j0, side.k0, side.j1, side.k1
-    area2 = j1 * k0 - j0 * k1
+    area2 = side.j1 * side.k0 - side.j0 * side.k1
     q = area2 // side.span()
+    l6, l7, l8 = _side_vertex_polynomials(side.j0, side.k0, side.j1, side.k1)
     return _local(
         KIND_SIDE,
-        -(area2 * _side_l6(j0, k0, j1, k1) - 4 * q * _power_sum(side.s, 5)),
-        area2 * _side_l7(j0, k0, j1, k1) - 36 * q * _power_sum(side.s, 6),
-        -(area2 * _side_l8(j0, k0, j1, k1) - 192 * q * _power_sum(side.s, 7)),
+        -(area2 * l6 - 4 * q * _power_sum(side.s, 5)),
+        area2 * l7 - 36 * q * _power_sum(side.s, 6),
+        -(area2 * l8 - 192 * q * _power_sum(side.s, 7)),
     )
 
 
@@ -321,11 +254,6 @@ def irreducible_correction(sing: model.IrreducibleSingularity) -> Correction:
     return _local(KIND_IRREDUCIBLE, -q0, -q1, -q2)
 
 
-def irreducible_singularity_factor(sing: model.IrreducibleSingularity) -> TruncSeries:
-    """Contribution 1 + term of an irreducible singularity."""
-    return 1 + irreducible_correction(sing).term
-
-
 def flexes_absorbed(sing: model.IrreducibleSingularity) -> int:
     """How many ordinary inflections the singularity absorbs from the
     3d(d-2) budget of a reduced line-free curve."""
@@ -352,58 +280,22 @@ def flex_correction(count: int, printed: bool = False) -> Correction:
     return _local(KIND_FLEX, count * a6, count * a7, count * a8, den)
 
 
-def flex_factor(printed: bool = False) -> TruncSeries:
-    """The contribution 1 + term of a single ordinary inflection."""
-    return flex_equivalent(1, printed)
-
-
-def flex_equivalent(count: int, printed: bool = False) -> TruncSeries:
-    """The contribution 1 + count*term of `count` ordinary inflections."""
-    return 1 + flex_correction(count, printed).term
-
-
 # ---------------------------------------------------------------------------
 # ordinary multiple points
 # ---------------------------------------------------------------------------
 
 
-def _branch_contact(m: int, r: int) -> tuple[int, int, int]:
-    """(a6, a7, a8) of the per-tangent-line term of an ordinary multiple
-    point of multiplicity m whose nonlinear branch meets its tangent with
-    total multiplicity r."""
-    h6 = -r * (2 - 3 * r + r * r - 12 * m + 3 * r * m + 6 * m * m)
-    h7 = 3 * r * (
-        -12 + 2 * r - 2 * r**2 + r**3 + 10 * m - 8 * r * m + 3 * r**2 * m - 20 * m**2 + 6 * r * m**2 + 10 * m**3
-    )
-    h8 = -3 * r * (
-        -64
-        + 2 * r**2
-        - 3 * r**3
-        + 2 * r**4
-        + 10 * r * m
-        - 12 * r**2 * m
-        + 6 * r**3 * m
-        + 30 * m**2
-        - 30 * r * m**2
-        + 12 * r**2 * m**2
-        - 60 * m**3
-        + 20 * r * m**3
-        + 30 * m**4
-    )
-    return h6, h7, h8
-
-
-def ordinary_multiple_point_factor(m: int, contacts: Sequence[int]) -> TruncSeries:
-    """Contribution 1 + term of an ordinary multiple point: the tangent-cone
-    term plus one branch term per nonlinear branch.
+def multiple_point_correction(m: int, contacts: Sequence[int]) -> Correction:
+    """Correction of an ordinary multiple point: the sum of the terms of
+    the composite point it stands for (`model.ordinary_multiple_point`),
+    its m reduced tangent lines and one polygon side per nonlinear branch.
 
     `m` counts all branches (linear and nonlinear); `contacts` lists, for
     each nonlinear branch, the intersection multiplicity of the curve
-    with that branch's tangent line.  Linear branches carry no factor of
+    with that branch's tangent line.  Linear branches carry no term of
     their own but enter through m.
     """
     _check(model.multiple_point_violations(m, contacts))
-    total = list(tangent_cone_correction((1,) * m).a[6:])
-    for r in contacts:
-        total = [x + y for x, y in zip(total, _branch_contact(m, r))]
-    return 1 + _local(KIND_LOCAL, *total).term
+    point = model.ordinary_multiple_point(m, contacts)
+    terms = [tangent_cone_correction(point.tangent_cone.line_mults)] + [newton_side_correction(s) for s in point.sides]
+    return Correction(KIND_LOCAL, tuple([sum(column) for column in zip(*[t.a for t in terms])]))

@@ -10,7 +10,7 @@ All of it runs in the predegree basis, where a series is the sum of
 a_i * H^i / i! with integer a_i over one common denominator.  There a
 product is the binomial convolution (f*g)_k = sum_j C(k, j) f_j g_{k-j},
 exp(d*H) is (d^i), and replacing H by m*H multiplies a_i by m^i; the
-report's series and rationals are built once, from the result.
+report's rationals are built once, from the result.
 
 From the polynomial the report reads off the predegree coefficients
 a_i = i! * c_i, the orbit dimension (largest i with a_i nonzero), the
@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 from . import corrections, model
 from .corrections import Correction
-from .series import TRUNCATION_ORDER, TruncSeries, from_predegree, predegree_strings, rational_to_string
+from .series import TRUNCATION_ORDER, TruncSeries, predegree_strings, rational_to_string
 
 F = Fraction
 
@@ -81,8 +81,8 @@ class OrbitReport:
 
     @property
     def app(self) -> TruncSeries:
-        """The adjusted predegree polynomial as an exact series, built on each access."""
-        return from_predegree(self.a, self.den)
+        """The adjusted predegree polynomial as a read-only series view."""
+        return TruncSeries(self.a, self.den)
 
 
 def _convolve(f: Sequence[int], g: Sequence[int]) -> list[int]:

@@ -274,6 +274,16 @@ def multiple_point_violations(m: int, contacts: Sequence[int], path: str = "mult
     return []
 
 
+def ordinary_multiple_point(
+    m: int, contacts: Sequence[int], absorbed_flexes: int = 0, label: Optional[str] = None
+) -> CompositePoint:
+    """The composite point an ordinary multiple point of multiplicity m
+    stands for: m reduced tangent-cone lines and, per nonlinear branch of
+    contact r, one polygon side (m-1, 1) -> (r, 0) with a simple root."""
+    sides = tuple(NewtonSide(m - 1, 1, r, 0, (1,)) for r in contacts)
+    return CompositePoint(TangentCone((1,) * m), sides, (), absorbed_flexes, label)
+
+
 def irreducible_violations(sing: IrreducibleSingularity, path: str = "singularity") -> list[Violation]:
     """Checks for a one-branch singularity (empty list = valid)."""
     if sing.m < 1:
@@ -488,11 +498,10 @@ def _truncation_from_obj(obj: Any, path: str) -> Truncation:
 
 
 def _multiple_point_feature(data: dict, path: str, label: Optional[str]) -> CompositePoint:
-    """Desugar the ordinary-multiple-point shorthand into a composite feature.
+    """Desugar the ordinary-multiple-point shorthand into the composite
+    feature `ordinary_multiple_point` builds.
 
-    A point of multiplicity m with nonlinear-branch contacts r produces
-    m reduced tangent-cone lines and one polygon side (m-1,1)->(r,0) per
-    contact.  When every branch is nonlinear and no count is given, the
+    When every branch is nonlinear and no count is given, the
     absorbed-flex count defaults to 3m(m-1) + sum(r) - m(m+1), which is
     the smooth-branch count 3m(m-1) plus one per extra contact order.
     """
@@ -510,14 +519,7 @@ def _multiple_point_feature(data: dict, path: str, label: Optional[str]) -> Comp
         absorbed = 3 * m * (m - 1) + sum(contacts) - m * (m + 1)
     else:
         absorbed = 0
-    sides = tuple(NewtonSide(m - 1, 1, r, 0, (1,)) for r in contacts)
-    return CompositePoint(
-        tangent_cone=TangentCone((1,) * m),
-        sides=sides,
-        truncations=(),
-        absorbed_flexes=absorbed,
-        label=label,
-    )
+    return ordinary_multiple_point(m, contacts, absorbed, label)
 
 
 def _point_from_obj(obj: Any, path: str) -> PointFeature:

@@ -5,11 +5,18 @@ over Q, on lists of Fractions (constant term first, no trailing zeros).
 It is slow, because its coefficients grow along the remainder sequence,
 but it is the plain textbook form.
 
-The correction oracles build terms as `TruncSeries` of Fractions by other
-routes than the shipped integer formulas: the line term as an
-antiderivative of a series product, the ordinary-multiple-point factor
-through elementary symmetric functions of the contacts, and the union
-factors as printed.
+`TruncSeries` here is the ring Q[H]/(H^9) on nine Fractions, with +, -,
+*, ** and calculus; the package ships only a read-only view of its
+series (`orbitdeg.series.TruncSeries`), which this ring accepts as an
+operand and compares equal to.
+
+The correction oracles build terms by other routes than the shipped
+integer formulas: the line term as an antiderivative of a series
+product, the side vertex polynomials hand-expanded (`_side_l6/7/8`, where
+the package integrates along the side), the ordinary multiple point
+through elementary symmetric functions of the contacts and per branch
+in closed form (`_branch_contact`, where the package adds one side term
+per branch), and the union factors as printed.
 
 The direct route evaluates the top coefficient a_8 of a curve with an
 8-dimensional orbit from hand-expanded closed forms, one per feature,
@@ -21,11 +28,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import zip_longest
-from math import gcd
-from typing import Sequence
+from math import factorial, gcd
+from typing import Iterable, Mapping, Sequence
 
-from orbitdeg import corrections, engine, model
-from orbitdeg.series import TruncSeries, exp_linear
+from orbitdeg import corrections, engine, model, series
+from orbitdeg.series import TRUNCATION_ORDER, RationalLike, rational_to_string, to_rational
 
 F = Fraction
 
@@ -111,8 +118,342 @@ def yun_squarefree(p: Sequence) -> list[tuple[int, Poly]]:
 
 
 # ---------------------------------------------------------------------------
+# the series ring Q[H]/(H^9)
+# ---------------------------------------------------------------------------
+
+
+def _coerce(value: object) -> "TruncSeries | None":
+    """The ring element of a series, a shipped series view or a rational
+    scalar; None for anything else."""
+    if isinstance(value, TruncSeries):
+        return value
+    if isinstance(value, series.TruncSeries):
+        return TruncSeries(value.coeffs)
+    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+        return TruncSeries.constant(value)
+    return None
+
+
+class TruncSeries:
+    """An element of Q[H]/(H^9), held as nine exact rational coefficients.
+
+    Instances are immutable; all operators return new series.  Supports
+    +, -, * (by series, by a shipped `orbitdeg.series.TruncSeries` view or
+    by a rational scalar) and ** (non-negative integer exponent, computed
+    by binary exponentiation), and compares equal to a view of the same
+    series.
+    """
+
+    __slots__ = ("coeffs",)
+
+    coeffs: tuple[Fraction, ...]
+
+    def __init__(self, coeffs: Iterable[RationalLike] = ()):
+        values = [to_rational(c) for c in coeffs]
+        if len(values) > TRUNCATION_ORDER:
+            raise ValueError(f"series holds at most {TRUNCATION_ORDER} coefficients")
+        values.extend([Fraction(0)] * (TRUNCATION_ORDER - len(values)))
+        object.__setattr__(self, "coeffs", tuple(values))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("TruncSeries is immutable")
+
+    # -- constructors ------------------------------------------------
+
+    @classmethod
+    def zero(cls) -> "TruncSeries":
+        return cls()
+
+    @classmethod
+    def one(cls) -> "TruncSeries":
+        return cls((1,))
+
+    @classmethod
+    def constant(cls, value: RationalLike) -> "TruncSeries":
+        return cls((value,))
+
+    @classmethod
+    def monomial(cls, degree: int, coeff: RationalLike = 1) -> "TruncSeries":
+        """The single term coeff * H^degree."""
+        if not 0 <= degree < TRUNCATION_ORDER:
+            raise ValueError("monomial degree out of range")
+        coeffs = [Fraction(0)] * TRUNCATION_ORDER
+        coeffs[degree] = to_rational(coeff)
+        return cls(coeffs)
+
+    @classmethod
+    def from_terms(cls, terms: Mapping[int, RationalLike]) -> "TruncSeries":
+        """Build a series from a {degree: coefficient} mapping."""
+        coeffs = [Fraction(0)] * TRUNCATION_ORDER
+        for degree, coeff in terms.items():
+            if not 0 <= degree < TRUNCATION_ORDER:
+                raise ValueError(f"degree {degree} out of range")
+            coeffs[degree] = to_rational(coeff)
+        return cls(coeffs)
+
+    @classmethod
+    def from_strings(cls, strings: Iterable[str]) -> "TruncSeries":
+        return cls(tuple(strings))
+
+    # -- ring operations ---------------------------------------------
+
+    def __add__(self, other: object) -> "TruncSeries":
+        other = _coerce(other)
+        if other is None:
+            return NotImplemented
+        return TruncSeries(a + b for a, b in zip(self.coeffs, other.coeffs))
+
+    __radd__ = __add__
+
+    def __sub__(self, other: object) -> "TruncSeries":
+        other = _coerce(other)
+        if other is None:
+            return NotImplemented
+        return TruncSeries(a - b for a, b in zip(self.coeffs, other.coeffs))
+
+    def __rsub__(self, other: object) -> "TruncSeries":
+        other = _coerce(other)
+        if other is None:
+            return NotImplemented
+        return other - self
+
+    def __neg__(self) -> "TruncSeries":
+        return TruncSeries(-a for a in self.coeffs)
+
+    def __mul__(self, other: object) -> "TruncSeries":
+        other = _coerce(other)
+        if other is None:
+            return NotImplemented
+        result = [Fraction(0)] * TRUNCATION_ORDER
+        for i, a in enumerate(self.coeffs):
+            if not a:
+                continue
+            for j in range(TRUNCATION_ORDER - i):
+                b = other.coeffs[j]
+                if b:
+                    result[i + j] += a * b
+        return TruncSeries(result)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, exponent: int) -> "TruncSeries":
+        if not isinstance(exponent, int) or exponent < 0:
+            raise ValueError("series exponent must be a non-negative integer")
+        result = TruncSeries.one()
+        base = self
+        n = exponent
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base
+            n >>= 1
+        return result
+
+    # -- calculus and structure --------------------------------------
+
+    def antiderivative(self) -> "TruncSeries":
+        """The antiderivative in H with zero constant term.
+
+        The degree-8 input coefficient would land in degree 9 and is
+        discarded by the truncation.
+        """
+        coeffs = [Fraction(0)] * TRUNCATION_ORDER
+        for i in range(TRUNCATION_ORDER - 1):
+            coeffs[i + 1] = self.coeffs[i] / (i + 1)
+        return TruncSeries(coeffs)
+
+    def derivative(self) -> "TruncSeries":
+        """The formal derivative in H (the top coefficient of the result is 0)."""
+        coeffs = [(i + 1) * self.coeffs[i + 1] for i in range(TRUNCATION_ORDER - 1)]
+        return TruncSeries(coeffs)
+
+    def substitute_scaled(self, multiple: int) -> "TruncSeries":
+        """Replace H by multiple*H: coefficient i is multiplied by multiple**i."""
+        if not isinstance(multiple, int) or multiple < 1:
+            raise ValueError("scaling multiple must be a positive integer")
+        return TruncSeries(c * multiple**i for i, c in enumerate(self.coeffs))
+
+    def order(self) -> int | None:
+        """Least degree with a nonzero coefficient, or None for the zero series."""
+        for i, c in enumerate(self.coeffs):
+            if c:
+                return i
+        return None
+
+    def is_zero(self) -> bool:
+        return all(c == 0 for c in self.coeffs)
+
+    def app_coefficient(self, i: int) -> Fraction:
+        """i! times the H^i coefficient.
+
+        Converts the i-th coefficient of a series normalized as
+        1 + a1*H + a2*H^2/2 + a3*H^3/3! + ... back to a_i.
+        """
+        if not 0 <= i < TRUNCATION_ORDER:
+            raise ValueError("coefficient index out of range")
+        return factorial(i) * self.coeffs[i]
+
+    def app_coefficients(self) -> tuple[Fraction, ...]:
+        return tuple(self.app_coefficient(i) for i in range(TRUNCATION_ORDER))
+
+    # -- presentation -------------------------------------------------
+
+    def to_strings(self) -> list[str]:
+        """Serialize as nine "num/den" strings, constant term first."""
+        return [rational_to_string(c) for c in self.coeffs]
+
+    def __eq__(self, other: object) -> bool:
+        other = _coerce(other)
+        if other is None:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
+
+    def __repr__(self) -> str:
+        return f"TruncSeries({self.to_strings()})"
+
+
+def ring(view: series.TruncSeries) -> TruncSeries:
+    """The ring element of a shipped series view (a term or a report's app)."""
+    return TruncSeries(view.coeffs)
+
+
+def factor(corr: corrections.Correction) -> TruncSeries:
+    """The paper's multiplicative factor of a point feature: 1 + its term."""
+    return TruncSeries.one() + corr.term
+
+
+def exp_linear(scale: RationalLike) -> TruncSeries:
+    """The truncated exponential of scale*H: sum of (scale*H)^i / i! for i < 9."""
+    d = to_rational(scale)
+    return TruncSeries(d**i / factorial(i) for i in range(TRUNCATION_ORDER))
+
+
+# ---------------------------------------------------------------------------
 # correction terms
 # ---------------------------------------------------------------------------
+
+
+def _side_l6(j0: int, k0: int, j1: int, k1: int) -> int:
+    return (
+        6 * j0**2 * k0**2
+        + 3 * j0 * j1 * k0**2
+        + j1**2 * k0**2
+        + 3 * j0**2 * k0 * k1
+        + 4 * j0 * j1 * k0 * k1
+        + 3 * j1**2 * k0 * k1
+        + j0**2 * k1**2
+        + 3 * j0 * j1 * k1**2
+        + 6 * j1**2 * k1**2
+    )
+
+
+def _side_l7(j0: int, k0: int, j1: int, k1: int) -> int:
+    return (
+        30 * j0**3 * k0**2
+        + 18 * j0**2 * j1 * k0**2
+        + 9 * j0 * j1**2 * k0**2
+        + 3 * j1**3 * k0**2
+        + 30 * j0**2 * k0**3
+        + 12 * j0 * j1 * k0**3
+        + 3 * j1**2 * k0**3
+        + 12 * j0**3 * k0 * k1
+        + 18 * j0**2 * j1 * k0 * k1
+        + 18 * j0 * j1**2 * k0 * k1
+        + 12 * j1**3 * k0 * k1
+        + 18 * j0**2 * k0**2 * k1
+        + 18 * j0 * j1 * k0**2 * k1
+        + 9 * j1**2 * k0**2 * k1
+        + 3 * j0**3 * k1**2
+        + 9 * j0**2 * j1 * k1**2
+        + 18 * j0 * j1**2 * k1**2
+        + 30 * j1**3 * k1**2
+        + 9 * j0**2 * k0 * k1**2
+        + 18 * j0 * j1 * k0 * k1**2
+        + 18 * j1**2 * k0 * k1**2
+        + 3 * j0**2 * k1**3
+        + 12 * j0 * j1 * k1**3
+        + 30 * j1**2 * k1**3
+    )
+
+
+def _side_l8(j0: int, k0: int, j1: int, k1: int) -> int:
+    return (
+        90 * j0**4 * k0**2
+        + 60 * j0**3 * j1 * k0**2
+        + 36 * j0**2 * j1**2 * k0**2
+        + 18 * j0 * j1**3 * k0**2
+        + 6 * j1**4 * k0**2
+        + 180 * j0**3 * k0**3
+        + 90 * j0**2 * j1 * k0**3
+        + 36 * j0 * j1**2 * k0**3
+        + 9 * j1**3 * k0**3
+        + 90 * j0**2 * k0**4
+        + 30 * j0 * j1 * k0**4
+        + 6 * j1**2 * k0**4
+        + 30 * j0**4 * k0 * k1
+        + 48 * j0**3 * j1 * k0 * k1
+        + 54 * j0**2 * j1**2 * k0 * k1
+        + 48 * j0 * j1**3 * k0 * k1
+        + 30 * j1**4 * k0 * k1
+        + 90 * j0**3 * k0**2 * k1
+        + 108 * j0**2 * j1 * k0**2 * k1
+        + 81 * j0 * j1**2 * k0**2 * k1
+        + 36 * j1**3 * k0**2 * k1
+        + 60 * j0**2 * k0**3 * k1
+        + 48 * j0 * j1 * k0**3 * k1
+        + 18 * j1**2 * k0**3 * k1
+        + 6 * j0**4 * k1**2
+        + 18 * j0**3 * j1 * k1**2
+        + 36 * j0**2 * j1**2 * k1**2
+        + 60 * j0 * j1**3 * k1**2
+        + 90 * j1**4 * k1**2
+        + 36 * j0**3 * k0 * k1**2
+        + 81 * j0**2 * j1 * k0 * k1**2
+        + 108 * j0 * j1**2 * k0 * k1**2
+        + 90 * j1**3 * k0 * k1**2
+        + 36 * j0**2 * k0**2 * k1**2
+        + 54 * j0 * j1 * k0**2 * k1**2
+        + 36 * j1**2 * k0**2 * k1**2
+        + 9 * j0**3 * k1**3
+        + 36 * j0**2 * j1 * k1**3
+        + 90 * j0 * j1**2 * k1**3
+        + 180 * j1**3 * k1**3
+        + 18 * j0**2 * k0 * k1**3
+        + 48 * j0 * j1 * k0 * k1**3
+        + 60 * j1**2 * k0 * k1**3
+        + 6 * j0**2 * k1**4
+        + 30 * j0 * j1 * k1**4
+        + 90 * j1**2 * k1**4
+    )
+
+
+def _branch_contact(m: int, r: int) -> tuple[int, int, int]:
+    """(a6, a7, a8) of the per-tangent-line term of an ordinary multiple
+    point of multiplicity m whose nonlinear branch meets its tangent with
+    total multiplicity r."""
+    h6 = -r * (2 - 3 * r + r * r - 12 * m + 3 * r * m + 6 * m * m)
+    h7 = 3 * r * (
+        -12 + 2 * r - 2 * r**2 + r**3 + 10 * m - 8 * r * m + 3 * r**2 * m - 20 * m**2 + 6 * r * m**2 + 10 * m**3
+    )
+    h8 = -3 * r * (
+        -64
+        + 2 * r**2
+        - 3 * r**3
+        + 2 * r**4
+        + 10 * r * m
+        - 12 * r**2 * m
+        + 6 * r**3 * m
+        + 30 * m**2
+        - 30 * r * m**2
+        + 12 * r**2 * m**2
+        - 60 * m**3
+        + 20 * r * m**3
+        + 30 * m**4
+    )
+    return h6, h7, h8
 
 
 def line_term(mult: int, meets: Sequence[int], degree: int) -> TruncSeries:
@@ -125,8 +466,8 @@ def line_term(mult: int, meets: Sequence[int], degree: int) -> TruncSeries:
 
 
 def ordinary_multiple_point_factor_sym(m: int, contacts: Sequence[int]) -> TruncSeries:
-    """`corrections.ordinary_multiple_point_factor` through the
-    elementary-symmetric form, an independent transcription."""
+    """1 + `corrections.multiple_point_correction` through the
+    elementary-symmetric form of the contacts, an independent transcription."""
     e = corrections._elementary_symmetric(contacts, 5)
     e1, e2, e3, e4, e5 = e[1], e[2], e[3], e[4], e[5]
     h6 = (

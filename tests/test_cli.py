@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbitdeg import cli, corpus, engine, model
-from orbitdeg.series import TruncSeries
+from oracles import TruncSeries
 from strategies import descriptors
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -132,6 +132,28 @@ def test_contribution_missing_flag(capsys):
     code, _, err = run(capsys, "contribution", "type5", "--ell", "1")
     assert code == 1
     assert "missing" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["side", "--from", "0,2"], "side: missing --to, --s"),
+        (["truncation", "--ell", "1"], "truncation: missing --weight, --s"),
+    ],
+)
+def test_contribution_missing_flags_are_named_by_their_option(capsys, argv, message):
+    assert run(capsys, "contribution", *argv) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["line", "--mult", "1", "--meets", "-1,2", "--degree", "3"], "line.meets: intersection multiplicities must be positive"),
+        (["side", "--from", "-1,2", "--to", "3,0", "--s", "1"], "side.j0: endpoint coordinates must be non-negative"),
+    ],
+)
+def test_contribution_negative_lists_reach_the_model(capsys, argv, message):
+    assert run(capsys, "contribution", *argv) == (1, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize(

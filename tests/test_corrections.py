@@ -8,7 +8,7 @@ import pytest
 
 import oracles
 from orbitdeg import corrections, model
-from orbitdeg.series import TruncSeries, exp_linear
+from oracles import TruncSeries, exp_linear, factor, ring
 from conftest import composition, random_irreducible, random_side, random_truncation
 
 ONE = TruncSeries.one()
@@ -100,7 +100,7 @@ def test_nonlinear_correction_precondition():
         (lambda: corrections.nonlinear_correction(3, 2, 0), model.nonlinear_violations(2, 0)),
         (lambda: corrections.tangent_cone_correction((1, 0, 1)), model.tangent_cone_violations((1, 0, 1))),
         (lambda: corrections.flex_correction(-1), model.flex_count_violations(-1)),
-        (lambda: corrections.ordinary_multiple_point_factor(1, ()), model.multiple_point_violations(1, ())),
+        (lambda: corrections.multiple_point_correction(1, ()), model.multiple_point_violations(1, ())),
     ],
 )
 def test_builders_raise_the_first_model_violation(build, problems):
@@ -117,14 +117,14 @@ def test_tangent_cone_precondition():
     for mults in ((1, 0, 1), (-1,), (2, 1, -3)):
         with pytest.raises(corrections.FeatureError):
             corrections.tangent_cone_correction(mults)
-    assert corrections.tangent_cone_correction(()).term.is_zero()
+    assert ring(corrections.tangent_cone_correction(()).term).is_zero()
 
 
 def test_tangent_cone_vanishes_for_two_lines():
     rng = random.Random(21)
     for _ in range(10):
         mults = tuple(rng.randint(1, 5) for _ in range(rng.randint(1, 2)))
-        assert corrections.tangent_cone_correction(mults).term.is_zero()
+        assert ring(corrections.tangent_cone_correction(mults).term).is_zero()
 
 
 def test_tangent_cone_reduced_lines_display():
@@ -160,14 +160,15 @@ def test_side_flex_closed_form():
 
 
 def test_side_contact_two_is_trivial():
-    assert corrections.newton_side_correction(flex_side(2)).term.is_zero()
+    assert ring(corrections.newton_side_correction(flex_side(2)).term).is_zero()
 
 
 def test_side_matches_multiple_point_branch_factor():
     for m in range(2, 9):
-        side = model.NewtonSide(m - 1, 1, m + 1, 0, (1,))
-        got = corrections.newton_side_correction(side).term
-        assert got == corrections._local(corrections.KIND_LOCAL, *corrections._branch_contact(m, m + 1)).term
+        for r in range(m + 1, m + 12):
+            side = model.NewtonSide(m - 1, 1, r, 0, (1,))
+            got = corrections.newton_side_correction(side).term
+            assert got == corrections._local(corrections.KIND_LOCAL, *oracles._branch_contact(m, r)).term, (m, r)
 
 
 def test_side_unibranch_display():
@@ -191,8 +192,16 @@ def test_side_vertex_polynomial_symmetry():
     rng = random.Random(22)
     for _ in range(50):
         j0, k0, j1, k1 = (rng.randint(0, 9) for _ in range(4))
-        for vertex_polynomial in (corrections._side_l6, corrections._side_l7, corrections._side_l8):
+        for vertex_polynomial in (oracles._side_l6, oracles._side_l7, oracles._side_l8):
             assert vertex_polynomial(j0, k0, j1, k1) == vertex_polynomial(j1, k1, j0, k0)
+
+
+def test_side_vertex_integral_matches_expanded_forms():
+    rng = random.Random(28)
+    for _ in range(2000):
+        j0, k0, j1, k1 = (rng.randint(-9, 9) for _ in range(4))
+        expanded = tuple(l(j0, k0, j1, k1) for l in (oracles._side_l6, oracles._side_l7, oracles._side_l8))
+        assert corrections._side_vertex_polynomials(j0, k0, j1, k1) == expanded, (j0, k0, j1, k1)
 
 
 def test_side_precondition():
@@ -213,20 +222,20 @@ def test_truncation_single_conic_vanishes():
     rng = random.Random(23)
     for _ in range(10):
         trunc = model.Truncation(rng.randint(1, 3), F(rng.randint(1, 9)), (rng.randint(1, 5),))
-        assert corrections.truncation_correction(trunc).term.is_zero()
+        assert ring(corrections.truncation_correction(trunc).term).is_zero()
 
 
 def test_truncation_linear_in_weight():
     trunc = model.Truncation(1, F(5), (1, 1))
     doubled = model.Truncation(2, F(5), (1, 1))
-    assert corrections.truncation_correction(doubled).term == 2 * corrections.truncation_correction(trunc).term
+    assert corrections.truncation_correction(doubled).term == 2 * ring(corrections.truncation_correction(trunc).term)
 
 
 # -- the quadratic route -------------------------------------------------------
 
 
 def test_quadratic_route_zero():
-    assert corrections.local_correction_from_quadratic(0, 0, 0, 5).term.is_zero()
+    assert ring(corrections.local_correction_from_quadratic(0, 0, 0, 5).term).is_zero()
 
 
 def test_quadratic_route_rederives_tangent_cone():
@@ -236,14 +245,14 @@ def test_quadratic_route_rederives_tangent_cone():
         es = corrections._elementary_symmetric(mults, 5)
         e1 = es[1]
         prefactor = es[2] * es[3] - e1 * es[4] - es[5]
-        rederived = e1 * corrections.local_correction_from_quadratic(630 * prefactor, 0, 0, e1).term
+        rederived = e1 * ring(corrections.local_correction_from_quadratic(630 * prefactor, 0, 0, e1).term)
         assert rederived == corrections.tangent_cone_correction(mults).term
 
 
 def test_quadratic_route_linear_in_delta():
     single = corrections.local_correction_from_quadratic(7, -3, 2, 4, delta=1).term
     triple = corrections.local_correction_from_quadratic(7, -3, 2, 4, delta=3).term
-    assert triple == 3 * single
+    assert triple == 3 * ring(single)
 
 
 # -- irreducible singularities --------------------------------------------------
@@ -272,23 +281,23 @@ def test_pair_jet_against_taylor_expansion():
 
 
 def test_unibranch_factor_smooth_point():
-    assert corrections.irreducible_singularity_factor(model.IrreducibleSingularity(1, 2)) == ONE
+    assert factor(corrections.irreducible_correction(model.IrreducibleSingularity(1, 2))) == ONE
 
 
 def test_unibranch_factor_ordinary_cusp():
-    got = corrections.irreducible_singularity_factor(model.IrreducibleSingularity(2, 3, (3,)))
+    got = factor(corrections.irreducible_correction(model.IrreducibleSingularity(2, 3, (3,))))
     assert got == series({0: 1, 6: F(-4, 15), 7: F(3, 5), 8: F(-19, 28)})
 
 
 def test_unibranch_factor_ordinary_flex():
-    got = corrections.irreducible_singularity_factor(model.IrreducibleSingularity(1, 3))
+    got = factor(corrections.irreducible_correction(model.IrreducibleSingularity(1, 3)))
     assert got == series({0: 1, 6: F(-1, 48), 7: F(3, 70), 8: F(-197, 4480)})
 
 
 def test_unibranch_factor_matches_flex_side():
     for k in range(2, 11):
-        factor = corrections.irreducible_singularity_factor(model.IrreducibleSingularity(1, k))
-        assert factor == ONE + corrections.newton_side_correction(flex_side(k)).term
+        unibranch = factor(corrections.irreducible_correction(model.IrreducibleSingularity(1, k)))
+        assert unibranch == ONE + corrections.newton_side_correction(flex_side(k)).term
 
 
 def test_unibranch_factor_one_pair_display():
@@ -305,7 +314,7 @@ def test_unibranch_factor_one_pair_display():
     assert cases
     for m, n, n1 in cases:
         sing = model.IrreducibleSingularity(m, n, (n1,))
-        got = corrections.irreducible_singularity_factor(sing)
+        got = factor(corrections.irreducible_correction(sing))
         expected = ONE - series(
             {
                 6: F(m * (4 * m**4 * (n1 - n) + m**2 * n**3 - 4 * n1), 720),
@@ -331,33 +340,37 @@ def test_flexes_absorbed_examples():
 # -- ordinary multiple points ----------------------------------------------------
 
 
+def multiple_point_factor(m, contacts):
+    return factor(corrections.multiple_point_correction(m, contacts))
+
+
 def test_ordinary_multiple_point_factor_precondition():
     for m, contacts in ((1, ()), (0, ()), (2, (3, 3, 3)), (3, (4, 3)), (2, (2,))):
         with pytest.raises(corrections.FeatureError):
-            corrections.ordinary_multiple_point_factor(m, contacts)
-    assert corrections.ordinary_multiple_point_factor(2, ()) == ONE
+            corrections.multiple_point_correction(m, contacts)
+    assert multiple_point_factor(2, ()) == ONE
 
 
 def test_multiple_point_general_node():
-    got = corrections.ordinary_multiple_point_factor(2, (3, 3))
+    got = multiple_point_factor(2, (3, 3))
     assert got == series({0: 1, 6: F(-1, 6), 7: F(101, 280), 8: F(-25, 64)})
 
 
 def test_multiple_point_biflecnode():
-    got = corrections.ordinary_multiple_point_factor(2, (4, 4))
+    got = multiple_point_factor(2, (4, 4))
     assert got == series({0: 1, 6: F(-1, 3), 7: F(88, 105), 8: F(-15, 14)})
 
 
 def test_multiple_point_node_with_line_branch_is_square_root():
-    half = corrections.ordinary_multiple_point_factor(2, (3,))
+    half = multiple_point_factor(2, (3,))
     assert half == series({0: 1, 6: F(-1, 12), 7: F(101, 560), 8: F(-25, 128)})
-    assert half * half == corrections.ordinary_multiple_point_factor(2, (3, 3))
+    assert half * half == multiple_point_factor(2, (3, 3))
 
 
 def test_multiple_point_line_node_contact_display():
     # node with one linear branch, the other of tangent contact k
     for k in range(2, 8):
-        got = corrections.ordinary_multiple_point_factor(2, (k + 1,))
+        got = multiple_point_factor(2, (k + 1,))
         expected = series(
             {
                 0: 1,
@@ -375,15 +388,36 @@ def test_multiple_point_matches_symmetric_form():
         m = rng.randint(2, 5)
         branches = rng.randint(0, m)
         contacts = tuple(rng.randint(m + 1, m + 4) for _ in range(branches))
-        assert corrections.ordinary_multiple_point_factor(
-            m, contacts
-        ) == oracles.ordinary_multiple_point_factor_sym(m, contacts), (m, contacts)
+        assert multiple_point_factor(m, contacts) == oracles.ordinary_multiple_point_factor_sym(m, contacts), (
+            m,
+            contacts,
+        )
+
+
+def test_multiple_point_is_tangent_cone_plus_branch_contacts():
+    # the closed per-branch form against one side term per branch
+    rng = random.Random(29)
+    for m in range(2, 9):
+        cone = corrections.tangent_cone_correction((1,) * m).a
+        for r in range(m + 1, m + 12):
+            expected = cone[:6] + tuple(x + y for x, y in zip(cone[6:], oracles._branch_contact(m, r)))
+            assert corrections.multiple_point_correction(m, (r,)) == corrections.Correction(
+                corrections.KIND_LOCAL, expected
+            ), (m, r)
+        for _ in range(5):
+            contacts = tuple(rng.randint(m + 1, m + 11) for _ in range(rng.randint(0, m)))
+            expected = list(cone)
+            for r in contacts:
+                expected[6:] = [x + y for x, y in zip(expected[6:], oracles._branch_contact(m, r))]
+            got = corrections.multiple_point_correction(m, contacts)
+            assert got.a == tuple(expected) and got.den == 1, (m, contacts)
+            assert factor(got) == oracles.ordinary_multiple_point_factor_sym(m, contacts), (m, contacts)
 
 
 def test_smooth_branches_display():
     # every branch smooth, nonlinear, without inflection: contacts all m+1
     for m in range(2, 6):
-        got = corrections.ordinary_multiple_point_factor(m, (m + 1,) * m)
+        got = multiple_point_factor(m, (m + 1,) * m)
         per_branch = series(
             {
                 0: 1,
@@ -399,23 +433,23 @@ def test_smooth_branches_display():
 
 
 def test_flex_equivalent_examples():
-    assert corrections.flex_equivalent(0) == ONE
-    assert corrections.flex_equivalent(1) == corrections.irreducible_singularity_factor(
-        model.IrreducibleSingularity(1, 3)
+    assert factor(corrections.flex_correction(0)) == ONE
+    assert factor(corrections.flex_correction(1)) == factor(
+        corrections.irreducible_correction(model.IrreducibleSingularity(1, 3))
     )
-    assert corrections.flex_equivalent(6).coeffs[6] == F(-6, 48)
+    assert factor(corrections.flex_correction(6)).coeffs[6] == F(-6, 48)
 
 
 def test_flex_correction_precondition():
     for printed in (False, True):
         with pytest.raises(corrections.FeatureError):
             corrections.flex_correction(-1, printed)
-        assert corrections.flex_correction(0, printed).term.is_zero()
+        assert ring(corrections.flex_correction(0, printed).term).is_zero()
 
 
 def test_flex_factor_conventions():
-    assert corrections.flex_factor().coeffs[6] == F(-1, 48)
-    assert corrections.flex_factor(printed=True).coeffs[6] == F(-1, 42)
+    assert factor(corrections.flex_correction(1)).coeffs[6] == F(-1, 48)
+    assert factor(corrections.flex_correction(1, printed=True)).coeffs[6] == F(-1, 42)
 
 
 # -- structural invariants ---------------------------------------------------------
@@ -427,20 +461,20 @@ def test_orders_of_corrections():
         rest = rng.randint(0, 5)
         m = rng.randint(1, 3)
         line = corrections.line_correction(m, tuple(composition(rng, rest)) if rest else (), m + rest)
-        assert line.term.order() == 3
+        assert ring(line.term).order() == 3
         d = rng.randint(2, 9)
         e = rng.randint(2, d)
         nl = corrections.nonlinear_correction(d, e, 1)
-        assert nl.term.order() == 5
+        assert ring(nl.term).order() == 5
         cone = corrections.tangent_cone_correction(tuple(rng.randint(1, 3) for _ in range(rng.randint(3, 5))))
-        assert cone.term.is_zero() or cone.term.order() >= 6
+        assert ring(cone.term).is_zero() or ring(cone.term).order() >= 6
         side = corrections.newton_side_correction(random_side(rng))
-        assert side.term.is_zero() or side.term.order() >= 6
+        assert ring(side.term).is_zero() or ring(side.term).order() >= 6
         trunc = corrections.truncation_correction(random_truncation(rng))
-        assert trunc.term.is_zero() or trunc.term.order() >= 6
+        assert ring(trunc.term).is_zero() or ring(trunc.term).order() >= 6
         sing = random_irreducible(rng)
-        factor = corrections.irreducible_singularity_factor(sing)
-        assert (factor - ONE).is_zero() or (factor - ONE).order() >= 6
+        unibranch = factor(corrections.irreducible_correction(sing))
+        assert (unibranch - ONE).is_zero() or (unibranch - ONE).order() >= 6
 
 
 def test_scaling_homogeneity_of_local_terms():
@@ -449,7 +483,7 @@ def test_scaling_homogeneity_of_local_terms():
         for _ in range(25):
             mults = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 5)))
             scaled = corrections.tangent_cone_correction(tuple(v * multiple for v in mults))
-            assert scaled.term == corrections.tangent_cone_correction(mults).term.substitute_scaled(multiple)
+            assert scaled.term == ring(corrections.tangent_cone_correction(mults).term).substitute_scaled(multiple)
 
             side = random_side(rng)
             scaled_side = model.NewtonSide(
@@ -459,14 +493,14 @@ def test_scaling_homogeneity_of_local_terms():
                 side.k1 * multiple,
                 tuple(v * multiple for v in side.s),
             )
-            assert corrections.newton_side_correction(scaled_side).term == corrections.newton_side_correction(
-                side
-            ).term.substitute_scaled(multiple)
+            assert corrections.newton_side_correction(scaled_side).term == ring(
+                corrections.newton_side_correction(side).term
+            ).substitute_scaled(multiple)
 
             trunc = random_truncation(rng)
             scaled_trunc = model.Truncation(
                 trunc.ell, trunc.weight * multiple, tuple(v * multiple for v in trunc.s)
             )
-            assert corrections.truncation_correction(scaled_trunc).term == corrections.truncation_correction(
-                trunc
-            ).term.substitute_scaled(multiple)
+            assert corrections.truncation_correction(scaled_trunc).term == ring(
+                corrections.truncation_correction(trunc).term
+            ).substitute_scaled(multiple)

@@ -1,4 +1,4 @@
-"""Ring arithmetic in Q[H]/(H^9)."""
+"""The oracle ring Q[H]/(H^9), and the shipped read-only series view."""
 
 import random
 from fractions import Fraction as F
@@ -6,7 +6,9 @@ from math import factorial
 
 import pytest
 
-from orbitdeg.series import TruncSeries, exp_linear, rational_to_string, to_rational
+from orbitdeg import series as shipped
+from orbitdeg.series import rational_to_string, to_rational, predegree_strings
+from oracles import TruncSeries, exp_linear, ring
 from conftest import random_rational
 
 
@@ -156,3 +158,43 @@ def test_rational_strings():
     with pytest.raises(ValueError):
         to_rational("3.5")
 
+
+
+def random_view(rng):
+    return shipped.TruncSeries([rng.randint(-99, 99) for _ in range(9)], rng.randint(1, 12))
+
+
+def test_view_coefficients_and_strings():
+    rng = random.Random(10)
+    for _ in range(50):
+        view = random_view(rng)
+        assert view.coeffs == tuple(F(v, factorial(i) * view.den) for i, v in enumerate(view.a))
+        assert view.to_strings() == [rational_to_string(c) for c in view.coeffs]
+        assert view.to_strings() == predegree_strings(view.a, view.den)
+        assert TruncSeries.from_strings(view.to_strings()) == view
+
+
+def test_view_equality_ignores_the_denominator():
+    rng = random.Random(11)
+    for _ in range(50):
+        view = random_view(rng)
+        k = rng.randint(2, 5)
+        same = shipped.TruncSeries([k * v for v in view.a], k * view.den)
+        assert same == view and hash(same) == hash(view)
+        assert ring(view) == view and hash(ring(view)) == hash(view)
+        assert str(same) == str(view)
+        other = shipped.TruncSeries(view.a[:8] + (view.a[8] + 1,), view.den)
+        assert other != view
+
+
+def test_view_string_form():
+    view = shipped.TruncSeries((2, -3, 0, 12, 144, 0, -1440, 5040, 8), 2)
+    assert str(view) == "1 - (3/2)*H + H^3 + 3*H^4 - H^6 + (1/2)*H^7 + (1/10080)*H^8"
+    assert str(shipped.TruncSeries((0,) * 9)) == "0"
+    assert repr(shipped.TruncSeries((-1,) + (0,) * 8)) == "TruncSeries(-1)"
+
+
+def test_view_is_read_only():
+    view = shipped.TruncSeries((1,) + (0,) * 8)
+    with pytest.raises(AttributeError):
+        view.a = (0,) * 9
