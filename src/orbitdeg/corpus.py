@@ -2,8 +2,10 @@
 
 Each fixture file holds a descriptor and a set of expected values
 (predegree, orbit dimension, degree, or individual polynomial
-coefficients).  All comparisons are exact rational equality; a fixture
-passes only when every expected value is reproduced.
+coefficients).  The comparison is against the JSON report that
+`orbitdeg compute` prints: each expected rational is written in the same
+exact "num/den" form and compared as a string, so a fixture passes only
+when every expected value is reproduced exactly.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import engine, model
-from .series import predegree_strings, rational_to_string, to_rational
+from .series import rational_to_string
 
 ENV_CORPUS_DIR = "ORBITDEG_CORPUS"
 
@@ -21,7 +23,6 @@ ENV_CORPUS_DIR = "ORBITDEG_CORPUS"
 @dataclass
 class FixtureResult:
     name: str
-    path: Path
     failures: list[str] = field(default_factory=list)
 
     @property
@@ -58,7 +59,7 @@ def check_fixture(path: Path, erratum_strict: bool = False) -> FixtureResult:
     A fixture that cannot be read, decoded, computed or compared fails
     with a one-line reason, so one bad file does not stop the replay.
     """
-    result = FixtureResult(name=path.stem, path=path)
+    result = FixtureResult(name=path.stem)
     try:
         data = model.decode_json(path.read_text(encoding="utf-8"))
         result.name = str(data.get("name", path.stem))
@@ -69,37 +70,31 @@ def check_fixture(path: Path, erratum_strict: bool = False) -> FixtureResult:
         return result
     expected = data.get("expected", {})
     try:
+        obj = engine.report_to_obj(report)
         unknown = set(expected) - _EXPECTED_KEYS
         if unknown:
             result.failures.append(f"unknown expected keys: {sorted(unknown)}")
         if "orbit_dimension" in expected:
             want = expected["orbit_dimension"]
-            if report.orbit_dimension != want:
-                result.failures.append(f"orbit_dimension: expected {want}, got {report.orbit_dimension}")
-        if "predegree" in expected:
-            want = to_rational(expected["predegree"])
-            if report.predegree != want:
-                result.failures.append(
-                    f"predegree: expected {rational_to_string(want)}, got {rational_to_string(report.predegree)}"
-                )
-        if "degree" in expected:
-            want = to_rational(expected["degree"])
-            if report.degree != want:
-                got = "absent" if report.degree is None else rational_to_string(report.degree)
-                result.failures.append(f"degree: expected {rational_to_string(want)}, got {got}")
+            if obj["orbit_dimension"] != want:
+                result.failures.append(f"orbit_dimension: expected {want}, got {obj['orbit_dimension']}")
+        for key in ("predegree", "degree"):
+            if key in expected:
+                want, got = rational_to_string(expected[key]), obj.get(key, "absent")
+                if got != want:
+                    result.failures.append(f"{key}: expected {want}, got {got}")
         if "app" in expected:
-            got = predegree_strings(report.a, report.den)
             want_list = [rational_to_string(v) for v in expected["app"]]
-            if got != want_list:
-                result.failures.append(f"app: expected {want_list}, got {got}")
+            if obj["app"] != want_list:
+                result.failures.append(f"app: expected {want_list}, got {obj['app']}")
         if "a" in expected:
+            # a tuple, like OrbitReport.predegree_polynomial, so that a bad
+            # index fails as "tuple index out of range"
+            polynomial = tuple(obj["predegree_polynomial"])
             for index, value in expected["a"].items():
-                want = to_rational(value)
-                got_value = report.predegree_polynomial[int(index)]
-                if got_value != want:
-                    result.failures.append(
-                        f"a{index}: expected {rational_to_string(want)}, got {rational_to_string(got_value)}"
-                    )
+                want, got = rational_to_string(value), polynomial[int(index)]
+                if got != want:
+                    result.failures.append(f"a{index}: expected {want}, got {got}")
     except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
         result.failures.append(f"expected values could not be compared: {exc}")
     return result

@@ -256,12 +256,14 @@ def irreducible_correction(sing: model.IrreducibleSingularity) -> Correction:
 
 def flexes_absorbed(sing: model.IrreducibleSingularity) -> int:
     """How many ordinary inflections the singularity absorbs from the
-    3d(d-2) budget of a reduced line-free curve."""
+    3d(d-2) budget of a reduced line-free curve.
+
+    Never negative for a valid singularity: n >= m + 1 gives
+    3mn - 2m - 2n >= n - 2 >= 0, and the exponents increase, so no
+    later term of `absorbed_flex_count` is negative.
+    """
     _check(model.irreducible_violations(sing))
-    count = sing.absorbed_flex_count()
-    if count < 0:
-        raise RuntimeError(f"negative absorbed-flex count {count} for {sing}")
-    return count
+    return sing.absorbed_flex_count()
 
 
 #: (a6, a7, a8) and denominator of an ordinary inflection (contact 3): the

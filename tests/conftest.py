@@ -1,190 +1,13 @@
-"""Shared helpers: random but always-valid descriptor generators."""
+"""The one Hypothesis settings profile of the suite.
 
-from __future__ import annotations
+No deadline, because exact arithmetic on a large drawn case can take
+longer than a fixed budget; and a reproduce blob printed with every
+failure, so that any failing example can be replayed with
+`@reproduce_failure`.  Tests set only `max_examples`.  Random inputs come
+from `strategies.py`.
+"""
 
-import random
-from fractions import Fraction
-from math import gcd
+from hypothesis import settings
 
-from orbitdeg import model
-
-
-def random_rational(rng: random.Random, lo: int = -9, hi: int = 9) -> Fraction:
-    return Fraction(rng.randint(lo, hi), rng.randint(1, 9))
-
-
-def random_positive_rational(rng: random.Random, hi: int = 9) -> Fraction:
-    return Fraction(rng.randint(1, hi), rng.randint(1, 9))
-
-
-def composition(rng: random.Random, total: int) -> list[int]:
-    """A random list of positive integers summing to total."""
-    parts = []
-    remaining = total
-    while remaining > 0:
-        part = rng.randint(1, remaining)
-        parts.append(part)
-        remaining -= part
-    rng.shuffle(parts)
-    return parts
-
-
-def random_side(rng: random.Random) -> model.NewtonSide:
-    drop = rng.randint(1, 4)
-    run = drop + rng.randint(1, 5)
-    j0 = rng.randint(0, 4)
-    k1 = rng.randint(0, 3)
-    side_gcd = gcd(run, drop)
-    return model.NewtonSide(
-        j0=j0,
-        k0=k1 + drop,
-        j1=j0 + run,
-        k1=k1,
-        s=tuple(composition(rng, side_gcd)),
-    )
-
-
-def random_truncation(rng: random.Random) -> model.Truncation:
-    return model.Truncation(
-        ell=rng.randint(1, 3),
-        weight=random_positive_rational(rng),
-        s=tuple(composition(rng, rng.randint(1, 5))),
-    )
-
-
-def random_tangent_cone(rng: random.Random) -> model.TangentCone:
-    return model.TangentCone(tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 5))))
-
-
-def random_irreducible(rng: random.Random) -> model.IrreducibleSingularity:
-    m = rng.randint(1, 4)
-    if m == 1:
-        return model.IrreducibleSingularity(1, rng.randint(2, 8))
-    n = rng.randint(m + 1, m + 6)
-    essential: list[int] = []
-    d = m
-    if n % m != 0:
-        essential.append(n)
-        d = gcd(d, n)
-    last = max(n, essential[-1] if essential else 0)
-    while d > 1:
-        e = last + rng.randint(1, 4)
-        while e % d == 0:
-            e += 1
-        essential.append(e)
-        d = gcd(d, e)
-        last = e
-    return model.IrreducibleSingularity(m, n, tuple(essential))
-
-
-def random_composite(rng: random.Random) -> model.CompositePoint:
-    cone = random_tangent_cone(rng) if rng.random() < 0.6 else None
-    sides = tuple(random_side(rng) for _ in range(rng.randint(0, 2)))
-    truncations = tuple(random_truncation(rng) for _ in range(rng.randint(0, 2)))
-    return model.CompositePoint(
-        tangent_cone=cone,
-        sides=sides,
-        truncations=truncations,
-        absorbed_flexes=rng.randint(0, 4),
-    )
-
-
-def random_descriptor(rng: random.Random, scalable: bool = False) -> model.CurveDescriptor:
-    """A structurally valid descriptor with small random data.
-
-    With scalable=True no irreducible features are produced, so the
-    descriptor stays expressible after taking multiples of the curve.
-    """
-    linear: list[model.LinearComponent] = []
-    nonlinear: list[model.NonlinearComponent] = []
-    degree = 0
-    for _ in range(rng.randint(0, 2)):
-        mult = rng.randint(1, 2)
-        linear.append(model.LinearComponent(mult, ()))
-        degree += mult
-    for _ in range(rng.randint(0, 2)):
-        e = rng.randint(2, 4)
-        mult = rng.randint(1, 2)
-        nonlinear.append(model.NonlinearComponent(e, mult))
-        degree += e * mult
-    if degree == 0:
-        nonlinear.append(model.NonlinearComponent(rng.randint(2, 4), 1))
-        degree = nonlinear[0].deg
-    # lines must meet the rest of the curve in degree - mult points
-    linear = [
-        model.LinearComponent(c.mult, tuple(composition(rng, degree - c.mult)))
-        for c in linear
-    ]
-
-    points: list[model.PointFeature] = []
-    for _ in range(rng.randint(0, 3)):
-        roll = rng.random()
-        if roll < 0.3:
-            points.append(model.FlexPoint(rng.randint(3, 6)))
-        elif roll < 0.6 and not scalable:
-            points.append(model.IrreduciblePoint(random_irreducible(rng)))
-        else:
-            points.append(random_composite(rng))
-
-    return model.CurveDescriptor(
-        degree=degree,
-        linear=tuple(linear),
-        nonlinear=tuple(nonlinear),
-        points=tuple(points),
-        flexes=rng.randint(0, 5),
-    )
-
-
-def scaled_descriptor(descriptor: model.CurveDescriptor, multiple: int) -> model.CurveDescriptor:
-    """The descriptor of the m-fold multiple of a curve.
-
-    Component multiplicities, intersection multiplicities, tangent-cone
-    multiplicities, side vertices and root data, and truncation weights
-    all scale by m; explicit inflections become scaled polygon sides.
-    Irreducible features are not supported (the multiple is not reduced).
-    """
-    linear = tuple(
-        model.LinearComponent(c.mult * multiple, tuple(r * multiple for r in c.meets))
-        for c in descriptor.linear
-    )
-    nonlinear = tuple(
-        model.NonlinearComponent(c.deg, c.mult * multiple) for c in descriptor.nonlinear
-    )
-    points: list[model.PointFeature] = []
-    for feature in descriptor.points:
-        if isinstance(feature, model.FlexPoint):
-            side = model.NewtonSide(0, multiple, feature.contact * multiple, 0, (multiple,))
-            points.append(model.CompositePoint(sides=(side,)))
-        elif isinstance(feature, model.IrreduciblePoint):
-            raise ValueError("irreducible features cannot be scaled at the descriptor level")
-        else:
-            cone = None
-            if feature.tangent_cone is not None:
-                cone = model.TangentCone(tuple(v * multiple for v in feature.tangent_cone.line_mults))
-            sides = tuple(
-                model.NewtonSide(
-                    s.j0 * multiple,
-                    s.k0 * multiple,
-                    s.j1 * multiple,
-                    s.k1 * multiple,
-                    tuple(v * multiple for v in s.s),
-                    s.suppress,
-                )
-                for s in feature.sides
-            )
-            truncations = tuple(
-                model.Truncation(t.ell, t.weight * multiple, tuple(v * multiple for v in t.s))
-                for t in feature.truncations
-            )
-            points.append(model.CompositePoint(cone, sides, truncations, feature.absorbed_flexes))
-    count = model.resolved_flex_count(descriptor)
-    for _ in range(count):
-        side = model.NewtonSide(0, multiple, 3 * multiple, 0, (multiple,))
-        points.append(model.CompositePoint(sides=(side,)))
-    return model.CurveDescriptor(
-        degree=descriptor.degree * multiple,
-        linear=linear,
-        nonlinear=nonlinear,
-        points=tuple(points),
-        flexes=0,
-    )
+settings.register_profile("orbitdeg", deadline=None, print_blob=True)
+settings.load_profile("orbitdeg")

@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, output channels, corpus replay."""
 
 import contextlib
+import copy
 import io
 import json
 import os
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 from orbitdeg import cli, corpus, engine, model
 from oracles import TruncSeries
-from strategies import descriptors
+from strategies import descriptors, supports
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -198,7 +199,7 @@ def test_closed_stdout_exits_2_without_traceback():
     assert proc.stderr == "error: cannot write to stdout: broken pipe\n"
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(descriptors(), st.booleans())
 def test_compute_json_equals_library_report(descriptor, strict):
     with tempfile.TemporaryDirectory() as tmp:
@@ -407,3 +408,94 @@ def test_corpus_bad_fixtures_fail_without_stopping_replay(capsys, tmp_path):
     assert [line.split()[-1] for line in lines if not line.startswith(" ")][:4] == ["FAIL", "FAIL", "FAIL", "pass"]
     assert lines[-1] == "1/4 fixtures passed"
     assert len(lines) == 4 + 3 + 1  # one status line per fixture, one reason per failure, the summary
+
+
+# -- malformed input ------------------------------------------------------------
+
+#: Far beyond any real curve, yet cheap on every path one edit can reach.
+#: Two paths cost time and memory in proportion to a value, and no single
+#: edit of these inputs gets there: `newton.side_data` walks a side's
+#: lattice span, bounded by exponents that must stay within the degree,
+#: and the `ordinary_multiple_point` shorthand, which builds m tangent
+#: lines, never appears in serialized output.
+HUGE = (10**12, 2**64)
+
+
+def document_paths(node, path=()):
+    """The key or index path of every value below the root of a decoded JSON document."""
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield path + (key,)
+        yield from document_paths(child, path + (key,))
+
+
+@st.composite
+def mutated(draw, document):
+    """`document` after exactly one edit: a key deleted, a value of the
+    wrong type, an integer made negative or huge, or a list entry duplicated."""
+    document = copy.deepcopy(document)
+    *parents, key = draw(st.sampled_from(list(document_paths(document))))
+    parent = document
+    for step in parents:
+        parent = parent[step]
+    value = parent[key]
+    edits = ["wrong type"] + ["delete"] * isinstance(parent, dict)
+    edits += ["negative", "huge"] * (type(value) is int) + ["duplicate"] * (isinstance(value, list) and bool(value))
+    edit = draw(st.sampled_from(edits))
+    if edit == "delete":
+        del parent[key]
+    elif edit == "wrong type":
+        parent[key] = draw(st.sampled_from([None, True, 2.5, "x", [], {}, 3]).filter(lambda v: type(v) is not type(value)))
+    elif edit == "negative":
+        parent[key] = draw(st.integers(-5, -1))
+    elif edit == "huge":
+        parent[key] = draw(st.sampled_from(HUGE))
+    else:
+        index = draw(st.integers(0, len(value) - 1))
+        value.insert(index, copy.deepcopy(value[index]))
+    return document
+
+
+def fixture_document(descriptor):
+    """A corpus fixture holding the descriptor and its own report's values."""
+    obj = engine.report_to_obj(engine.assemble(descriptor))
+    expected = {key: obj[key] for key in ("orbit_dimension", "predegree", "app")}
+    expected["a"] = {"8": obj["predegree_polynomial"][8]}
+    return {"name": "drawn", "descriptor": model.descriptor_to_obj(descriptor), "expected": expected}
+
+
+def assert_clean_exit(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2), argv
+    assert err.getvalue().count("\n") <= 1 and "Traceback" not in err.getvalue(), (argv, err.getvalue())
+
+
+@settings(max_examples=50)
+@given(descriptors().map(fixture_document).flatmap(mutated))
+def test_mutated_descriptors_end_in_a_report_or_one_error_line(fixture):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "corpus").mkdir()
+        (root / "corpus" / "drawn.json").write_text(json.dumps(fixture), encoding="utf-8")
+        curve, valid = root / "curve.json", root / "conic.json"
+        curve.write_text(json.dumps(fixture.get("descriptor")), encoding="utf-8")
+        valid.write_text(CONIC_TEXT, encoding="utf-8")
+        assert_clean_exit(["compute", str(curve)])
+        assert_clean_exit(["union", str(valid), str(curve), "--crossings", "2"])
+        assert_clean_exit(["scale", str(curve), "--multiple", "2"])
+        assert_clean_exit(["corpus", "--dir", str(root / "corpus")])
+
+
+def newton_document(supp):
+    return {"degree": supp.degree, "terms": [[j, k, str(c)] for j, k, c in supp.terms]}
+
+
+@settings(max_examples=50)
+@given(supports().map(newton_document).flatmap(mutated))
+def test_mutated_newton_inputs_end_in_a_report_or_one_error_line(document):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "support.json"
+        path.write_text(json.dumps(document), encoding="utf-8")
+        assert_clean_exit(["newton", str(path)])

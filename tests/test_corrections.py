@@ -1,21 +1,34 @@
 """Correction terms and point factors against their printed and derived oracles."""
 
-import random
 from fractions import Fraction as F
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from orbitdeg import corrections, model
 from oracles import TruncSeries, exp_linear, factor, ring
-from conftest import composition, random_irreducible, random_side, random_truncation
+from strategies import compositions, irreducibles, sides, truncations
 
 ONE = TruncSeries.one()
 
 
 def series(terms):
     return TruncSeries.from_terms(terms)
+
+
+@st.composite
+def line_components(draw, max_mult: int = 5, max_rest: int = 6) -> tuple[int, tuple[int, ...], int]:
+    """(m, meets, d): a line of multiplicity m on a degree-d curve, meeting
+    the rest of it with the multiplicities `meets`, which sum to d - m."""
+    m, rest = draw(st.integers(1, max_mult)), draw(st.integers(0, max_rest))
+    return m, draw(compositions(rest)), m + rest
+
+
+def cone_mults(min_lines: int = 1, max_lines: int = 5, max_mult: int = 3) -> st.SearchStrategy[tuple[int, ...]]:
+    return st.lists(st.integers(1, max_mult), min_size=min_lines, max_size=max_lines).map(tuple)
 
 
 # -- line components --------------------------------------------------------
@@ -45,15 +58,10 @@ def test_line_correction_star_ray_display():
         assert term == expected
 
 
-def test_line_correction_closed_form_matches_antiderivative():
-    rng = random.Random(20)
-    for m in range(1, 6):
-        for _ in range(20):
-            rest = rng.randint(0, 6)
-            meets = tuple(composition(rng, rest)) if rest else ()
-            d = m + rest
-            closed = corrections.line_correction(m, meets, d).term
-            assert closed == oracles.line_term(m, meets, d)
+@settings(max_examples=100)
+@given(line_components())
+def test_line_correction_closed_form_matches_antiderivative(line):
+    assert corrections.line_correction(*line).term == oracles.line_term(*line)
 
 
 def test_line_correction_precondition():
@@ -120,11 +128,10 @@ def test_tangent_cone_precondition():
     assert ring(corrections.tangent_cone_correction(()).term).is_zero()
 
 
-def test_tangent_cone_vanishes_for_two_lines():
-    rng = random.Random(21)
-    for _ in range(10):
-        mults = tuple(rng.randint(1, 5) for _ in range(rng.randint(1, 2)))
-        assert ring(corrections.tangent_cone_correction(mults).term).is_zero()
+@settings(max_examples=10)
+@given(cone_mults(max_lines=2, max_mult=5))
+def test_tangent_cone_vanishes_for_two_lines(mults):
+    assert ring(corrections.tangent_cone_correction(mults).term).is_zero()
 
 
 def test_tangent_cone_reduced_lines_display():
@@ -188,20 +195,24 @@ def test_side_unibranch_display():
             assert got == expected
 
 
-def test_side_vertex_polynomial_symmetry():
-    rng = random.Random(22)
-    for _ in range(50):
-        j0, k0, j1, k1 = (rng.randint(0, 9) for _ in range(4))
-        for vertex_polynomial in (oracles._side_l6, oracles._side_l7, oracles._side_l8):
-            assert vertex_polynomial(j0, k0, j1, k1) == vertex_polynomial(j1, k1, j0, k0)
+@settings(max_examples=50)
+@given(st.tuples(*[st.integers(0, 9)] * 4))
+def test_side_vertex_polynomial_symmetry(vertices):
+    j0, k0, j1, k1 = vertices
+    for vertex_polynomial in (oracles._side_l6, oracles._side_l7, oracles._side_l8):
+        assert vertex_polynomial(j0, k0, j1, k1) == vertex_polynomial(j1, k1, j0, k0)
 
 
-def test_side_vertex_integral_matches_expanded_forms():
-    rng = random.Random(28)
-    for _ in range(2000):
-        j0, k0, j1, k1 = (rng.randint(-9, 9) for _ in range(4))
-        expanded = tuple(l(j0, k0, j1, k1) for l in (oracles._side_l6, oracles._side_l7, oracles._side_l8))
-        assert corrections._side_vertex_polynomials(j0, k0, j1, k1) == expanded, (j0, k0, j1, k1)
+#: (j0, k0, j1, k1) in [-9, 9]^4 as the base-19 digits of one index: one
+#: draw per example, where four draws make 2,000 examples a second slower
+VERTEX_TUPLES = st.sampled_from(range(19**4)).map(lambda c: tuple(c // 19**i % 19 - 9 for i in range(4)))
+
+
+@settings(max_examples=2000)
+@given(VERTEX_TUPLES)
+def test_side_vertex_integral_matches_expanded_forms(vertices):
+    expanded = tuple(l(*vertices) for l in (oracles._side_l6, oracles._side_l7, oracles._side_l8))
+    assert corrections._side_vertex_polynomials(*vertices) == expanded
 
 
 def test_side_precondition():
@@ -218,11 +229,11 @@ def test_truncation_two_simple_conics():
     assert corrections.truncation_correction(trunc).term == expected
 
 
-def test_truncation_single_conic_vanishes():
-    rng = random.Random(23)
-    for _ in range(10):
-        trunc = model.Truncation(rng.randint(1, 3), F(rng.randint(1, 9)), (rng.randint(1, 5),))
-        assert ring(corrections.truncation_correction(trunc).term).is_zero()
+@settings(max_examples=10)
+@given(st.integers(1, 3), st.integers(1, 9), st.integers(1, 5))
+def test_truncation_single_conic_vanishes(ell, weight, s):
+    trunc = model.Truncation(ell, F(weight), (s,))
+    assert ring(corrections.truncation_correction(trunc).term).is_zero()
 
 
 def test_truncation_linear_in_weight():
@@ -238,15 +249,14 @@ def test_quadratic_route_zero():
     assert ring(corrections.local_correction_from_quadratic(0, 0, 0, 5).term).is_zero()
 
 
-def test_quadratic_route_rederives_tangent_cone():
-    rng = random.Random(24)
-    for _ in range(20):
-        mults = tuple(rng.randint(1, 4) for _ in range(rng.randint(3, 5)))
-        es = corrections._elementary_symmetric(mults, 5)
-        e1 = es[1]
-        prefactor = es[2] * es[3] - e1 * es[4] - es[5]
-        rederived = e1 * ring(corrections.local_correction_from_quadratic(630 * prefactor, 0, 0, e1).term)
-        assert rederived == corrections.tangent_cone_correction(mults).term
+@settings(max_examples=40)
+@given(cone_mults(min_lines=3, max_mult=4))
+def test_quadratic_route_rederives_tangent_cone(mults):
+    es = corrections._elementary_symmetric(mults, 5)
+    e1 = es[1]
+    prefactor = es[2] * es[3] - e1 * es[4] - es[5]
+    rederived = e1 * ring(corrections.local_correction_from_quadratic(630 * prefactor, 0, 0, e1).term)
+    assert rederived == corrections.tangent_cone_correction(mults).term
 
 
 def test_quadratic_route_linear_in_delta():
@@ -337,6 +347,15 @@ def test_flexes_absorbed_examples():
     assert corrections.flexes_absorbed(model.IrreducibleSingularity(2, 4, (7,))) == 21
 
 
+@settings(max_examples=50)
+@given(irreducibles())
+def test_flexes_absorbed_is_the_nonnegative_model_count(sing):
+    count = corrections.flexes_absorbed(sing)
+    assert count == sing.absorbed_flex_count() >= 0
+    if gcd(sing.m, sing.n) == 1 and sing.essential == (sing.n,):
+        assert count == 3 * sing.m * sing.n - 2 * sing.m - 2 * sing.n
+
+
 # -- ordinary multiple points ----------------------------------------------------
 
 
@@ -382,21 +401,29 @@ def test_multiple_point_line_node_contact_display():
         assert got == expected
 
 
-def test_multiple_point_matches_symmetric_form():
-    rng = random.Random(25)
-    for _ in range(60):
-        m = rng.randint(2, 5)
-        branches = rng.randint(0, m)
-        contacts = tuple(rng.randint(m + 1, m + 4) for _ in range(branches))
-        assert multiple_point_factor(m, contacts) == oracles.ordinary_multiple_point_factor_sym(m, contacts), (
-            m,
-            contacts,
-        )
+@st.composite
+def multiple_points(draw) -> tuple[int, tuple[int, ...]]:
+    """(m, contacts): up to m nonlinear branches, each of contact m+1..m+11."""
+    m = draw(st.integers(2, 8))
+    return m, tuple(draw(st.lists(st.integers(m + 1, m + 11), max_size=m)))
+
+
+@settings(max_examples=100)
+@given(multiple_points())
+def test_multiple_point_matches_symmetric_form(point):
+    # the term is the cone's plus one closed per-branch term per contact,
+    # and its factor the elementary-symmetric transcription
+    m, contacts = point
+    expected = list(corrections.tangent_cone_correction((1,) * m).a)
+    for r in contacts:
+        expected[6:] = [x + y for x, y in zip(expected[6:], oracles._branch_contact(m, r))]
+    got = corrections.multiple_point_correction(m, contacts)
+    assert got.a == tuple(expected) and got.den == 1
+    assert factor(got) == oracles.ordinary_multiple_point_factor_sym(m, contacts)
 
 
 def test_multiple_point_is_tangent_cone_plus_branch_contacts():
     # the closed per-branch form against one side term per branch
-    rng = random.Random(29)
     for m in range(2, 9):
         cone = corrections.tangent_cone_correction((1,) * m).a
         for r in range(m + 1, m + 12):
@@ -404,14 +431,6 @@ def test_multiple_point_is_tangent_cone_plus_branch_contacts():
             assert corrections.multiple_point_correction(m, (r,)) == corrections.Correction(
                 corrections.KIND_LOCAL, expected
             ), (m, r)
-        for _ in range(5):
-            contacts = tuple(rng.randint(m + 1, m + 11) for _ in range(rng.randint(0, m)))
-            expected = list(cone)
-            for r in contacts:
-                expected[6:] = [x + y for x, y in zip(expected[6:], oracles._branch_contact(m, r))]
-            got = corrections.multiple_point_correction(m, contacts)
-            assert got.a == tuple(expected) and got.den == 1, (m, contacts)
-            assert factor(got) == oracles.ordinary_multiple_point_factor_sym(m, contacts), (m, contacts)
 
 
 def test_smooth_branches_display():
@@ -455,52 +474,45 @@ def test_flex_factor_conventions():
 # -- structural invariants ---------------------------------------------------------
 
 
-def test_orders_of_corrections():
-    rng = random.Random(26)
-    for _ in range(40):
-        rest = rng.randint(0, 5)
-        m = rng.randint(1, 3)
-        line = corrections.line_correction(m, tuple(composition(rng, rest)) if rest else (), m + rest)
-        assert ring(line.term).order() == 3
-        d = rng.randint(2, 9)
-        e = rng.randint(2, d)
-        nl = corrections.nonlinear_correction(d, e, 1)
-        assert ring(nl.term).order() == 5
-        cone = corrections.tangent_cone_correction(tuple(rng.randint(1, 3) for _ in range(rng.randint(3, 5))))
-        assert ring(cone.term).is_zero() or ring(cone.term).order() >= 6
-        side = corrections.newton_side_correction(random_side(rng))
-        assert ring(side.term).is_zero() or ring(side.term).order() >= 6
-        trunc = corrections.truncation_correction(random_truncation(rng))
-        assert ring(trunc.term).is_zero() or ring(trunc.term).order() >= 6
-        sing = random_irreducible(rng)
-        unibranch = factor(corrections.irreducible_correction(sing))
-        assert (unibranch - ONE).is_zero() or (unibranch - ONE).order() >= 6
+@settings(max_examples=40)
+@given(
+    line_components(max_mult=3, max_rest=5),
+    st.integers(2, 9).flatmap(lambda d: st.tuples(st.just(d), st.integers(2, d))),
+    cone_mults(min_lines=3),
+    sides(),
+    truncations(),
+    irreducibles(),
+)
+def test_orders_of_corrections(line, nonlinear, mults, side, trunc, sing):
+    assert ring(corrections.line_correction(*line).term).order() == 3
+    assert ring(corrections.nonlinear_correction(*nonlinear, 1).term).order() == 5
+    for corr in (
+        corrections.tangent_cone_correction(mults),
+        corrections.newton_side_correction(side),
+        corrections.truncation_correction(trunc),
+        corrections.irreducible_correction(sing),
+    ):
+        assert ring(corr.term).is_zero() or ring(corr.term).order() >= 6
 
 
-def test_scaling_homogeneity_of_local_terms():
-    rng = random.Random(27)
-    for multiple in (2, 3):
-        for _ in range(25):
-            mults = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 5)))
-            scaled = corrections.tangent_cone_correction(tuple(v * multiple for v in mults))
-            assert scaled.term == ring(corrections.tangent_cone_correction(mults).term).substitute_scaled(multiple)
+@settings(max_examples=50)
+@given(st.integers(2, 3), cone_mults(), sides(), truncations())
+def test_scaling_homogeneity_of_local_terms(multiple, mults, side, trunc):
+    scaled = corrections.tangent_cone_correction(tuple(v * multiple for v in mults))
+    assert scaled.term == ring(corrections.tangent_cone_correction(mults).term).substitute_scaled(multiple)
 
-            side = random_side(rng)
-            scaled_side = model.NewtonSide(
-                side.j0 * multiple,
-                side.k0 * multiple,
-                side.j1 * multiple,
-                side.k1 * multiple,
-                tuple(v * multiple for v in side.s),
-            )
-            assert corrections.newton_side_correction(scaled_side).term == ring(
-                corrections.newton_side_correction(side).term
-            ).substitute_scaled(multiple)
+    scaled_side = model.NewtonSide(
+        side.j0 * multiple,
+        side.k0 * multiple,
+        side.j1 * multiple,
+        side.k1 * multiple,
+        tuple(v * multiple for v in side.s),
+    )
+    assert corrections.newton_side_correction(scaled_side).term == ring(
+        corrections.newton_side_correction(side).term
+    ).substitute_scaled(multiple)
 
-            trunc = random_truncation(rng)
-            scaled_trunc = model.Truncation(
-                trunc.ell, trunc.weight * multiple, tuple(v * multiple for v in trunc.s)
-            )
-            assert corrections.truncation_correction(scaled_trunc).term == ring(
-                corrections.truncation_correction(trunc).term
-            ).substitute_scaled(multiple)
+    scaled_trunc = model.Truncation(trunc.ell, trunc.weight * multiple, tuple(v * multiple for v in trunc.s))
+    assert corrections.truncation_correction(scaled_trunc).term == ring(
+        corrections.truncation_correction(trunc).term
+    ).substitute_scaled(multiple)

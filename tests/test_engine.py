@@ -2,7 +2,6 @@
 
 import dataclasses
 import json
-import random
 from fractions import Fraction as F
 
 import pytest
@@ -14,11 +13,9 @@ from orbitdeg import corpus, corrections, engine, model
 from orbitdeg import series as shipped
 from orbitdeg.series import TRUNCATION_ORDER
 from oracles import TruncSeries, exp_linear, factor, ring
-from conftest import random_descriptor, scaled_descriptor
-from strategies import descriptors
+from strategies import cusp_curves, descriptors, scaled_descriptor
 
 ONE = TruncSeries.one()
-PROPERTY = settings(max_examples=60, deadline=None)
 
 
 def series(terms):
@@ -105,42 +102,50 @@ def product_form(descriptor, report, strict):
     return app
 
 
+def assert_sum_and_product_forms(descriptor, strict):
+    """app = exp(dH) * (1 + sum of the breakdown terms), and the product form."""
+    report = engine.assemble(descriptor, erratum_strict=strict)
+    total = TruncSeries.zero()
+    for _, corr in report.breakdown:
+        total = total + corr.term
+    assert report.app == exp_linear(descriptor.degree) * (ONE + total)
+    assert report.app == product_form(descriptor, report, strict)
+
+
 def test_breakdown_reassembles_additively():
-    rng = random.Random(40)
-    descriptors = fixture_descriptors() + [random_descriptor(rng) for _ in range(30)]
-    for descriptor in descriptors:
+    for descriptor in fixture_descriptors():
         # strict-mode predegrees need not be divisible by the stabilizer degree
         descriptor = dataclasses.replace(descriptor, stabilizer_degree=None)
         for strict in (False, True):
-            report = engine.assemble(descriptor, erratum_strict=strict)
-            total = TruncSeries.zero()
-            for _, corr in report.breakdown:
-                total = total + corr.term
-            assert report.app == exp_linear(descriptor.degree) * (ONE + total)
-            assert report.app == product_form(descriptor, report, strict)
+            assert_sum_and_product_forms(descriptor, strict)
 
 
-def test_union_matches_product_form():
-    rng = random.Random(45)
-    reports = [engine.assemble(d) for d in fixture_descriptors()[:6]]
-    reports += [engine.assemble(random_descriptor(rng)) for _ in range(6)]
-    for _ in range(20):
-        left, right = rng.choice(reports), rng.choice(reports)
-        counts = [rng.randint(0, 4) for _ in range(3)]
-        factors = (oracles.PAIR_CROSSING_FACTOR, oracles.LINE_CROSSING_FACTOR, oracles.SIMPLE_TANGENCY_FACTOR)
-        expected = ring(left.app) * right.app
-        for meeting, count in zip(factors, counts):
-            expected = expected * meeting**count
-        got = engine.union(left, right, crossings=counts[0], line_crossings=counts[1], tangencies=counts[2])
-        assert got.app == expected
+UNION_COUNTS = st.fixed_dictionaries(
+    {"crossings": st.integers(0, 4), "line_crossings": st.integers(0, 4), "tangencies": st.integers(0, 4)}
+)
+UNION_FACTORS = {
+    "crossings": oracles.PAIR_CROSSING_FACTOR,
+    "line_crossings": oracles.LINE_CROSSING_FACTOR,
+    "tangencies": oracles.SIMPLE_TANGENCY_FACTOR,
+}
+UNION_OPERANDS = st.sampled_from(fixture_descriptors()[:6]) | descriptors()
 
 
-@PROPERTY
+@settings(max_examples=20)
+@given(UNION_OPERANDS, UNION_OPERANDS, UNION_COUNTS)
+def test_union_matches_product_form(left, right, counts):
+    left, right = engine.assemble(left), engine.assemble(right)
+    expected = ring(left.app) * right.app
+    for name, count in counts.items():
+        expected = expected * UNION_FACTORS[name] ** count
+    assert engine.union(left, right, **counts).app == expected
+
+
+@settings(max_examples=60)
 @given(descriptors())
 def test_app_equals_product_form_property(descriptor):
     for strict in (False, True):
-        report = engine.assemble(descriptor, erratum_strict=strict)
-        assert report.app == product_form(descriptor, report, strict)
+        assert_sum_and_product_forms(descriptor, strict)
     # integrality: in derived mode only a truncation weight W brings in a
     # denominator, so with every W an integer the report's den is 1
     weights = [t.weight for p in descriptor.points if isinstance(p, model.CompositePoint) for t in p.truncations]
@@ -148,7 +153,7 @@ def test_app_equals_product_form_property(descriptor):
         assert engine.assemble(descriptor).den == 1
 
 
-@PROPERTY
+@settings(max_examples=60)
 @given(descriptors(), st.booleans(), st.integers(1, 4))
 def test_scale_multiplies_each_a_i_by_m_to_the_i(descriptor, strict, multiple):
     report = engine.assemble(descriptor, erratum_strict=strict)
@@ -163,12 +168,7 @@ def test_scale_multiplies_each_a_i_by_m_to_the_i(descriptor, strict, multiple):
         assert list(ring(scaled_corr.term).app_coefficients()) == expected
 
 
-UNION_COUNTS = st.fixed_dictionaries(
-    {"crossings": st.integers(0, 4), "line_crossings": st.integers(0, 4), "tangencies": st.integers(0, 4)}
-)
-
-
-@PROPERTY
+@settings(max_examples=60)
 @given(descriptors(), descriptors(), descriptors(), st.booleans(), UNION_COUNTS, UNION_COUNTS)
 def test_union_is_commutative_and_associative(first, second, third, strict, counts, more_counts):
     a, b, c = (engine.assemble(d, erratum_strict=strict) for d in (first, second, third))
@@ -285,15 +285,6 @@ def test_union_matches_direct_descriptor():
     assert engine.assemble(two_conics).app == engine.union(conic_report, conic_report, crossings=4).app
 
 
-def test_union_associativity():
-    rng = random.Random(41)
-    reports = [engine.assemble(random_descriptor(rng)) for _ in range(3)]
-    a, b, c = reports
-    left = engine.union(engine.union(a, b, crossings=1, line_crossings=2), c, tangencies=1)
-    right = engine.union(a, engine.union(b, c, tangencies=1), crossings=1, line_crossings=2)
-    assert left.app == right.app
-
-
 def test_scale_line_to_double_line():
     report = engine.scale(engine.assemble(LINE), 2)
     assert report.app == series({0: 1, 1: 2, 2: 2})
@@ -310,7 +301,7 @@ def test_scale_matches_double_conic_descriptor():
     assert engine.scale(engine.assemble(CONIC), 2).app == engine.assemble(doubled).app
 
 
-@PROPERTY
+@settings(max_examples=60)
 @given(descriptors(scalable=True), st.integers(2, 4))
 def test_scaling_law_random_descriptors(descriptor, multiple):
     # The m-fold multiple written as a descriptor (every multiplicity, meets
@@ -341,12 +332,11 @@ def test_direct_route_rejects_small_orbits():
         oracles.predegree_direct(CONIC)
 
 
-def test_direct_route_matches_assembly_random():
-    rng = random.Random(43)
-    for _ in range(60):
-        descriptor = random_descriptor(rng)
-        report = engine.assemble(descriptor)
-        assert oracles._direct_top_coefficient(descriptor) == report.predegree_polynomial[8]
+@settings(max_examples=200)
+@given(descriptors())
+def test_direct_route_matches_assembly_random(descriptor):
+    report = engine.assemble(descriptor)
+    assert oracles._direct_top_coefficient(descriptor) == report.predegree_polynomial[8]
 
 
 def test_closed_form_route():
@@ -357,29 +347,20 @@ def test_closed_form_route():
         assert oracles.predegree_from_cusp_types(d, []) == engine.assemble(smooth_curve(d)).predegree
 
 
-def test_closed_form_matches_assembly_on_cusp_curves():
-    rng = random.Random(44)
-    coprime_pairs = [(1, 3), (1, 4), (1, 5), (2, 3), (2, 5), (3, 4), (2, 7), (3, 5)]
-    for _ in range(25):
-        d = rng.randint(4, 8)
-        points = []
-        budget = 3 * d * (d - 2)
-        for _ in range(rng.randint(0, 3)):
-            m, n = rng.choice(coprime_pairs)
-            cost = 3 * m * n - 2 * m - 2 * n
-            if m < d and cost <= budget:
-                points.append((m, n))
-                budget -= cost
-        features = tuple(
-            model.IrreduciblePoint(
-                model.IrreducibleSingularity(m, n, (n,) if n % m != 0 and m > 1 else ())
-            )
-            for m, n in points
-        )
-        descriptor = model.CurveDescriptor(
-            degree=d, nonlinear=(model.NonlinearComponent(d, 1),), points=features, flexes="auto"
-        )
-        assert engine.assemble(descriptor).predegree == oracles.predegree_from_cusp_types(d, points)
+@settings(max_examples=25)
+@given(cusp_curves())
+def test_closed_form_matches_assembly_on_cusp_curves(curve):
+    d, points = curve
+    features = tuple(
+        model.IrreduciblePoint(model.IrreducibleSingularity(m, n, (n,) if n % m != 0 and m > 1 else ()))
+        for m, n in points
+    )
+    descriptor = model.CurveDescriptor(
+        degree=d, nonlinear=(model.NonlinearComponent(d, 1),), points=features, flexes="auto"
+    )
+    # the closed form is a_8, which is the predegree only while the orbit
+    # has dimension 8: a quartic with a (1, 4) and a (3, 4) point has a_8 = 0
+    assert engine.assemble(descriptor).predegree_polynomial[8] == oracles.predegree_from_cusp_types(d, points)
 
 
 def test_erratum_strict_changes_flex_dependent_values():

@@ -1,6 +1,5 @@
 """Polygon extraction, side data, squarefree decomposition, local invariants."""
 
-import random
 from fractions import Fraction as F
 
 import pytest
@@ -8,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import poly_derivative, poly_monic, poly_mul, poly_trim
+from oracles import poly_derivative, poly_monic, poly_mul
 from orbitdeg import newton
 from orbitdeg.newton import MonomialSupport, yun_squarefree
+from strategies import rationals, supports
 
 # the quartic (y^2 - x z)^2 = y^3 z written out at the point (1:0:0), tangent z = 0
 QUARTIC_TERMS = [(4, 0, 1), (2, 1, -2), (0, 2, 1), (3, 1, -1)]
@@ -83,21 +83,11 @@ def test_empty_support_rejected():
         newton.newton_polygon(empty)
 
 
-def test_hull_against_reference():
-    rng = random.Random(30)
-    for _ in range(500):
-        count = rng.randint(1, 12)
-        seen = set()
-        terms = []
-        while len(terms) < count:
-            j = rng.randint(0, 9)
-            k = rng.randint(0, 9)
-            if (j, k) in seen or j + k > 18:
-                continue
-            seen.add((j, k))
-            terms.append((j, k, rng.choice([1, -1, 2, F(1, 2)])))
-        polygon = newton.newton_polygon(support(18, terms))
-        assert sorted(polygon.vertices) == hull_reference([(j, k) for j, k, _ in terms])
+@settings(max_examples=500)
+@given(supports())
+def test_hull_against_reference(supp):
+    polygon = newton.newton_polygon(supp)
+    assert sorted(polygon.vertices) == hull_reference([(j, k) for j, k, _ in supp.terms])
 
 
 def test_side_data_quartic():
@@ -140,25 +130,13 @@ def test_side_data_missing_endpoint_coefficients():
     assert sum(mult * count for mult, count in data2.profile) == 2
 
 
-def test_side_data_random_invariants():
-    rng = random.Random(31)
-    for _ in range(200):
-        count = rng.randint(2, 10)
-        seen = set()
-        terms = []
-        while len(terms) < count:
-            j = rng.randint(0, 8)
-            k = rng.randint(0, 8)
-            if (j, k) in seen or j + k > 16:
-                continue
-            seen.add((j, k))
-            terms.append((j, k, F(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))))
-        supp = support(16, terms)
-        polygon = newton.newton_polygon(supp)
-        for side in newton.qualifying_sides(polygon):
-            data = newton.side_data(supp, side)
-            assert data.gammas[0] != 0 and data.gammas[-1] != 0
-            assert sum(mult * count_ for mult, count_ in data.profile) == data.span
+@settings(max_examples=200)
+@given(supports(min_terms=2))
+def test_side_data_random_invariants(supp):
+    for side in newton.qualifying_sides(newton.newton_polygon(supp)):
+        data = newton.side_data(supp, side)
+        assert data.gammas[0] != 0 and data.gammas[-1] != 0
+        assert sum(mult * count for mult, count in data.profile) == data.span
 
 
 def test_local_invariants_quartic():
@@ -205,26 +183,6 @@ def test_yun_squarefree_input():
     assert [(mult, len(factor) - 1) for mult, factor in result] == [(1, 2)]
 
 
-def test_yun_reconstruction_random():
-    rng = random.Random(32)
-    for _ in range(60):
-        product = [F(1)]
-        for _ in range(rng.randint(1, 3)):
-            factor = [F(rng.randint(-4, 4)) for _ in range(rng.randint(1, 3))] + [F(1)]
-            for _ in range(rng.randint(1, 3)):
-                product = poly_mul(product, factor)
-        if len(product) == 1:
-            continue
-        rebuilt = [F(1)]
-        total = 0
-        for mult, factor in yun_squarefree(product):
-            total += mult * (len(factor) - 1)
-            for _ in range(mult):
-                rebuilt = poly_mul(rebuilt, factor)
-        assert total == len(product) - 1
-        assert poly_monic(product) == poly_trim(rebuilt)
-
-
 def test_poly_gcd_is_primitive_with_positive_lead():
     # gcd of 6(x - 1)^2 (x + 2) and -4(x - 1)(x + 3)
     a = [12, -18, 0, 6]
@@ -244,13 +202,12 @@ def test_poly_divmod_is_exact_division_over_the_integers():
         newton.poly_divmod([1, 1], [0])
 
 
-rationals = st.fractions(min_value=-6, max_value=6, max_denominator=6)
-nonzero_rationals = rationals.filter(bool)
-# a factor of degree 1 or 2 whose leading coefficient need not be 1
-factors = st.builds(lambda low, lead: [*low, lead], st.lists(rationals, min_size=1, max_size=2), nonzero_rationals)
+nonzero_rationals = rationals().filter(bool)
+# a factor of degree 1 to 3 whose leading coefficient need not be 1
+factors = st.builds(lambda low, lead: [*low, lead], st.lists(rationals(), min_size=1, max_size=3), nonzero_rationals)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(st.lists(st.tuples(factors, st.integers(1, 3)), min_size=1, max_size=3), nonzero_rationals)
 def test_yun_properties(blocks, lead):
     product = [lead]

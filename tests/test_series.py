@@ -1,32 +1,29 @@
 """The oracle ring Q[H]/(H^9), and the shipped read-only series view."""
 
-import random
 from fractions import Fraction as F
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitdeg import series as shipped
 from orbitdeg.series import rational_to_string, to_rational, predegree_strings
 from oracles import TruncSeries, exp_linear, ring
-from conftest import random_rational
+from strategies import rationals, ring_series, series_views
 
 
 def series(terms):
     return TruncSeries.from_terms(terms)
 
 
-def random_series(rng):
-    return TruncSeries(random_rational(rng) for _ in range(9))
-
-
 def test_add_cancellation():
     assert series({0: 1, 1: 1}) + series({0: 1, 1: -1}) == TruncSeries.constant(2)
 
 
-def test_add_identity():
-    rng = random.Random(1)
-    s = random_series(rng)
+@settings(max_examples=10)
+@given(ring_series())
+def test_add_identity(s):
     assert s + TruncSeries.zero() == s
 
 
@@ -69,9 +66,9 @@ def test_substitute_scaled_line():
     assert line.substitute_scaled(2) == doubled
 
 
-def test_substitute_scaled_identity_and_top():
-    rng = random.Random(2)
-    s = random_series(rng)
+@settings(max_examples=10)
+@given(ring_series())
+def test_substitute_scaled_identity_and_top(s):
     assert s.substitute_scaled(1) == s
     assert TruncSeries.monomial(8).substitute_scaled(2) == TruncSeries.monomial(8, 256)
 
@@ -87,55 +84,49 @@ def test_power_of_order_six_factor_is_binomial():
     assert factor**6 == TruncSeries.one() + 6 * (factor - TruncSeries.one())
 
 
-def test_app_coefficient_examples():
+@settings(max_examples=10)
+@given(ring_series())
+def test_app_coefficient_examples(s):
     cuspidal_tail = series({7: F(1, 70)})
     assert cuspidal_tail.app_coefficient(7) == 72
     conic_tail = series({5: F(1, 15)})
     assert conic_tail.app_coefficient(5) == 8
-    rng = random.Random(3)
-    s = random_series(rng)
     assert s.app_coefficient(0) == s.coeffs[0]
 
 
-def test_app_coefficient_round_trip():
-    rng = random.Random(4)
-    targets = [random_rational(rng) for _ in range(9)]
+@settings(max_examples=10)
+@given(st.lists(rationals(), min_size=9, max_size=9))
+def test_app_coefficient_round_trip(targets):
     s = TruncSeries(a / factorial(i) for i, a in enumerate(targets))
     assert list(s.app_coefficients()) == targets
 
 
-def test_ring_axioms_random():
-    rng = random.Random(5)
-    for _ in range(25):
-        a, b, c = (random_series(rng) for _ in range(3))
-        assert a + b == b + a
-        assert a * b == b * a
-        assert (a + b) + c == a + (b + c)
-        assert (a * b) * c == a * (b * c)
-        assert a * (b + c) == a * b + a * c
+@settings(max_examples=25)
+@given(ring_series(), ring_series(), ring_series())
+def test_ring_axioms_random(a, b, c):
+    assert a + b == b + a
+    assert a * b == b * a
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
 
 
-def test_exponential_law_random_rationals():
-    rng = random.Random(6)
-    for _ in range(20):
-        a = random_rational(rng)
-        b = random_rational(rng)
-        assert exp_linear(a) * exp_linear(b) == exp_linear(a + b)
+@settings(max_examples=20)
+@given(rationals(), rationals())
+def test_exponential_law_random_rationals(a, b):
+    assert exp_linear(a) * exp_linear(b) == exp_linear(a + b)
 
 
-def test_derivative_of_antiderivative():
-    rng = random.Random(7)
-    for _ in range(20):
-        s = random_series(rng)
-        expected = TruncSeries(list(s.coeffs[:8]))
-        assert s.antiderivative().derivative() == expected
+@settings(max_examples=20)
+@given(ring_series())
+def test_derivative_of_antiderivative(s):
+    assert s.antiderivative().derivative() == TruncSeries(list(s.coeffs[:8]))
 
 
-def test_substitute_scaled_composes():
-    rng = random.Random(8)
-    for _ in range(20):
-        s = random_series(rng)
-        assert s.substitute_scaled(2).substitute_scaled(3) == s.substitute_scaled(6)
+@settings(max_examples=20)
+@given(ring_series())
+def test_substitute_scaled_composes(s):
+    assert s.substitute_scaled(2).substitute_scaled(3) == s.substitute_scaled(6)
 
 
 def test_order():
@@ -144,9 +135,9 @@ def test_order():
     assert series({2: 1, 7: 3}).order() == 2
 
 
-def test_series_string_round_trip():
-    rng = random.Random(9)
-    s = random_series(rng)
+@settings(max_examples=10)
+@given(ring_series())
+def test_series_string_round_trip(s):
     assert TruncSeries.from_strings(s.to_strings()) == s
 
 
@@ -159,32 +150,24 @@ def test_rational_strings():
         to_rational("3.5")
 
 
-
-def random_view(rng):
-    return shipped.TruncSeries([rng.randint(-99, 99) for _ in range(9)], rng.randint(1, 12))
-
-
-def test_view_coefficients_and_strings():
-    rng = random.Random(10)
-    for _ in range(50):
-        view = random_view(rng)
-        assert view.coeffs == tuple(F(v, factorial(i) * view.den) for i, v in enumerate(view.a))
-        assert view.to_strings() == [rational_to_string(c) for c in view.coeffs]
-        assert view.to_strings() == predegree_strings(view.a, view.den)
-        assert TruncSeries.from_strings(view.to_strings()) == view
+@settings(max_examples=50)
+@given(series_views())
+def test_view_coefficients_and_strings(view):
+    assert view.coeffs == tuple(F(v, factorial(i) * view.den) for i, v in enumerate(view.a))
+    assert view.to_strings() == [rational_to_string(c) for c in view.coeffs]
+    assert view.to_strings() == predegree_strings(view.a, view.den)
+    assert TruncSeries.from_strings(view.to_strings()) == view
 
 
-def test_view_equality_ignores_the_denominator():
-    rng = random.Random(11)
-    for _ in range(50):
-        view = random_view(rng)
-        k = rng.randint(2, 5)
-        same = shipped.TruncSeries([k * v for v in view.a], k * view.den)
-        assert same == view and hash(same) == hash(view)
-        assert ring(view) == view and hash(ring(view)) == hash(view)
-        assert str(same) == str(view)
-        other = shipped.TruncSeries(view.a[:8] + (view.a[8] + 1,), view.den)
-        assert other != view
+@settings(max_examples=50)
+@given(series_views(), st.integers(2, 5))
+def test_view_equality_ignores_the_denominator(view, k):
+    same = shipped.TruncSeries([k * v for v in view.a], k * view.den)
+    assert same == view and hash(same) == hash(view)
+    assert ring(view) == view and hash(ring(view)) == hash(view)
+    assert str(same) == str(view)
+    other = shipped.TruncSeries(view.a[:8] + (view.a[8] + 1,), view.den)
+    assert other != view
 
 
 def test_view_string_form():
