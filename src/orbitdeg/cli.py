@@ -240,11 +240,14 @@ def _cmd_contribution(args: argparse.Namespace) -> int:
         raise _CliError(f"{args.kind}: missing {flags}", EXIT_INVALID)
     try:
         fields = build(args)
+        if isinstance(fields, corrections.Correction):
+            fields = {"term": predegree_strings(fields.a, fields.den)}
+        text = json.dumps({"kind": args.kind, **fields}, indent=2)
     except corrections.FeatureError as exc:
         raise _CliError(str(exc), EXIT_INVALID) from None
-    if isinstance(fields, corrections.Correction):
-        fields = {"term": predegree_strings(fields.a, fields.den)}
-    print(json.dumps({"kind": args.kind, **fields}, indent=2))
+    except ValueError as exc:  # a number beyond the interpreter's int-to-string digit limit
+        raise _CliError(f"cannot write the {args.kind} contribution: {exc}", EXIT_INVALID) from None
+    print(text)
     return EXIT_OK
 
 

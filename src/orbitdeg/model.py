@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Any, Optional, Sequence, Union
+from typing import Any, Callable, Optional, Sequence, Union
 
 from .series import rational_to_string, to_rational
 
@@ -42,7 +42,14 @@ class DescriptorSchemaError(DescriptorError):
 
     def __init__(self, path: str, message: str):
         self.path = path
+        self.message = message
         super().__init__(f"{path}: {message}")
+
+    def under(self, step: str) -> DescriptorSchemaError:
+        """The same error one record or array further out, `step` being the
+        key or "[i]" that leads to the value the error is about."""
+        path = self.path if not self.path or self.path[0] == "[" else f".{self.path}"
+        return type(self)(step + path, self.message)
 
 
 class DescriptorValueError(DescriptorSchemaError):
@@ -416,88 +423,113 @@ def validate(descriptor: CurveDescriptor) -> list[Violation]:
 # ---------------------------------------------------------------------------
 # JSON ingestion
 # ---------------------------------------------------------------------------
+#
+# Each JSON record is one table of key -> (reader, default), read by
+# `_record`.  A reader takes one JSON value and returns its model value, or
+# raises DescriptorSchemaError with a path relative to that value; each
+# record and array the error passes through puts its key or [i] in front.
+# So a path is built only when a read fails.
+
+#: Defaults that make a key mandatory.  The top level names a missing key
+#: as the path; a nested record names it in the message.
+_REQUIRED, _REQUIRED_FIELD = object(), object()
 
 
-def _require_object(value: Any, path: str) -> dict:
+def _object(value: Any) -> dict:
     if not isinstance(value, dict):
-        raise DescriptorSchemaError(path, f"expected an object, got {type(value).__name__}")
+        raise DescriptorSchemaError("", f"expected an object, got {type(value).__name__}")
     return value
 
 
-def _require_list(value: Any, path: str) -> list:
-    if not isinstance(value, list):
-        raise DescriptorSchemaError(path, f"expected an array, got {type(value).__name__}")
-    return value
-
-
-def _require_int(value: Any, path: str) -> int:
+def _int(value: Any) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise DescriptorSchemaError(path, f"expected an integer, got {type(value).__name__}")
+        raise DescriptorSchemaError("", f"expected an integer, got {type(value).__name__}")
     return value
 
 
-def _require_str(value: Any, path: str) -> str:
+def _str(value: Any) -> str:
     if not isinstance(value, str):
-        raise DescriptorSchemaError(path, f"expected a string, got {type(value).__name__}")
+        raise DescriptorSchemaError("", f"expected a string, got {type(value).__name__}")
     return value
 
 
-def _require_rational(value: Any, path: str) -> Fraction:
+def _bool(value: Any) -> bool:
+    if not isinstance(value, bool):
+        raise DescriptorSchemaError("", "expected a boolean")
+    return value
+
+
+def _rational(value: Any) -> Fraction:
     if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise DescriptorSchemaError(path, f'expected an integer or "num/den" string, got {type(value).__name__}')
+        raise DescriptorSchemaError("", f'expected an integer or "num/den" string, got {type(value).__name__}')
     try:
         return to_rational(value)
     except ValueError as exc:
-        raise DescriptorSchemaError(path, str(exc)) from None
+        raise DescriptorSchemaError("", str(exc)) from None
 
 
-def _check_keys(obj: dict, allowed: set[str], path: str) -> None:
-    unknown = set(obj) - allowed
-    if unknown:
-        name = sorted(unknown)[0]
-        raise DescriptorSchemaError(f"{path}.{name}" if path else name, "unknown field")
+def _array(read: Callable[[Any], Any]) -> Callable[[Any], tuple]:
+    """The reader of a JSON array whose entries `read` reads."""
+
+    def read_array(value: Any) -> tuple:
+        if not isinstance(value, list):
+            raise DescriptorSchemaError("", f"expected an array, got {type(value).__name__}")
+        out = []
+        try:
+            for item in value:
+                out.append(read(item))
+        except DescriptorSchemaError as exc:
+            raise exc.under(f"[{len(out)}]") from None
+        return tuple(out)
+
+    return read_array
 
 
-def _int_list(value: Any, path: str) -> tuple[int, ...]:
-    return tuple(_require_int(v, f"{path}[{i}]") for i, v in enumerate(_require_list(value, path)))
+_ints = _array(_int)
 
 
-def _pair(value: Any, path: str) -> tuple[int, int]:
-    items = _int_list(value, path)
-    if len(items) != 2:
-        raise DescriptorSchemaError(path, "expected a [j, k] pair")
-    return items[0], items[1]
+def _pair(value: Any) -> tuple[int, ...]:
+    pair = _ints(value)
+    if len(pair) != 2:
+        raise DescriptorSchemaError("", "expected a [j, k] pair")
+    return pair
 
 
-def _side_from_obj(obj: Any, path: str) -> NewtonSide:
-    data = _require_object(obj, path)
-    _check_keys(data, {"from", "to", "s", "suppress"}, path)
-    for key in ("from", "to", "s"):
-        if key not in data:
-            raise DescriptorSchemaError(path, f'missing "{key}"')
-    j0, k0 = _pair(data["from"], f"{path}.from")
-    j1, k1 = _pair(data["to"], f"{path}.to")
-    s = _int_list(data["s"], f"{path}.s")
-    suppress = data.get("suppress", False)
-    if not isinstance(suppress, bool):
-        raise DescriptorSchemaError(f"{path}.suppress", "expected a boolean")
-    return NewtonSide(j0, k0, j1, k1, s, suppress)
+def _fields(table: dict, data: dict) -> list:
+    """Each field of `table` in table order: its reader's value, or the
+    default when `data` lacks the key."""
+    values = []
+    try:
+        for key, (read, default) in table.items():
+            values.append(read(data[key]) if key in data else default)
+    except DescriptorSchemaError as exc:
+        raise exc.under(key) from None
+    return values
 
 
-def _truncation_from_obj(obj: Any, path: str) -> Truncation:
-    data = _require_object(obj, path)
-    _check_keys(data, {"ell", "W", "s"}, path)
-    for key in ("ell", "W", "s"):
-        if key not in data:
-            raise DescriptorSchemaError(path, f'missing "{key}"')
-    return Truncation(
-        ell=_require_int(data["ell"], f"{path}.ell"),
-        weight=_require_rational(data["W"], f"{path}.W"),
-        s=_int_list(data["s"], f"{path}.s"),
-    )
+def _record(table: dict, build: Callable[..., Any]) -> Callable[[Any], Any]:
+    """The reader of a JSON object laid out by `table`.  It rejects an
+    unknown key, then a missing mandatory key, then reads the fields and
+    passes them to `build` in table order."""
+    required = [(key, default) for key, (_, default) in table.items() if default in (_REQUIRED, _REQUIRED_FIELD)]
+
+    def read_record(value: Any) -> Any:
+        data = _object(value)
+        if not table.keys() >= data.keys():
+            raise DescriptorSchemaError(min(data.keys() - table.keys()), "unknown field")
+        for key, default in required:
+            if key not in data:
+                if default is _REQUIRED_FIELD:
+                    raise DescriptorSchemaError(key, "missing required field")
+                raise DescriptorSchemaError("", f'missing "{key}"')
+        return build(*_fields(table, data))
+
+    return read_record
 
 
-def _multiple_point_feature(data: dict, path: str, label: Optional[str]) -> CompositePoint:
+def _multiple_point(
+    kind: str, label: Optional[str], m: int, contacts: tuple[int, ...], absorbed: Optional[int]
+) -> CompositePoint:
     """Desugar the ordinary-multiple-point shorthand into the composite
     feature `ordinary_multiple_point` builds.
 
@@ -505,125 +537,69 @@ def _multiple_point_feature(data: dict, path: str, label: Optional[str]) -> Comp
     absorbed-flex count defaults to 3m(m-1) + sum(r) - m(m+1), which is
     the smooth-branch count 3m(m-1) plus one per extra contact order.
     """
-    _check_keys(data, {"kind", "label", "m", "contacts", "absorbed_flexes"}, path)
-    if "m" not in data:
-        raise DescriptorSchemaError(path, 'missing "m"')
-    m = _require_int(data["m"], f"{path}.m")
-    contacts = _int_list(data.get("contacts", []), f"{path}.contacts")
-    problems = multiple_point_violations(m, contacts, path)
-    if problems:
-        raise DescriptorValueError(problems[0].path, problems[0].message)
-    if "absorbed_flexes" in data:
-        absorbed = _require_int(data["absorbed_flexes"], f"{path}.absorbed_flexes")
-    elif len(contacts) == m:
-        absorbed = 3 * m * (m - 1) + sum(contacts) - m * (m + 1)
-    else:
-        absorbed = 0
+    for problem in multiple_point_violations(m, contacts, path=""):
+        # the rule's paths (".m", ".contacts[1]") start at the point
+        raise DescriptorValueError(problem.path[1:], problem.message)
+    if absorbed is None:
+        absorbed = 3 * m * (m - 1) + sum(contacts) - m * (m + 1) if len(contacts) == m else 0
     return ordinary_multiple_point(m, contacts, absorbed, label)
 
 
-def _point_from_obj(obj: Any, path: str) -> PointFeature:
-    data = _require_object(obj, path)
-    kind = _require_str(data.get("kind", ""), f"{path}.kind")
-    label = None
-    if "label" in data:
-        label = _require_str(data["label"], f"{path}.label")
-    if kind == "flex":
-        _check_keys(data, {"kind", "label", "contact"}, path)
-        if "contact" not in data:
-            raise DescriptorSchemaError(path, 'missing "contact"')
-        return FlexPoint(contact=_require_int(data["contact"], f"{path}.contact"), label=label)
-    if kind == "irreducible":
-        _check_keys(data, {"kind", "label", "m", "n", "essential"}, path)
-        for key in ("m", "n"):
-            if key not in data:
-                raise DescriptorSchemaError(path, f'missing "{key}"')
-        sing = IrreducibleSingularity(
-            m=_require_int(data["m"], f"{path}.m"),
-            n=_require_int(data["n"], f"{path}.n"),
-            essential=_int_list(data.get("essential", []), f"{path}.essential"),
-        )
-        return IrreduciblePoint(singularity=sing, label=label)
-    if kind == "composite":
-        _check_keys(data, {"kind", "label", "tangent_cone", "sides", "truncations", "absorbed_flexes"}, path)
-        cone = None
-        if data.get("tangent_cone") is not None:
-            cone = TangentCone(_int_list(data["tangent_cone"], f"{path}.tangent_cone"))
-        sides = tuple(
-            _side_from_obj(v, f"{path}.sides[{i}]") for i, v in enumerate(_require_list(data.get("sides", []), f"{path}.sides"))
-        )
-        truncations = tuple(
-            _truncation_from_obj(v, f"{path}.truncations[{i}]")
-            for i, v in enumerate(_require_list(data.get("truncations", []), f"{path}.truncations"))
-        )
-        absorbed = 0
-        if "absorbed_flexes" in data:
-            absorbed = _require_int(data["absorbed_flexes"], f"{path}.absorbed_flexes")
-        return CompositePoint(cone, sides, truncations, absorbed, label)
-    if kind == "ordinary_multiple_point":
-        return _multiple_point_feature(data, path, label)
-    raise DescriptorSchemaError(f"{path}.kind", f"unknown point kind {kind!r}")
+#: The keys every point has.  `_point` reads them first, to pick the table
+#: of the point's kind.
+_POINT = {"kind": (_str, ""), "label": (_str, None)}
+
+_side = _record(
+    {"from": (_pair, _REQUIRED), "to": (_pair, _REQUIRED), "s": (_ints, _REQUIRED), "suppress": (_bool, False)},
+    lambda start, end, s, suppress: NewtonSide(*start, *end, s, suppress),
+)
+_truncation = _record({"ell": (_int, _REQUIRED), "W": (_rational, _REQUIRED), "s": (_ints, _REQUIRED)}, Truncation)
+
+_POINT_KINDS = {
+    "flex": _record({**_POINT, "contact": (_int, _REQUIRED)}, lambda kind, label, contact: FlexPoint(contact, label)),
+    "irreducible": _record(
+        {**_POINT, "m": (_int, _REQUIRED), "n": (_int, _REQUIRED), "essential": (_ints, ())},
+        lambda kind, label, m, n, essential: IrreduciblePoint(IrreducibleSingularity(m, n, essential), label),
+    ),
+    "composite": _record(
+        {
+            **_POINT,
+            "tangent_cone": (lambda value: None if value is None else TangentCone(_ints(value)), None),
+            "sides": (_array(_side), ()),
+            "truncations": (_array(_truncation), ()),
+            "absorbed_flexes": (_int, 0),
+        },
+        lambda kind, label, *fields: CompositePoint(*fields, label),
+    ),
+    "ordinary_multiple_point": _record(
+        {**_POINT, "m": (_int, _REQUIRED), "contacts": (_ints, ()), "absorbed_flexes": (_int, None)}, _multiple_point
+    ),
+}
+
+
+def _point(value: Any) -> PointFeature:
+    kind, _ = _fields(_POINT, _object(value))
+    if kind not in _POINT_KINDS:
+        raise DescriptorSchemaError("kind", f"unknown point kind {kind!r}")
+    return _POINT_KINDS[kind](value)
+
+
+_read_descriptor = _record(
+    {
+        "degree": (_int, _REQUIRED_FIELD),
+        "stabilizer_degree": (lambda value: None if value is None else _int(value), None),
+        "flexes": (lambda value: AUTO_FLEXES if value == AUTO_FLEXES else _int(value), 0),
+        "linear": (_array(_record({"mult": (_int, _REQUIRED), "meets": (_ints, ())}, LinearComponent)), ()),
+        "nonlinear": (_array(_record({"deg": (_int, _REQUIRED), "mult": (_int, 1)}, NonlinearComponent)), ()),
+        "points": (_array(_point), ()),
+    },
+    lambda degree, stabilizer, flexes, *components: CurveDescriptor(degree, *components, flexes, stabilizer),
+)
 
 
 def descriptor_from_obj(obj: Any) -> CurveDescriptor:
     """Build a descriptor from already-decoded JSON data."""
-    data = _require_object(obj, "")
-    _check_keys(data, {"degree", "stabilizer_degree", "flexes", "linear", "nonlinear", "points"}, "")
-    if "degree" not in data:
-        raise DescriptorSchemaError("degree", "missing required field")
-    degree = _require_int(data["degree"], "degree")
-    stabilizer = None
-    if data.get("stabilizer_degree") is not None:
-        stabilizer = _require_int(data["stabilizer_degree"], "stabilizer_degree")
-    flexes: Union[int, str] = 0
-    if "flexes" in data:
-        raw = data["flexes"]
-        if raw == AUTO_FLEXES:
-            flexes = AUTO_FLEXES
-        else:
-            flexes = _require_int(raw, "flexes")
-
-    linear = []
-    for i, entry in enumerate(_require_list(data.get("linear", []), "linear")):
-        path = f"linear[{i}]"
-        item = _require_object(entry, path)
-        _check_keys(item, {"mult", "meets"}, path)
-        if "mult" not in item:
-            raise DescriptorSchemaError(path, 'missing "mult"')
-        linear.append(
-            LinearComponent(
-                mult=_require_int(item["mult"], f"{path}.mult"),
-                meets=_int_list(item.get("meets", []), f"{path}.meets"),
-            )
-        )
-
-    nonlinear = []
-    for i, entry in enumerate(_require_list(data.get("nonlinear", []), "nonlinear")):
-        path = f"nonlinear[{i}]"
-        item = _require_object(entry, path)
-        _check_keys(item, {"deg", "mult"}, path)
-        if "deg" not in item:
-            raise DescriptorSchemaError(path, 'missing "deg"')
-        nonlinear.append(
-            NonlinearComponent(
-                deg=_require_int(item["deg"], f"{path}.deg"),
-                mult=_require_int(item.get("mult", 1), f"{path}.mult"),
-            )
-        )
-
-    points = tuple(
-        _point_from_obj(entry, f"points[{i}]")
-        for i, entry in enumerate(_require_list(data.get("points", []), "points"))
-    )
-
-    return CurveDescriptor(
-        degree=degree,
-        linear=tuple(linear),
-        nonlinear=tuple(nonlinear),
-        points=points,
-        flexes=flexes,
-        stabilizer_degree=stabilizer,
-    )
+    return _read_descriptor(obj)
 
 
 def decode_json(text: str) -> Any:

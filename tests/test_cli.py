@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import os
@@ -392,6 +393,20 @@ def test_compute_report_beyond_digit_limit(capsys, tmp_path):
         assert err.startswith("error: cannot write the report") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["flexes", "--count", "9" * 4300],
+        ["nonlinear", "--degree", "9" * 4300, "--e", "2", "--mult", "1"],
+    ],
+)
+def test_contribution_beyond_digit_limit(capsys, argv):
+    code, out, err = run(capsys, "contribution", *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: cannot write the {argv[0]} contribution: ") and err.count("\n") == 1
+
+
 def test_corpus_bad_fixtures_fail_without_stopping_replay(capsys, tmp_path):
     target = tmp_path / "corpus"
     target.mkdir()
@@ -416,8 +431,9 @@ def test_corpus_bad_fixtures_fail_without_stopping_replay(capsys, tmp_path):
 #: Two paths cost time and memory in proportion to a value, and no single
 #: edit of these inputs gets there: `newton.side_data` walks a side's
 #: lattice span, bounded by exponents that must stay within the degree,
-#: and the `ordinary_multiple_point` shorthand, which builds m tangent
-#: lines, never appears in serialized output.
+#: and the `ordinary_multiple_point` shorthand builds m tangent lines, but
+#: a drawn shorthand has a contact, and with a huge m that contact is
+#: rejected (it must be at least m + 1) before any line is built.
 HUGE = (10**12, 2**64)
 
 
@@ -456,12 +472,25 @@ def mutated(draw, document):
     return document
 
 
-def fixture_document(descriptor):
-    """A corpus fixture holding the descriptor and its own report's values."""
+@st.composite
+def fixture_documents(draw):
+    """A corpus fixture holding a drawn descriptor and its own report's
+    values.  Some descriptors get one more point, an ordinary multiple point
+    written as the shorthand, with at least one contact (see `HUGE`)."""
+    descriptor, shorthand = draw(descriptors()), None
+    if draw(st.booleans()):
+        m = draw(st.integers(2, 4))
+        contacts = draw(st.lists(st.integers(m + 1, m + 3), min_size=1, max_size=m))
+        shorthand = {"kind": "ordinary_multiple_point", "m": m, "contacts": contacts, "absorbed_flexes": 0}
+        point = model.ordinary_multiple_point(m, contacts)
+        descriptor = dataclasses.replace(descriptor, points=descriptor.points + (point,))
     obj = engine.report_to_obj(engine.assemble(descriptor))
     expected = {key: obj[key] for key in ("orbit_dimension", "predegree", "app")}
     expected["a"] = {"8": obj["predegree_polynomial"][8]}
-    return {"name": "drawn", "descriptor": model.descriptor_to_obj(descriptor), "expected": expected}
+    document = model.descriptor_to_obj(descriptor)
+    if shorthand:
+        document["points"][-1] = shorthand
+    return {"name": "drawn", "descriptor": document, "expected": expected}
 
 
 def assert_clean_exit(argv):
@@ -473,7 +502,7 @@ def assert_clean_exit(argv):
 
 
 @settings(max_examples=50)
-@given(descriptors().map(fixture_document).flatmap(mutated))
+@given(fixture_documents().flatmap(mutated))
 def test_mutated_descriptors_end_in_a_report_or_one_error_line(fixture):
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)

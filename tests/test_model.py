@@ -106,22 +106,80 @@ def test_resolved_flex_count():
     assert model.resolved_flex_count(cubic) == 1
 
 
-def test_parse_missing_degree():
-    with pytest.raises(model.DescriptorSchemaError) as info:
-        model.parse("{}")
-    assert "degree" in str(info.value)
+def _point_doc(point):
+    return {"degree": 4, "nonlinear": [{"deg": 4}], "points": [point]}
 
 
-def test_parse_degree_type_mismatch():
-    with pytest.raises(model.DescriptorSchemaError) as info:
-        model.parse('{"degree": "4"}')
-    assert "expected an integer" in str(info.value)
+def _side_doc(**fields):
+    return _point_doc({"kind": "composite", "sides": [{"from": [0, 2], "to": [4, 0], "s": [2], **fields}]})
 
 
-def test_parse_rejects_unknown_fields():
-    with pytest.raises(model.DescriptorSchemaError) as info:
-        model.parse('{"degree": 2, "nonlinear": [{"deg": 2, "mult": 1, "bogus": 1}]}')
-    assert "unknown field" in str(info.value)
+def _truncation_doc(truncation):
+    return _point_doc({"kind": "composite", "truncations": [truncation]})
+
+
+SCHEMA, VALUE = model.DescriptorSchemaError, model.DescriptorValueError
+
+
+@pytest.mark.parametrize(
+    "document, error, message",
+    [
+        ([], SCHEMA, ": expected an object, got list"),
+        ({"degree": 2, "bogus": 1}, SCHEMA, "bogus: unknown field"),
+        ({}, SCHEMA, "degree: missing required field"),
+        ({"degree": "4"}, SCHEMA, "degree: expected an integer, got str"),
+        ({"degree": 4, "flexes": "x"}, SCHEMA, "flexes: expected an integer, got str"),
+        ({"degree": 4, "stabilizer_degree": 1.5}, SCHEMA, "stabilizer_degree: expected an integer, got float"),
+        ({"degree": 1, "linear": {}}, SCHEMA, "linear: expected an array, got dict"),
+        ({"degree": 1, "linear": [{"mult": True}]}, SCHEMA, "linear[0].mult: expected an integer, got bool"),
+        ({"degree": 1, "linear": [{"meets": []}]}, SCHEMA, 'linear[0]: missing "mult"'),
+        ({"degree": 1, "linear": [{"mult": 1, "meets": [1, "2"]}]}, SCHEMA, "linear[0].meets[1]: expected an integer, got str"),
+        ({"degree": 1, "linear": [{"mult": 1, "at": 2}]}, SCHEMA, "linear[0].at: unknown field"),
+        ({"degree": 2, "nonlinear": [5]}, SCHEMA, "nonlinear[0]: expected an object, got int"),
+        ({"degree": 2, "nonlinear": [{"deg": 2, "mult": True}]}, SCHEMA, "nonlinear[0].mult: expected an integer, got bool"),
+        ({"degree": 2, "nonlinear": [{"mult": 1}]}, SCHEMA, 'nonlinear[0]: missing "deg"'),
+        ({"degree": 2, "nonlinear": [{"deg": 2, "mult": 1, "bogus": 1}]}, SCHEMA, "nonlinear[0].bogus: unknown field"),
+        (_side_doc(**{"from": [0, 1, 2]}), SCHEMA, "points[0].sides[0].from: expected a [j, k] pair"),
+        (_side_doc(**{"from": [0, None]}), SCHEMA, "points[0].sides[0].from[1]: expected an integer, got NoneType"),
+        (_side_doc(suppress=1), SCHEMA, "points[0].sides[0].suppress: expected a boolean"),
+        (_point_doc({"kind": "composite", "sides": [{"from": [0, 2], "s": [2]}]}), SCHEMA, 'points[0].sides[0]: missing "to"'),
+        (_truncation_doc({"ell": 1, "s": [1]}), SCHEMA, 'points[0].truncations[0]: missing "W"'),
+        (_truncation_doc({"ell": 1, "W": "1/0", "s": [1]}), SCHEMA, "points[0].truncations[0].W: invalid rational literal: '1/0'"),
+        (
+            _truncation_doc({"ell": 1, "W": 2.5, "s": [1]}),
+            SCHEMA,
+            'points[0].truncations[0].W: expected an integer or "num/den" string, got float',
+        ),
+        (_point_doc({"kind": 3}), SCHEMA, "points[0].kind: expected a string, got int"),
+        (_point_doc({"kind": "cusp"}), SCHEMA, "points[0].kind: unknown point kind 'cusp'"),
+        (_point_doc({"contact": 3}), SCHEMA, "points[0].kind: unknown point kind ''"),
+        (_point_doc({"kind": "flex", "contact": 3, "label": 7}), SCHEMA, "points[0].label: expected a string, got int"),
+        (_point_doc({"kind": "flex", "label": 7, "zz": 1}), SCHEMA, "points[0].label: expected a string, got int"),
+        (_point_doc([1]), SCHEMA, "points[0]: expected an object, got list"),
+        (_point_doc({"kind": "irreducible", "m": 2}), SCHEMA, 'points[0]: missing "n"'),
+        (_point_doc({"kind": "flex", "contact": 3, "m": 2}), SCHEMA, "points[0].m: unknown field"),
+        (
+            _point_doc({"kind": "ordinary_multiple_point", "m": 2, "contacts": [3, 2]}),
+            VALUE,
+            "points[0].contacts[1]: contact must be >= m + 1 = 3",
+        ),
+        (
+            _point_doc({"kind": "ordinary_multiple_point", "m": 2, "contacts": [3, "4"]}),
+            SCHEMA,
+            "points[0].contacts[1]: expected an integer, got str",
+        ),
+        (_point_doc({"kind": "ordinary_multiple_point", "contacts": [3]}), SCHEMA, 'points[0]: missing "m"'),
+        (_point_doc({"kind": "composite", "tangent_cone": [1, [1]]}), SCHEMA, "points[0].tangent_cone[1]: expected an integer, got list"),
+        (_point_doc({"kind": "composite", "absorbed_flexes": "2"}), SCHEMA, "points[0].absorbed_flexes: expected an integer, got str"),
+        ({"degree": 4, "points": {}}, SCHEMA, "points: expected an array, got dict"),
+    ],
+)
+def test_parse_error_class_path_and_message(document, error, message):
+    with pytest.raises(model.DescriptorError) as info:
+        model.parse(json.dumps(document))
+    assert type(info.value) is error
+    assert str(info.value) == message
+    assert message.startswith(f"{info.value.path}: ")
 
 
 def test_parse_malformed_json_has_position():
