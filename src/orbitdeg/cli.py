@@ -23,7 +23,7 @@ import reprlib
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Any
+from typing import Any, NoReturn
 
 from . import corpus as corpus_mod
 from . import corrections, engine, model, newton
@@ -38,6 +38,13 @@ class _CliError(Exception):
     def __init__(self, message: str, code: int):
         super().__init__(message)
         self.code = code
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error, its subcommands' too, in one line and exits 2."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(EXIT_IO, f"error: {message}\n")
 
 
 def _read_text(path: str) -> str:
@@ -111,7 +118,7 @@ def _add_common_output_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="orbitdeg",
         description="Exact orbit-closure degree computations for plane curves "
         "under projective linear transformations.",

@@ -15,7 +15,7 @@ positive denominator, standing for the sum of a_i * H^i / (i! * den).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
+from math import comb, lcm
 from operator import mul
 from typing import Sequence
 
@@ -141,7 +141,11 @@ def tangent_cone_correction(line_mults: Sequence[int]) -> Correction:
     The prefactor vanishes identically when there are at most two lines.
     """
     _check(model.tangent_cone_violations(line_mults))
-    es = _elementary_symmetric(line_mults, 5)
+    return _cone_term(_elementary_symmetric(line_mults, 5))
+
+
+def _cone_term(es: Sequence[int]) -> Correction:
+    """The tangent-cone term from e_0..e_5 of the line multiplicities."""
     e1 = es[1]
     prefactor = -e1 * (es[2] * es[3] - e1 * es[4] - es[5])
     return _local(KIND_TANGENT_CONE, 30 * prefactor, -180 * e1 * prefactor, 630 * e1 * e1 * prefactor)
@@ -266,20 +270,20 @@ def flexes_absorbed(sing: model.IrreducibleSingularity) -> int:
     return sing.absorbed_flex_count()
 
 
-#: (a6, a7, a8) and denominator of an ordinary inflection (contact 3): the
-#: term -H^6/48 + 3*H^7/70 - 197*H^8/4480 derived from the general contact
-#: formula, and the same with the H^6 coefficient -1/42 that circulates in
-#: print.  The printed value is inconsistent with every cross-check in this
-#: package (see README), but can be selected to reproduce the discrepancy.
-_FLEX_DERIVED = ((-15, 216, -1773), 1)
-_FLEX_PRINTED = ((-120, 1512, -12411), 7)
+#: The term of one ordinary inflection (contact 3): -H^6/48 + 3*H^7/70 -
+#: 197*H^8/4480 as the general contact formula gives it, and the same with
+#: the H^6 coefficient -1/42 that circulates in print.  The printed value is
+#: inconsistent with every cross-check in this package (see README), but
+#: can be selected to reproduce the discrepancy.
+_FLEX_DERIVED = irreducible_correction(model.IrreducibleSingularity(1, 3))
+_FLEX_PRINTED = _local(KIND_FLEX, -120, 1512, -12411, 7)
 
 
 def flex_correction(count: int, printed: bool = False) -> Correction:
     """The term of `count` ordinary inflections: count times that of one."""
     _check(model.flex_count_violations(count))
-    (a6, a7, a8), den = _FLEX_PRINTED if printed else _FLEX_DERIVED
-    return _local(KIND_FLEX, count * a6, count * a7, count * a8, den)
+    one = _FLEX_PRINTED if printed else _FLEX_DERIVED
+    return Correction(KIND_FLEX, tuple([count * v for v in one.a]), one.den)
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +295,7 @@ def multiple_point_correction(m: int, contacts: Sequence[int]) -> Correction:
     """Correction of an ordinary multiple point: the sum of the terms of
     the composite point it stands for (`model.ordinary_multiple_point`),
     its m reduced tangent lines and one polygon side per nonlinear branch.
+    The m lines have e_k = C(m, k), so the cost does not grow with m.
 
     `m` counts all branches (linear and nonlinear); `contacts` lists, for
     each nonlinear branch, the intersection multiplicity of the curve
@@ -298,6 +303,5 @@ def multiple_point_correction(m: int, contacts: Sequence[int]) -> Correction:
     their own but enter through m.
     """
     _check(model.multiple_point_violations(m, contacts))
-    point = model.ordinary_multiple_point(m, contacts)
-    terms = [tangent_cone_correction(point.tangent_cone.line_mults)] + [newton_side_correction(s) for s in point.sides]
+    terms = [_cone_term([comb(m, k) for k in range(6)])] + [newton_side_correction(s) for s in model.branch_sides(m, contacts)]
     return Correction(KIND_LOCAL, tuple([sum(column) for column in zip(*[t.a for t in terms])]))

@@ -9,13 +9,12 @@ prod(1 + local) have order >= 9 and vanish in Q[H]/(H^9).
 All of it runs in the predegree basis, where a series is the sum of
 a_i * H^i / i! with integer a_i over one common denominator.  There a
 product is the binomial convolution (f*g)_k = sum_j C(k, j) f_j g_{k-j},
-exp(d*H) is (d^i), and replacing H by m*H multiplies a_i by m^i; the
-report's rationals are built once, from the result.
+exp(d*H) is (d^i), and replacing H by m*H multiplies a_i by m^i.
 
-From the polynomial the report reads off the predegree coefficients
-a_i = i! * c_i, the orbit dimension (largest i with a_i nonzero), the
-predegree a_dim, and, when a stabilizer degree is supplied, the degree
-of the orbit closure itself.
+A report keeps the integers of the result and reads off them the
+predegree coefficients a_i = i! * c_i, the orbit dimension (largest i
+with a_i nonzero), the predegree a_dim, and, when a stabilizer degree is
+supplied, the degree of the orbit closure itself.
 """
 
 from __future__ import annotations
@@ -23,13 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from . import corrections, model
 from .corrections import Correction
-from .series import TRUNCATION_ORDER, TruncSeries, predegree_strings, rational_to_string
-
-F = Fraction
+from .series import TRUNCATION_ORDER, TruncSeries, predegree_strings, ratio_string
 
 
 class EngineError(Exception):
@@ -67,22 +64,49 @@ class OrbitReport:
     """Everything the computation yields for one curve.
 
     `a` and `den` are the integers the polynomial was built from: it is
-    the sum of a[i] * H^i / (i! * den).
+    the sum of a[i] * H^i / (i! * den).  Every number the report gives is
+    read off them.  A stabilizer degree that does not divide the
+    predegree into a positive integer is refused with EngineError.
     """
 
     a: tuple[int, ...]
     den: int
-    predegree_polynomial: tuple[Fraction, ...]
-    orbit_dimension: int
-    predegree: Fraction
-    degree: Optional[Fraction]
     breakdown: tuple[tuple[str, Correction], ...]
+    stabilizer_degree: Optional[int] = None
     erratum_notes: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        s, top = self.stabilizer_degree, self.a[self.orbit_dimension]
+        if s is not None and (not s or top % (self.den * s) or top // (self.den * s) <= 0):
+            raise EngineError(
+                f"stabilizer degree {s} does not divide the predegree "
+                f"{ratio_string(top, self.den)} into a positive integer"
+            )
 
     @property
     def app(self) -> TruncSeries:
         """The adjusted predegree polynomial as a read-only series view."""
         return TruncSeries(self.a, self.den)
+
+    @property
+    def predegree_polynomial(self) -> tuple[Fraction, ...]:
+        """The predegree coefficients a_0..a_8, exactly."""
+        return tuple([Fraction(v, self.den) for v in self.a])
+
+    @property
+    def orbit_dimension(self) -> int:
+        """The largest i with a_i nonzero (0 for the constant 1)."""
+        return max([i for i, v in enumerate(self.a) if v], default=0)
+
+    @property
+    def predegree(self) -> Fraction:
+        """a_dim, the predegree of the orbit closure."""
+        return Fraction(self.a[self.orbit_dimension], self.den)
+
+    @property
+    def degree(self) -> Optional[Fraction]:
+        """The degree of the orbit closure, when a stabilizer degree is given."""
+        return None if self.stabilizer_degree is None else self.predegree / self.stabilizer_degree
 
 
 def _convolve(f: Sequence[int], g: Sequence[int]) -> list[int]:
@@ -95,70 +119,26 @@ def _convolve(f: Sequence[int], g: Sequence[int]) -> list[int]:
     return out
 
 
-def _build_report(
-    a: Sequence[int],
-    den: int,
-    breakdown: Sequence[tuple[str, Correction]],
-    stabilizer_degree: Optional[int],
-    erratum_notes: tuple[str, ...] = (),
-) -> OrbitReport:
-    """The report of the polynomial sum of a[i] * H^i / (i! * den)."""
-    # Tuples here and below are built from lists, not generators: tuple() of
-    # a generator allocates ten slots and then shrinks, and the shrunk tuples
-    # collect in CPython's per-size free lists, so a long run's peak memory
-    # grows.
-    coefficients = tuple([F(v, den) for v in a])
-    dimension = 0
-    for i, v in enumerate(a):
-        if v:
-            dimension = i
-    predegree = coefficients[dimension]
-    degree: Optional[Fraction] = None
-    if stabilizer_degree is not None:
-        degree = predegree / stabilizer_degree
-        if degree.denominator != 1 or degree <= 0:
-            raise EngineError(
-                f"stabilizer degree {stabilizer_degree} does not divide the predegree "
-                f"{rational_to_string(predegree)} into a positive integer"
-            )
-    return OrbitReport(
-        a=tuple(a),
-        den=den,
-        predegree_polynomial=coefficients,
-        orbit_dimension=dimension,
-        predegree=predegree,
-        degree=degree,
-        breakdown=tuple(breakdown),
-        erratum_notes=erratum_notes,
-    )
-
-
 def _feature_corrections(
     feature: model.PointFeature, index: int, erratum_strict: bool
-) -> list[tuple[str, Correction]]:
+) -> Iterator[tuple[str, Correction]]:
     label = feature.label if feature.label is not None else f"points[{index}]"
-    out: list[tuple[str, Correction]] = []
     if isinstance(feature, model.FlexPoint):
         if erratum_strict and feature.contact == 3:
-            corr = corrections.flex_correction(1, printed=True)
+            yield label, corrections.flex_correction(1, printed=True)
         else:
             single = corrections.irreducible_correction(model.IrreducibleSingularity(1, feature.contact))
-            corr = Correction(corrections.KIND_FLEX, single.a, single.den)
-        out.append((label, corr))
+            yield label, Correction(corrections.KIND_FLEX, single.a, single.den)
     elif isinstance(feature, model.IrreduciblePoint):
-        out.append((label, corrections.irreducible_correction(feature.singularity)))
+        yield label, corrections.irreducible_correction(feature.singularity)
     else:
         if feature.tangent_cone is not None:
-            out.append(
-                (f"{label}.tangent_cone", corrections.tangent_cone_correction(feature.tangent_cone.line_mults))
-            )
+            yield f"{label}.tangent_cone", corrections.tangent_cone_correction(feature.tangent_cone.line_mults)
         for i, side in enumerate(feature.sides):
-            if side.suppress:
-                continue
-            out.append((f"{label}.sides[{i}]", corrections.newton_side_correction(side)))
+            if not side.suppress:
+                yield f"{label}.sides[{i}]", corrections.newton_side_correction(side)
         for i, trunc in enumerate(feature.truncations):
-            out.append((f"{label}.truncations[{i}]", corrections.truncation_correction(trunc)))
-    return out
+            yield f"{label}.truncations[{i}]", corrections.truncation_correction(trunc)
 
 
 def assemble(descriptor: model.CurveDescriptor, *, erratum_strict: bool = False) -> OrbitReport:
@@ -198,7 +178,10 @@ def assemble(descriptor: model.CurveDescriptor, *, erratum_strict: bool = False)
                 total[i] += factor * v
     app = _convolve([d**i for i in range(TRUNCATION_ORDER)], total)
     notes = (_ERRATUM_NOTE,) if erratum_strict and flex_in_use else ()
-    return _build_report(app, den, breakdown, descriptor.stabilizer_degree, notes)
+    # Tuples here, in `union` and in `scale` are built from lists: tuple() of a
+    # generator allocates ten slots and then shrinks, and the shrunk tuples
+    # collect in CPython's per-size free lists, so a long run's peak memory grows.
+    return OrbitReport(tuple(app), den, tuple(breakdown), descriptor.stabilizer_degree, notes)
 
 
 def union(
@@ -232,7 +215,7 @@ def union(
             breakdown.append((label, corr))
     app = _convolve(_convolve(left.a, right.a), meeting)
     notes = tuple(dict.fromkeys(left.erratum_notes + right.erratum_notes))
-    return _build_report(app, left.den * right.den, breakdown, stabilizer_degree, notes)
+    return OrbitReport(tuple(app), left.den * right.den, tuple(breakdown), stabilizer_degree, notes)
 
 
 def scale(report: OrbitReport, multiple: int, stabilizer_degree: Optional[int] = None) -> OrbitReport:
@@ -250,8 +233,8 @@ def scale(report: OrbitReport, multiple: int, stabilizer_degree: Optional[int] =
         (label, Correction(corr.kind, tuple([v * p for v, p in zip(corr.a, powers)]), corr.den))
         for label, corr in report.breakdown
     ]
-    a = [v * p for v, p in zip(report.a, powers)]
-    return _build_report(a, report.den, breakdown, stabilizer_degree, report.erratum_notes)
+    a = tuple([v * p for v, p in zip(report.a, powers)])
+    return OrbitReport(a, report.den, tuple(breakdown), stabilizer_degree, report.erratum_notes)
 
 
 # ---------------------------------------------------------------------------
@@ -261,14 +244,16 @@ def scale(report: OrbitReport, multiple: int, stabilizer_degree: Optional[int] =
 
 def report_to_obj(report: OrbitReport) -> dict:
     """JSON-ready form of a report, with all rationals as exact strings."""
+    dimension, den, s = report.orbit_dimension, report.den, report.stabilizer_degree
     out: dict[str, object] = {
-        "app": predegree_strings(report.a, report.den),
-        "predegree_polynomial": [rational_to_string(a) for a in report.predegree_polynomial],
-        "orbit_dimension": report.orbit_dimension,
-        "predegree": rational_to_string(report.predegree),
+        "app": predegree_strings(report.a, den),
+        "predegree_polynomial": [ratio_string(v, den) for v in report.a],
+        "orbit_dimension": dimension,
+        "predegree": ratio_string(report.a[dimension], den),
     }
-    if report.degree is not None:
-        out["degree"] = rational_to_string(report.degree)
+    if s is not None:
+        # s divides a_dim: the report was refused unless den * s does
+        out["degree"] = ratio_string(report.a[dimension] // s, den)
     out["breakdown"] = [
         {"label": label, "kind": corr.kind, "term": predegree_strings(corr.a, corr.den)}
         for label, corr in report.breakdown
@@ -279,18 +264,16 @@ def report_to_obj(report: OrbitReport) -> dict:
 
 
 def report_to_text(report: OrbitReport) -> str:
-    """Human-readable rendering of a report."""
+    """Human-readable rendering of a report, with the numbers of `report_to_obj`."""
+    obj = report_to_obj(report)
     lines = [
         f"adjusted predegree polynomial: {report.app}",
-        "predegree coefficients: "
-        + ", ".join(
-            f"a{i}={rational_to_string(a)}" for i, a in enumerate(report.predegree_polynomial)
-        ),
-        f"orbit dimension: {report.orbit_dimension}",
-        f"predegree: {rational_to_string(report.predegree)}",
+        "predegree coefficients: " + ", ".join(f"a{i}={v}" for i, v in enumerate(obj["predegree_polynomial"])),
+        f"orbit dimension: {obj['orbit_dimension']}",
+        f"predegree: {obj['predegree']}",
     ]
-    if report.degree is not None:
-        lines.append(f"orbit closure degree: {rational_to_string(report.degree)}")
+    if "degree" in obj:
+        lines.append(f"orbit closure degree: {obj['degree']}")
     if report.breakdown:
         lines.append("contributions:")
         for label, corr in report.breakdown:

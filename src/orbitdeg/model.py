@@ -285,10 +285,14 @@ def ordinary_multiple_point(
     m: int, contacts: Sequence[int], absorbed_flexes: int = 0, label: Optional[str] = None
 ) -> CompositePoint:
     """The composite point an ordinary multiple point of multiplicity m
-    stands for: m reduced tangent-cone lines and, per nonlinear branch of
-    contact r, one polygon side (m-1, 1) -> (r, 0) with a simple root."""
-    sides = tuple(NewtonSide(m - 1, 1, r, 0, (1,)) for r in contacts)
-    return CompositePoint(TangentCone((1,) * m), sides, (), absorbed_flexes, label)
+    stands for: m reduced tangent-cone lines and its `branch_sides`."""
+    return CompositePoint(TangentCone((1,) * m), branch_sides(m, contacts), (), absorbed_flexes, label)
+
+
+def branch_sides(m: int, contacts: Sequence[int]) -> tuple[NewtonSide, ...]:
+    """Per nonlinear branch of contact r at an ordinary m-fold point, one
+    polygon side (m-1, 1) -> (r, 0) with a simple root."""
+    return tuple(NewtonSide(m - 1, 1, r, 0, (1,)) for r in contacts)
 
 
 def irreducible_violations(sing: IrreducibleSingularity, path: str = "singularity") -> list[Violation]:

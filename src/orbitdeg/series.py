@@ -5,7 +5,8 @@ predegree basis: nine integers a_0..a_8 over one positive denominator,
 standing for the sum of a_i * H^i / (i! * den).  The adjusted predegree
 polynomial and every correction term are such pairs (a, den).
 `TruncSeries` is a read-only view of one pair, for comparing and
-printing; `predegree_strings` writes its coefficients without it.
+printing; `predegree_strings` writes its coefficients without it, and
+`ratio_string` writes the rationals the package prints.
 
 There is no floating point anywhere; equality of series is exact.
 """
@@ -49,23 +50,24 @@ def to_rational(value: RationalLike) -> Fraction:
     raise TypeError(f"cannot interpret {type(value).__name__} as a rational")
 
 
+def ratio_string(num: int, den: int) -> str:
+    """num/den in lowest terms, for integers num and den > 0: "num/den",
+    or just "num" when den divides num."""
+    g = gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
+
+
 def rational_to_string(value: RationalLike) -> str:
     """Render a rational as "num/den", or just "num" when the denominator is 1."""
     q = to_rational(value)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    return ratio_string(q.numerator, q.denominator)
 
 
 def predegree_strings(a: Sequence[int], den: int = 1) -> list[str]:
     """The coefficients of H^0..H^8 of the sum of a[i] * H^i / (i! * den),
-    as "num/den" strings (integers over a positive denominator den)."""
-    out = []
-    for v, f in zip(a, FACTORIALS):
-        q = f * den
-        g = gcd(v, q)
-        out.append(str(v // g) if g == q else f"{v // g}/{q // g}")
-    return out
+    as "num/den" strings (integers over a positive denominator den).  A
+    zero, six of the nine in every local term, skips the call."""
+    return [ratio_string(v, f * den) if v else "0" for v, f in zip(a, FACTORIALS)]
 
 
 class TruncSeries:
@@ -107,21 +109,19 @@ class TruncSeries:
 
     def __str__(self) -> str:
         parts: list[str] = []
-        for degree, c in enumerate(self.coeffs):
-            if c == 0:
+        for degree, (v, f) in enumerate(zip(self.a, FACTORIALS)):
+            if v == 0:
                 continue
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
-            if degree == 0:
-                body = rational_to_string(mag)
-            else:
+            sign = "-" if v < 0 else "+"
+            body = ratio_string(abs(v), f * self.den)
+            if degree:
                 power = "H" if degree == 1 else f"H^{degree}"
-                if mag == 1:
+                if body == "1":
                     body = power
-                elif mag.denominator == 1:
-                    body = f"{mag.numerator}*{power}"
+                elif "/" in body:
+                    body = f"({body})*{power}"
                 else:
-                    body = f"({rational_to_string(mag)})*{power}"
+                    body = f"{body}*{power}"
             if not parts:
                 parts.append(body if sign == "+" else f"-{body}")
             else:

@@ -181,6 +181,28 @@ def test_contribution_negative_fraction_values(capsys, spaced, joined, code):
     assert result == run(capsys, "contribution", *joined)
 
 
+def test_usage_errors_are_one_line(capsys):
+    with pytest.raises(SystemExit) as exited:
+        cli.main(["contribution", "truncation", "--ell", "1", "--W", "1/0", "--s", "1"])
+    assert exited.value.code == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: argument --W/--weight: invalid rational literal: '1/0'\n")
+
+
+def test_help_still_prints_usage(capsys):
+    with pytest.raises(SystemExit) as exited:
+        cli.main(["contribution", "--help"])
+    assert exited.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: orbitdeg contribution [-h]")
+
+
+def test_contribution_multiple_point_with_a_huge_m(capsys):
+    code, out, err = run(capsys, "contribution", "multiple-point", "--m", "99999999999999999999")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["kind"] == "multiple-point" and len(payload["factor"]) == 9 and payload["factor"][6] != "0"
+
+
 def test_closed_stdout_exits_2_without_traceback():
     read_end, write_end = os.pipe()
     os.close(read_end)
@@ -242,6 +264,17 @@ def test_union_command(capsys, conic_path, line_path):
     payload = json.loads(out)
     assert payload["degree"] == "21"
     assert payload["orbit_dimension"] == 7
+
+
+@pytest.mark.parametrize("stabilizer", ["0", "-2"])
+@pytest.mark.parametrize("command, predegree", [("union", 84), ("scale", 256)])
+def test_stabilizer_that_does_not_divide_is_one_error_line(capsys, conic_path, line_path, command, predegree, stabilizer):
+    args = [conic_path, line_path, "--line-crossings", "2"] if command == "union" else [conic_path, "--multiple", "2"]
+    assert run(capsys, command, *args, "--stabilizer", stabilizer) == (
+        1,
+        "",
+        f"error: stabilizer degree {stabilizer} does not divide the predegree {predegree} into a positive integer\n",
+    )
 
 
 def test_scale_command(capsys, line_path):
@@ -434,6 +467,8 @@ def test_corpus_bad_fixtures_fail_without_stopping_replay(capsys, tmp_path):
 #: and the `ordinary_multiple_point` shorthand builds m tangent lines, but
 #: a drawn shorthand has a contact, and with a huge m that contact is
 #: rejected (it must be at least m + 1) before any line is built.
+#: `contribution multiple-point` takes its m lines in closed form, so a
+#: huge `--m` is cheap there.
 HUGE = (10**12, 2**64)
 
 
@@ -496,7 +531,10 @@ def fixture_documents(draw):
 def assert_clean_exit(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exited:  # a usage error, from the argument parser
+            code = exited.code
     assert code in (0, 1, 2), argv
     assert err.getvalue().count("\n") <= 1 and "Traceback" not in err.getvalue(), (argv, err.getvalue())
 
@@ -528,3 +566,35 @@ def test_mutated_newton_inputs_end_in_a_report_or_one_error_line(document):
         path = Path(tmp) / "support.json"
         path.write_text(json.dumps(document), encoding="utf-8")
         assert_clean_exit(["newton", str(path)])
+
+
+#: Each contribution flag with the well-formed values it is drawn from, and
+#: the malformed ones every flag is drawn from too.
+CONTRIBUTION_FLAGS = {
+    **dict.fromkeys(["--degree", "--mult", "--e", "--ell", "--m", "--n", "--count", "--delta"], ["1", "2", "3", "5"]),
+    **dict.fromkeys(["--meets", "--lines", "--s", "--essential", "--contacts"], ["1", "1,2", "3,4", "2,3,5", "7"]),
+    **dict.fromkeys(["--from", "--to"], ["0,3", "1,1", "4,0", "2,1"]),
+    **dict.fromkeys(["--W", "--weight", "--alpha", "--beta", "--gamma", "--rho"], ["1", "5/3", "-3/4", "2"]),
+}
+MALFORMED = ["-2", "-1,2", str(HUGE[0]), str(HUGE[1]), f"{HUGE[1]},1", "1/0", "x", "", "1,1", "3,3,3"]
+
+
+@st.composite
+def contribution_argvs(draw):
+    """`orbitdeg contribution` with a drawn kind or alias, most of the flags
+    it requires and a few more, each with a value drawn well-formed about
+    three times in five."""
+    kind = draw(st.sampled_from(sorted(cli._CONTRIBUTIONS)))
+    required = cli._CONTRIBUTIONS[kind][0]
+    flags = [{"side_from": "--from", "side_to": "--to", "weight": "--W"}.get(name, f"--{name}") for name in required]
+    flags = flags[draw(st.integers(0, 1)) :] + draw(st.lists(st.sampled_from(sorted(CONTRIBUTION_FLAGS)), max_size=3))
+    argv = ["contribution", kind]
+    for flag in flags:
+        argv += [flag, draw(st.sampled_from(CONTRIBUTION_FLAGS[flag] * 3 + MALFORMED))]
+    return argv + draw(st.sampled_from([[], ["--erratum", "strict"]]))
+
+
+@settings(max_examples=300)
+@given(contribution_argvs())
+def test_malformed_contributions_end_in_a_term_or_one_error_line(argv):
+    assert_clean_exit(argv)

@@ -423,9 +423,11 @@ def test_multiple_point_matches_symmetric_form(point):
 
 
 def test_multiple_point_is_tangent_cone_plus_branch_contacts():
-    # the closed per-branch form against one side term per branch
-    for m in range(2, 9):
+    # the closed per-branch form against one side term per branch, and the
+    # m reduced lines, taken from e_k = C(m, k), against the m-tuple of ones
+    for m in range(2, 13):
         cone = corrections.tangent_cone_correction((1,) * m).a
+        assert corrections.multiple_point_correction(m, ()) == corrections.Correction(corrections.KIND_LOCAL, cone), m
         for r in range(m + 1, m + 12):
             expected = cone[:6] + tuple(x + y for x, y in zip(cone[6:], oracles._branch_contact(m, r)))
             assert corrections.multiple_point_correction(m, (r,)) == corrections.Correction(
@@ -457,6 +459,7 @@ def test_flex_equivalent_examples():
         corrections.irreducible_correction(model.IrreducibleSingularity(1, 3))
     )
     assert factor(corrections.flex_correction(6)).coeffs[6] == F(-6, 48)
+    assert corrections.flex_correction(1).a[6:] == (-15, 216, -1773)
 
 
 def test_flex_correction_precondition():

@@ -385,3 +385,93 @@ def test_report_serialization_round_trip():
     text = engine.report_to_text(report)
     assert "orbit dimension: 7" in text
     assert "predegree: 72" in text
+
+
+# -- a report is its integers ------------------------------------------------------
+
+REFUSED = "refused"
+
+
+def numbers_from_fractions(a, den, stabilizer):
+    """The reported numbers built the long way, in Fractions: the predegree
+    coefficients, the orbit dimension, the predegree and the degree, which
+    is None without a stabilizer degree and REFUSED when the stabilizer
+    degree does not divide the predegree into a positive integer."""
+    coefficients = tuple(F(v, den) for v in a)
+    dimension = max((i for i, c in enumerate(coefficients) if c), default=0)
+    predegree = coefficients[dimension]
+    if stabilizer is None:
+        return coefficients, dimension, predegree, None
+    degree = predegree / stabilizer if stabilizer else F(0)
+    return coefficients, dimension, predegree, degree if degree.denominator == 1 and degree > 0 else REFUSED
+
+
+def assert_numbers_read_off_the_integers(report):
+    coefficients, dimension, predegree, degree = numbers_from_fractions(report.a, report.den, report.stabilizer_degree)
+    assert [type(c) for c in report.predegree_polynomial] == [F] * TRUNCATION_ORDER
+    assert report.predegree_polynomial == coefficients
+    assert type(report.orbit_dimension) is int and report.orbit_dimension == dimension
+    assert type(report.predegree) is F and report.predegree == predegree
+    assert report.degree == degree and type(report.degree) is type(degree)
+    obj = engine.report_to_obj(report)
+    assert obj["predegree_polynomial"] == [shipped.rational_to_string(c) for c in coefficients]
+    assert (obj["orbit_dimension"], obj["predegree"]) == (dimension, shipped.rational_to_string(predegree))
+    assert obj.get("degree") == (None if degree is None else shipped.rational_to_string(degree))
+
+
+def assert_stabilizer_rule(build, stabilizer):
+    """`build(s)` gives the report with stabilizer degree s: it is refused
+    exactly when the degree, built the long way, is."""
+    plain = build(None)
+    assert_numbers_read_off_the_integers(plain)
+    if numbers_from_fractions(plain.a, plain.den, stabilizer)[3] == REFUSED:
+        with pytest.raises(engine.EngineError) as raised:
+            build(stabilizer)
+        assert str(raised.value) == (
+            f"stabilizer degree {stabilizer} does not divide the predegree "
+            f"{shipped.rational_to_string(plain.predegree)} into a positive integer"
+        )
+    else:
+        assert_numbers_read_off_the_integers(build(stabilizer))
+
+
+def test_report_keeps_only_what_it_was_built_from():
+    fields = [field.name for field in dataclasses.fields(engine.OrbitReport)]
+    assert fields == ["a", "den", "breakdown", "stabilizer_degree", "erratum_notes"]
+    assert not hasattr(engine, "F") and not hasattr(engine, "_build_report")
+
+
+def test_report_numbers_on_fixtures():
+    for descriptor in fixture_descriptors():
+        for strict in (False, True):
+            assert_stabilizer_rule(
+                lambda s: engine.assemble(dataclasses.replace(descriptor, stabilizer_degree=s), erratum_strict=strict),
+                descriptor.stabilizer_degree,
+            )
+
+
+@settings(max_examples=60)
+@given(descriptors(), descriptors(), st.booleans(), st.integers(1, 3), st.integers(-3, 8))
+def test_report_numbers_on_unions_and_scales(first, second, strict, multiple, stabilizer):
+    left, right = (engine.assemble(d, erratum_strict=strict) for d in (first, second))
+    for build in (
+        lambda s: engine.union(left, right, crossings=1, tangencies=1, stabilizer_degree=s),
+        lambda s: engine.scale(left, multiple, stabilizer_degree=s),
+    ):
+        # a stabilizer degree drawn at random, and the predegree's integer part,
+        # which divides an integral predegree into 1
+        assert_stabilizer_rule(build, stabilizer)
+        plain = build(None)
+        assert_stabilizer_rule(build, plain.a[plain.orbit_dimension] // plain.den)
+
+
+@pytest.mark.parametrize("stabilizer", [0, -2, 5])
+def test_union_and_scale_refuse_a_stabilizer_that_does_not_divide(stabilizer):
+    cubic = engine.assemble(dataclasses.replace(CUSPIDAL_CUBIC, stabilizer_degree=None))  # predegree 72
+    for build in (
+        lambda s: engine.union(cubic, cubic, crossings=9, stabilizer_degree=s),
+        lambda s: engine.scale(cubic, 2, stabilizer_degree=s),
+    ):
+        plain = build(None)
+        assert numbers_from_fractions(plain.a, plain.den, stabilizer)[3] == REFUSED
+        assert_stabilizer_rule(build, stabilizer)
