@@ -19,7 +19,6 @@ import argparse
 import json
 import os
 import re
-import reprlib
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -207,7 +206,8 @@ def _factor(corr: corrections.Correction) -> dict[str, object]:
 
 def _irreducible(args: argparse.Namespace) -> dict[str, object]:
     sing = model.IrreducibleSingularity(args.m, args.n, tuple(args.essential))
-    return {**_factor(corrections.irreducible_correction(sing)), "absorbs": corrections.flexes_absorbed(sing)}
+    # irreducible_correction has checked the singularity
+    return {**_factor(corrections.irreducible_correction(sing)), "absorbs": sing.absorbed_flex_count()}
 
 
 #: One row per contribution kind: its names (the type1..type5 aliases share
@@ -258,14 +258,10 @@ def _cmd_contribution(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _newton_input(data: Any) -> tuple[int, list[tuple[int, int, Fraction]]]:
-    """The degree and the (j, k, coefficient) terms of a decoded newton file.
-
-    The degree and the exponents must be JSON integers (decoded as exactly
-    `int`): a float, a string or a boolean is rejected rather than rounded
-    or coerced.  A coefficient must be an integer or a "num/den" string;
-    a bad one is reported with the index of its term.
-    """
+def _newton_input(data: Any) -> tuple[int, list]:
+    """The degree and the terms of a decoded newton file; the degree must
+    be a JSON integer (decoded as exactly `int`).  `MonomialSupport.from_terms`
+    checks each term."""
     if not isinstance(data, dict):
         raise ValueError("expected a JSON object")
     for key in ("degree", "terms"):
@@ -276,18 +272,7 @@ def _newton_input(data: Any) -> tuple[int, list[tuple[int, int, Fraction]]]:
         raise ValueError(f'"degree": expected an integer, got {type(degree).__name__}')
     if not isinstance(terms, list):
         raise ValueError(f'"terms": expected an array, got {type(terms).__name__}')
-    out = []
-    for index, term in enumerate(terms):
-        if not (isinstance(term, list) and len(term) == 3 and type(term[0]) is int and type(term[1]) is int):
-            raise ValueError(
-                f"term {index}: expected [j, k, coefficient] with integer j and k, got {reprlib.repr(term)}"
-            )
-        try:
-            coefficient = to_rational(term[2])
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"term {index}: {exc}") from None
-        out.append((term[0], term[1], coefficient))
-    return degree, out
+    return degree, terms
 
 
 def _cmd_newton(args: argparse.Namespace) -> int:
@@ -297,8 +282,7 @@ def _cmd_newton(args: argparse.Namespace) -> int:
     except model.DescriptorParseError as exc:
         raise _CliError(f"{args.path}: {exc}", EXIT_IO) from None
     try:
-        degree, terms = _newton_input(data)
-        support = newton.MonomialSupport.from_terms(degree, terms)
+        support = newton.MonomialSupport.from_terms(*_newton_input(data))
         polygon = newton.newton_polygon(support)
         multiplicity, contact = newton.local_invariants(support)
         sides = [newton.side_data(support, side) for side in newton.qualifying_sides(polygon)]
@@ -353,8 +337,6 @@ def _cmd_union(args: argparse.Namespace) -> int:
 
 
 def _cmd_scale(args: argparse.Namespace) -> int:
-    if args.multiple < 1:
-        raise _CliError("--multiple must be a positive integer", EXIT_INVALID)
     report = _assemble(args.path, args.erratum == "strict")
     _emit_report(engine.scale(report, args.multiple, stabilizer_degree=args.stabilizer), args.format)
     return EXIT_OK
@@ -393,6 +375,8 @@ def main(argv: list[str] | None = None) -> int:
         code = handlers[args.command](args)
         sys.stdout.flush()
         return code
+    except SystemExit as exc:  # from the parser: --help (0) or a usage error (2), already printed
+        return exc.code
     except BrokenPipeError:
         # The reader closed stdout.  Point it at the null device so that the
         # interpreter's flush at exit cannot fail again.

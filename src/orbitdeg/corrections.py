@@ -249,11 +249,8 @@ def irreducible_correction(sing: model.IrreducibleSingularity) -> Correction:
     term = -(q0*H^6/6! + q1*H^7/7! + q2*H^8/8!).
     """
     _check(model.irreducible_violations(sing))
-    chain = sing.gcd_chain()
-    exponents = (sing.n,) + sing.essential + (0,)
     weighted = [(sing.m * sing.n, pair_jet(sing.m, sing.n))]
-    for j in range(len(sing.essential) + 1):
-        weighted.append(((exponents[j + 1] - exponents[j]) * chain[j], pair_jet(chain[j], 2 * chain[j])))
+    weighted += [(step * d, pair_jet(d, 2 * d)) for step, d in sing.chain_steps()]
     q0, q1, q2 = (sum(w * jet[i] for w, jet in weighted) for i in range(3))
     return _local(KIND_IRREDUCIBLE, -q0, -q1, -q2)
 

@@ -224,10 +224,10 @@ def scale(report: OrbitReport, multiple: int, stabilizer_degree: Optional[int] =
 
     The stabilizer of the multiple need not match the original curve's,
     so the degree field is only populated when a stabilizer degree is
-    passed explicitly.
+    passed explicitly.  A multiple below 1 is refused with EngineError.
     """
     if not isinstance(multiple, int) or multiple < 1:
-        raise ValueError("scaling multiple must be a positive integer")
+        raise EngineError("scaling multiple must be a positive integer")
     powers = [multiple**i for i in range(TRUNCATION_ORDER)]
     breakdown = [
         (label, Correction(corr.kind, tuple([v * p for v, p in zip(corr.a, powers)]), corr.den))

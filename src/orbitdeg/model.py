@@ -144,19 +144,17 @@ class IrreducibleSingularity:
             chain.append(gcd(chain[-1], e))
         return tuple(chain)
 
-    def absorbed_flex_count(self) -> int:
-        """How many ordinary inflections the singularity uses up.
+    def chain_steps(self) -> list[tuple[int, int]]:
+        """The pairs (e_{j+1} - e_j, d_j) for j = 0..r, with e_0 = n,
+        e_1..e_r the essential exponents, e_{r+1} = 0 and d_j the gcd chain."""
+        exponents = (self.n,) + self.essential
+        return [(after - before, d) for before, after, d in zip(exponents, self.essential + (0,), self.gcd_chain())]
 
-        Evaluates (3mn - 2m - 2n) + 3 * sum (e_{j+1} - e_j)(d_j - 1)
-        with e_0 = n and e_{r+1} = 0.
-        """
+    def absorbed_flex_count(self) -> int:
+        """How many ordinary inflections the singularity uses up:
+        (3mn - 2m - 2n) + 3 * sum (e_{j+1} - e_j)(d_j - 1) over `chain_steps`."""
         m, n = self.m, self.n
-        chain = self.gcd_chain()
-        exponents = (n,) + self.essential + (0,)
-        total = 3 * m * n - 2 * m - 2 * n
-        for j in range(len(self.essential) + 1):
-            total += 3 * (exponents[j + 1] - exponents[j]) * (chain[j] - 1)
-        return total
+        return 3 * m * n - 2 * m - 2 * n + 3 * sum(step * (d - 1) for step, d in self.chain_steps())
 
 
 @dataclass(frozen=True)

@@ -22,11 +22,12 @@ lists of Fractions.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 from . import model
 from .series import RationalLike, to_rational
@@ -43,36 +44,45 @@ class SupportError(ValueError):
 
 @dataclass(frozen=True)
 class MonomialSupport:
-    """The support of a degree-d equation sum coeff * x^(d-j-k) y^j z^k."""
+    """The support of a degree-d equation sum coeff * x^(d-j-k) y^j z^k.
+
+    `from_terms` leaves the terms sorted by (j, k), each (j, k) once and
+    every coefficient nonzero; the readers below rely on that.
+    """
 
     degree: int
     terms: tuple[tuple[int, int, Fraction], ...]
 
     @classmethod
-    def from_terms(cls, degree: int, terms: Iterable[tuple[int, int, RationalLike]]) -> "MonomialSupport":
+    def from_terms(cls, degree: int, terms: Iterable[Sequence[Any]]) -> "MonomialSupport":
+        """The support of the given terms, each [j, k, coefficient] as a
+        list or a tuple.  The exponents must be exactly `int`: a float, a
+        string or a boolean is rejected rather than rounded or coerced.  The
+        coefficient is anything `to_rational` reads; a bad term is reported
+        with its index."""
         if degree < 1:
             raise SupportError("degree must be a positive integer")
-        seen: set[tuple[int, int]] = set()
-        cleaned = []
-        for j, k, coeff in terms:
+        cleaned: dict[tuple[int, int], Fraction] = {}
+        for index, term in enumerate(terms):
+            if not (isinstance(term, (list, tuple)) and len(term) == 3 and type(term[0]) is int and type(term[1]) is int):
+                raise SupportError(
+                    f"term {index}: expected [j, k, coefficient] with integer j and k, got {reprlib.repr(term)}"
+                )
+            j, k, coeff = term
+            try:
+                value = to_rational(coeff)
+            except (TypeError, ValueError) as exc:
+                raise SupportError(f"term {index}: {exc}") from None
             if j < 0 or k < 0:
                 raise SupportError(f"exponents must be non-negative, got ({j}, {k})")
             if j + k > degree:
                 raise SupportError(f"term ({j}, {k}) exceeds degree {degree}")
-            if (j, k) in seen:
+            if (j, k) in cleaned:
                 raise SupportError(f"duplicate term ({j}, {k})")
-            value = to_rational(coeff)
             if value == 0:
                 raise SupportError(f"term ({j}, {k}) has zero coefficient")
-            seen.add((j, k))
-            cleaned.append((j, k, value))
-        return cls(degree, tuple(sorted(cleaned)))
-
-    def coefficient(self, j: int, k: int) -> Fraction:
-        for tj, tk, coeff in self.terms:
-            if (tj, tk) == (j, k):
-                return coeff
-        return Fraction(0)
+            cleaned[j, k] = value
+        return cls(degree, tuple([(j, k, value) for (j, k), value in sorted(cleaned.items())]))
 
 
 @dataclass(frozen=True)
@@ -80,9 +90,6 @@ class Polygon:
     """Lower-left boundary vertices: j strictly increasing, k strictly decreasing."""
 
     vertices: tuple[tuple[int, int], ...]
-
-    def sides(self) -> list[Side]:
-        return [(self.vertices[i], self.vertices[i + 1]) for i in range(len(self.vertices) - 1)]
 
 
 @dataclass(frozen=True)
@@ -124,19 +131,13 @@ def newton_polygon(support: MonomialSupport) -> Polygon:
     """
     if not support.terms:
         raise SupportError("empty support has no polygon")
-    points = sorted({(j, k) for j, k, _ in support.terms})
-    lowest: dict[int, int] = {}
-    for j, k in points:
-        lowest[j] = min(lowest.get(j, k), k)
-    frontier: list[tuple[int, int]] = []
-    best = None
-    for j in sorted(lowest):
-        k = lowest[j]
-        if best is None or k < best:
-            frontier.append((j, k))
-            best = k
+    # In (j, k) order the first term of each j has its lowest k, and a term
+    # joins the staircase only below the last one kept.
     hull: list[tuple[int, int]] = []
-    for p in frontier:
+    for j, k, _ in support.terms:
+        if hull and k >= hull[-1][1]:
+            continue
+        p = (j, k)
         while len(hull) >= 2 and _cross(hull[-2], hull[-1], p) <= 0:
             hull.pop()
         hull.append(p)
@@ -145,11 +146,8 @@ def newton_polygon(support: MonomialSupport) -> Polygon:
 
 def qualifying_sides(polygon: Polygon) -> list[Side]:
     """The polygon sides of slope strictly between -1 and 0, left to right."""
-    out = []
-    for (j0, k0), (j1, k1) in polygon.sides():
-        if 0 < k0 - k1 < j1 - j0:
-            out.append(((j0, k0), (j1, k1)))
-    return out
+    vertices = polygon.vertices
+    return [((j0, k0), (j1, k1)) for (j0, k0), (j1, k1) in zip(vertices, vertices[1:]) if 0 < k0 - k1 < j1 - j0]
 
 
 def side_data(support: MonomialSupport, side: Side) -> SideData:
@@ -190,9 +188,9 @@ def local_invariants(support: MonomialSupport) -> tuple[int, int | None]:
     """
     if not support.terms:
         raise SupportError("empty support")
-    if support.coefficient(0, 0) != 0:
-        raise SupportError("point not on curve: the support contains (0, 0)")
     multiplicity = min(j + k for j, k, _ in support.terms)
+    if multiplicity == 0:
+        raise SupportError("point not on curve: the support contains (0, 0)")
     on_line = [j for j, k, _ in support.terms if k == 0]
     contact = min(on_line) if on_line else None
     return multiplicity, contact
@@ -292,8 +290,6 @@ def yun_squarefree(p: Sequence[RationalLike]) -> list[tuple[int, Poly]]:
     if not coeffs:
         raise ValueError("zero polynomial has no squarefree decomposition")
     out: list[tuple[int, Poly]] = []
-    if len(coeffs) == 1:
-        return out
     scale = lcm(*(c.denominator for c in coeffs))
     f = _primitive([c.numerator * (scale // c.denominator) for c in coeffs])
     df = poly_derivative(f)

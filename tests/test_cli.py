@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitdeg import cli, corpus, engine, model
+from orbitdeg import cli, corpus, engine, model, newton
 from oracles import TruncSeries
 from strategies import descriptors, supports
 
@@ -182,18 +182,14 @@ def test_contribution_negative_fraction_values(capsys, spaced, joined, code):
 
 
 def test_usage_errors_are_one_line(capsys):
-    with pytest.raises(SystemExit) as exited:
-        cli.main(["contribution", "truncation", "--ell", "1", "--W", "1/0", "--s", "1"])
-    assert exited.value.code == 2
-    captured = capsys.readouterr()
-    assert (captured.out, captured.err) == ("", "error: argument --W/--weight: invalid rational literal: '1/0'\n")
+    argv = ["contribution", "truncation", "--ell", "1", "--W", "1/0", "--s", "1"]
+    assert run(capsys, *argv) == (2, "", "error: argument --W/--weight: invalid rational literal: '1/0'\n")
 
 
 def test_help_still_prints_usage(capsys):
-    with pytest.raises(SystemExit) as exited:
-        cli.main(["contribution", "--help"])
-    assert exited.value.code == 0
-    assert capsys.readouterr().out.startswith("usage: orbitdeg contribution [-h]")
+    code, out, _ = run(capsys, "contribution", "--help")
+    assert code == 0
+    assert out.startswith("usage: orbitdeg contribution [-h]")
 
 
 def test_contribution_multiple_point_with_a_huge_m(capsys):
@@ -277,6 +273,18 @@ def test_stabilizer_that_does_not_divide_is_one_error_line(capsys, conic_path, l
     )
 
 
+@pytest.mark.parametrize(
+    "command, args, message",
+    [
+        ("scale", ["--multiple", "0"], "scaling multiple must be a positive integer"),
+        ("union", ["--crossings", "-1"], "intersection counts must be >= 0"),
+    ],
+)
+def test_bad_multiple_or_count_is_one_error_line(capsys, conic_path, command, args, message):
+    paths = [conic_path] * (2 if command == "union" else 1)
+    assert run(capsys, command, *paths, *args) == (1, "", f"error: {message}\n")
+
+
 def test_scale_command(capsys, line_path):
     code, out, _ = run(capsys, "scale", line_path, "--multiple", "2")
     assert code == 0
@@ -340,6 +348,26 @@ def test_corpus_missing_dir(capsys, tmp_path):
     assert "not found" in err
 
 
+def test_corpus_empty_dir(capsys, tmp_path):
+    assert run(capsys, "corpus", "--dir", str(tmp_path)) == (2, "", f"error: no fixtures in {tmp_path}\n")
+
+
+@pytest.mark.parametrize(
+    "expected, failures",
+    [
+        ({"predegree": "8", "bogus": 1}, ["unknown expected keys: ['bogus']"]),
+        ({"orbit_dimension": 4}, ["orbit_dimension: expected 4, got 5"]),
+        ({"a": {"5": "8", "4": "3/2"}}, ["a4: expected 3/2, got 16"]),
+        ({"app": ["1", "2"]}, ["app: expected ['1', '2'], got ['1', '2', '2', '4/3', '2/3', '1/15', '0', '0', '0']"]),
+    ],
+)
+def test_check_fixture_names_each_mismatch(tmp_path, expected, failures):
+    good = json.loads((corpus.corpus_dir() / "smooth-conic.json").read_text(encoding="utf-8"))
+    path = tmp_path / "conic.json"
+    path.write_text(json.dumps(dict(good, expected=expected)), encoding="utf-8")
+    assert corpus.check_fixture(path).failures == failures
+
+
 def test_compute_oversized_integer_is_a_parse_error(capsys, tmp_path):
     path = tmp_path / "big.json"
     path.write_text('{"degree": ' + "9" * 5000 + "}", encoding="utf-8")
@@ -385,6 +413,32 @@ def test_newton_malformed_input_messages(capsys, tmp_path, text, message):
     assert code == 1
     assert out == ""
     assert err == f"error: {path}: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "degree, terms, message",
+    [
+        (4, [[0, 2, 1], [1.7, 1, 1]], "term 1: expected [j, k, coefficient] with integer j and k, got [1.7, 1, 1]"),
+        (4, [[0, 2, 1], [True, 1, 1]], "term 1: expected [j, k, coefficient] with integer j and k, got [True, 1, 1]"),
+        (4, [[0, 2, 1], ["1", 1, 1]], "term 1: expected [j, k, coefficient] with integer j and k, got ['1', 1, 1]"),
+        (4, [[0, 2]], "term 0: expected [j, k, coefficient] with integer j and k, got [0, 2]"),
+        (4, [[0, 2, 1], [0, 1, 1.5]], "term 1: cannot interpret float as a rational"),
+        (4, [[0, 2, "1/0"]], "term 0: invalid rational literal: '1/0'"),
+        (4, [[0, 2, True]], "term 0: booleans are not rational numbers"),
+        (4, [[0, 2, 1], [0, 2, "2"]], "duplicate term (0, 2)"),
+        (4, [[0, 2, "0/3"]], "term (0, 2) has zero coefficient"),
+        (4, [[0, -1, 1]], "exponents must be non-negative, got (0, -1)"),
+        (4, [[3, 2, 1]], "term (3, 2) exceeds degree 4"),
+        (0, [[0, 2, 1]], "degree must be a positive integer"),
+    ],
+)
+def test_newton_prints_the_library_term_checks(capsys, tmp_path, degree, terms, message):
+    with pytest.raises(newton.SupportError) as raised:
+        newton.MonomialSupport.from_terms(degree, terms)
+    assert str(raised.value) == message
+    path = tmp_path / "support.json"
+    path.write_text(json.dumps({"degree": degree, "terms": terms}), encoding="utf-8")
+    assert run(capsys, "newton", str(path)) == (1, "", f"error: {path}: {message}\n")
 
 
 @pytest.mark.parametrize(
@@ -531,10 +585,7 @@ def fixture_documents(draw):
 def assert_clean_exit(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exited:  # a usage error, from the argument parser
-            code = exited.code
+        code = cli.main(argv)
     assert code in (0, 1, 2), argv
     assert err.getvalue().count("\n") <= 1 and "Traceback" not in err.getvalue(), (argv, err.getvalue())
 

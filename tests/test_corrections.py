@@ -259,6 +259,11 @@ def test_quadratic_route_rederives_tangent_cone(mults):
     assert rederived == corrections.tangent_cone_correction(mults).term
 
 
+def test_quadratic_route_refuses_a_covering_degree_below_one():
+    with pytest.raises(corrections.FeatureError, match="^the covering degree must be a positive integer$"):
+        corrections.local_correction_from_quadratic(7, -3, 2, 4, delta=0)
+
+
 def test_quadratic_route_linear_in_delta():
     single = corrections.local_correction_from_quadratic(7, -3, 2, 4, delta=1).term
     triple = corrections.local_correction_from_quadratic(7, -3, 2, 4, delta=3).term

@@ -207,6 +207,22 @@ def test_degree_requires_divisibility():
         engine.assemble(descriptor)
 
 
+@pytest.mark.parametrize(
+    "combine, message",
+    [
+        (lambda r: engine.union(r, r, crossings=-1), "intersection counts must be >= 0"),
+        (lambda r: engine.union(r, r, line_crossings=-2), "intersection counts must be >= 0"),
+        (lambda r: engine.union(r, r, tangencies=-1), "intersection counts must be >= 0"),
+        (lambda r: engine.scale(r, 0), "scaling multiple must be a positive integer"),
+        (lambda r: engine.scale(r, -3), "scaling multiple must be a positive integer"),
+    ],
+)
+def test_union_and_scale_refuse_bad_counts(combine, message):
+    with pytest.raises(engine.EngineError) as raised:
+        combine(engine.assemble(CONIC))
+    assert str(raised.value) == message
+
+
 def test_union_conic_and_line():
     report = engine.union(
         engine.assemble(CONIC), engine.assemble(LINE), line_crossings=2, stabilizer_degree=4

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -104,6 +105,60 @@ def test_resolved_flex_count():
         flexes="auto",
     )
     assert model.resolved_flex_count(cubic) == 1
+    # a hyperflex (contact 4) takes two of the quartic's 3d(d-2) = 24
+    quartic = model.CurveDescriptor(
+        degree=4, nonlinear=(model.NonlinearComponent(4, 1),), points=(model.FlexPoint(4),), flexes="auto"
+    )
+    assert model.resolved_flex_count(quartic) == 22
+
+
+CONIC = model.NonlinearComponent(2, 1)
+
+
+@pytest.mark.parametrize(
+    "problems, expected",
+    [
+        (lambda: model.validate(model.CurveDescriptor(0)), ["degree: degree must be a positive integer"]),
+        (
+            lambda: model.validate(model.CurveDescriptor(2, nonlinear=(CONIC,), points=(model.FlexPoint(2),))),
+            ["points[0].contact: flex contact order must be >= 3"],
+        ),
+        (
+            lambda: model.validate(model.CurveDescriptor(2, nonlinear=(CONIC,), points=(model.CompositePoint(absorbed_flexes=-1),))),
+            ["points[0].absorbed_flexes: absorbed flex count must be >= 0"],
+        ),
+        (
+            lambda: model.validate(model.CurveDescriptor(2, nonlinear=(CONIC,), flexes="three")),
+            ['flexes: flex count must be an integer or "auto"'],
+        ),
+        (
+            lambda: model.validate(model.CurveDescriptor(2, nonlinear=(CONIC,), stabilizer_degree=0)),
+            ["stabilizer_degree: stabilizer degree must be a positive integer"],
+        ),
+        (
+            lambda: model.irreducible_violations(model.IrreducibleSingularity(0, 3)),
+            ["singularity.m: multiplicity must be a positive integer"],
+        ),
+        (
+            lambda: model.irreducible_violations(model.IrreducibleSingularity(2, 3, (5, 5))),
+            ["singularity.essential[1]: exponents must be strictly increasing"],
+        ),
+        (
+            lambda: model.irreducible_violations(model.IrreducibleSingularity(2, 5, (3,))),
+            ["singularity.essential[0]: first exponent must be >= the contact order 5"],
+        ),
+        (
+            lambda: model.side_violations(model.NewtonSide(0, 2, 4, 0, (3, -1))),
+            ["side.s: root multiplicities must be positive"],
+        ),
+        (
+            lambda: model.truncation_violations(model.Truncation(0, Fraction(1), (1,))),
+            ["truncation.ell: ell must be a positive integer"],
+        ),
+    ],
+)
+def test_each_rule_names_its_field(problems, expected):
+    assert [str(v) for v in problems()] == expected
 
 
 def _point_doc(point):

@@ -81,6 +81,8 @@ def test_empty_support_rejected():
     empty = MonomialSupport(4, ())
     with pytest.raises(newton.SupportError):
         newton.newton_polygon(empty)
+    with pytest.raises(newton.SupportError, match="^empty support$"):
+        newton.local_invariants(empty)
 
 
 @settings(max_examples=500)
@@ -181,6 +183,12 @@ def test_yun_squarefree_input():
     p = [F(6), F(-5), F(1)]  # (t-2)(t-3)
     result = yun_squarefree(p)
     assert [(mult, len(factor) - 1) for mult, factor in result] == [(1, 2)]
+
+
+def test_yun_zero_and_constant():
+    with pytest.raises(ValueError, match="^zero polynomial has no squarefree decomposition$"):
+        yun_squarefree([F(0), 0, "0"])
+    assert yun_squarefree([F(-3, 2), 0]) == []
 
 
 def test_poly_gcd_is_primitive_with_positive_lead():
