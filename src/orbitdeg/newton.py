@@ -11,9 +11,17 @@ Root multiplicities are obtained without factoring: a squarefree
 decomposition over the rationals already reveals how many roots (over
 the algebraic closure) occur with each multiplicity, which is all the
 downstream power sums need.  The decomposition is Yun's algorithm run
-over the integers with a primitive polynomial-remainder-sequence gcd,
-which keeps coefficients from growing the way Euclid's algorithm over Q
-makes them grow.
+over the integers.  Each of its gcds comes with the two exact quotients
+Yun needs next, from the heuristic gcd GCDHEU: evaluate at one large
+integer, take the integer gcd and read it back as a polynomial, which
+is accepted only when it divides both inputs exactly.  When a few
+evaluation points fail, the primitive polynomial remainder sequence
+decides.  Neither route lets coefficients grow the way Euclid's
+algorithm over Q makes them grow.
+
+A side's lattice span, and with it the work on the side, grows with the
+curve's degree rather than with the size of the input, so supports of
+degree above MAX_DEGREE are refused.
 
 Univariate polynomials are plain lists of integers, constant term first,
 with no trailing zeros; only the reported squarefree factors are monic
@@ -27,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, lcm
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from . import model
 from .series import RationalLike, to_rational
@@ -40,6 +48,13 @@ Side = tuple[tuple[int, int], tuple[int, int]]
 
 class SupportError(ValueError):
     """The monomial support is unusable for the requested operation."""
+
+
+#: The largest degree `MonomialSupport.from_terms` accepts.  A side's
+#: lattice span, and with it the coefficient list and the side polynomial,
+#: grows with the degree, not with the number of terms; the bound keeps a
+#: short input from asking for unbounded work.
+MAX_DEGREE = 10_000
 
 
 @dataclass(frozen=True)
@@ -59,9 +74,11 @@ class MonomialSupport:
         list or a tuple.  The exponents must be exactly `int`: a float, a
         string or a boolean is rejected rather than rounded or coerced.  The
         coefficient is anything `to_rational` reads; a bad term is reported
-        with its index."""
+        with its index.  The degree must lie in 1..MAX_DEGREE."""
         if degree < 1:
             raise SupportError("degree must be a positive integer")
+        if degree > MAX_DEGREE:
+            raise SupportError(f"degree must be at most {MAX_DEGREE}")
         cleaned: dict[tuple[int, int], Fraction] = {}
         for index, term in enumerate(terms):
             if not (isinstance(term, (list, tuple)) and len(term) == 3 and type(term[0]) is int and type(term[1]) is int):
@@ -151,32 +168,25 @@ def qualifying_sides(polygon: Polygon) -> list[Side]:
 
 
 def side_data(support: MonomialSupport, side: Side) -> SideData:
-    """Coefficients along a side and the multiplicity profile of its roots."""
+    """Coefficients along a side and the multiplicity profile of its roots.
+
+    Both endpoints must be terms of the support, as they are for every
+    side `qualifying_sides` returns; otherwise this raises SupportError.
+    """
     (j0, k0), (j1, k1) = side
+    lookup = {(j, k): coeff for j, k, coeff in support.terms}
+    for end in (j0, k0), (j1, k1):
+        if end not in lookup:
+            raise SupportError(f"side endpoint {end} is not a term of the support")
     span = gcd(j1 - j0, k0 - k1)
     step_j = (j1 - j0) // span
     step_k = (k0 - k1) // span
-    lookup = {(j, k): coeff for j, k, coeff in support.terms}
     zero = Fraction(0)
     gammas = tuple(lookup.get((j0 + t * step_j, k0 - t * step_k), zero) for t in range(span + 1))
-    # Dehomogenize the side polynomial at the second coordinate; the
-    # coefficient of xi^u is gamma_{span - u}.
-    coeffs: Poly = [gammas[span - u] for u in range(span + 1)]
-    leading_zeros = 0
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-        leading_zeros += 1
-    profile: list[tuple[int, int]] = []
-    if leading_zeros:
-        # Root at infinity; cannot occur for genuine polygon sides, whose
-        # endpoint coefficients are nonzero, but kept for odd inputs.
-        profile.append((leading_zeros, 1))
-    if coeffs and len(coeffs) > 1:
-        for mult, factor in yun_squarefree(coeffs):
-            degree = len(factor) - 1
-            if degree > 0:
-                profile.append((mult, degree))
-    profile.sort(reverse=True)
+    # Dehomogenize the side polynomial at the second coordinate: the
+    # coefficient of xi^u is gamma_{span - u}, and with both end
+    # coefficients nonzero it has degree span: every root is finite.
+    profile = sorted(((mult, len(factor) - 1) for mult, factor in yun_squarefree(gammas[::-1])), reverse=True)
     return SideData(j0, k0, j1, k1, span, gammas, tuple(profile))
 
 
@@ -264,18 +274,92 @@ def _pseudo_remainder(a: Sequence[int], b: Sequence[int]) -> ZPoly:
     return r
 
 
-def poly_gcd(a: Sequence[int], b: Sequence[int]) -> ZPoly:
-    """Greatest common divisor in Z[x] by the primitive polynomial remainder
-    sequence (Knuth, TAOCP vol. 2, 4.6.1): each pseudo-remainder is divided
-    by its content.  The result is primitive with a positive leading
-    coefficient."""
-    a = _primitive(_trim(list(a)))
-    b = _primitive(_trim(list(b)))
+def _prs_gcd(a: ZPoly, b: ZPoly) -> ZPoly:
+    """gcd of two primitive polynomials by the primitive polynomial
+    remainder sequence (Knuth, TAOCP vol. 2, 4.6.1): each pseudo-remainder
+    is divided by its content."""
     if len(a) < len(b):
         a, b = b, a
     while b:
         a, b = b, _primitive(_pseudo_remainder(a, b))
     return a
+
+
+def _evaluate(p: Sequence[int], xi: int) -> int:
+    value = 0
+    for c in reversed(p):
+        value = value * xi + c
+    return value
+
+
+def _balanced_digits(value: int, xi: int) -> ZPoly:
+    """The polynomial whose value at xi is `value`, with every coefficient
+    in (-xi/2, xi/2]."""
+    digits: ZPoly = []
+    while value:
+        value, digit = divmod(value, xi)
+        if 2 * digit > xi:
+            digit -= xi
+            value += 1
+        digits.append(digit)
+    return digits
+
+
+def _exact_quotients(g: ZPoly, *polys: ZPoly) -> list[ZPoly] | None:
+    """Each poly divided by g, or None unless g divides every one exactly."""
+    quotients = []
+    for p in polys:
+        try:
+            quotient, remainder = poly_divmod(p, g)
+        except ArithmeticError:
+            return None
+        if remainder:
+            return None
+        quotients.append(quotient)
+    return quotients
+
+
+#: Evaluation points the heuristic gcd tries before the PRS decides.
+_HEURISTIC_TRIES = 4
+
+
+def _heuristic_candidates(a: ZPoly, b: ZPoly) -> Iterator[ZPoly]:
+    """GCDHEU's gcd candidates for two nonzero primitive polynomials
+    (Char, Geddes and Gonnet, J. Symbolic Comput. 7, 1989): the primitive
+    part of the balanced base-xi digits of gcd(a(xi), b(xi)), for xi
+    squared at every try.  Every xi is at least 2 min(|a|, |b|) + 2 in
+    the max norm, so a candidate that divides both a and b is their gcd
+    (Geddes, Czapor and Labahn, Algorithms for Computer Algebra, Thm 7.7)."""
+    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
+    for _ in range(_HEURISTIC_TRIES):
+        yield _primitive(_balanced_digits(gcd(_evaluate(a, xi), _evaluate(b, xi)), xi))
+        xi *= xi
+
+
+def _gcd_cofactors(a: Sequence[int], b: Sequence[int]) -> tuple[ZPoly, ZPoly, ZPoly]:
+    """(g, a/g, b/g) for g the gcd `poly_gcd` returns, with both quotients
+    exact.  The heuristic gcd proposes g and exact division accepts it,
+    which gives the quotients too; when every candidate fails, the PRS
+    finds g.  gcd(p, 0) is the primitive part of p, and gcd(0, 0) is 0
+    with zero quotients."""
+    a, b = _trim(list(a)), _trim(list(b))
+    pa, pb = _primitive(a), _primitive(b)
+    if not (pa and pb):
+        g = pa or pb
+        return (g, *_exact_quotients(g, a, b)) if g else ([], [], [])
+    for g in _heuristic_candidates(pa, pb):
+        quotients = _exact_quotients(g, a, b)
+        if quotients:
+            return g, *quotients
+    g = _prs_gcd(pa, pb)
+    return g, *_exact_quotients(g, a, b)
+
+
+def poly_gcd(a: Sequence[int], b: Sequence[int]) -> ZPoly:
+    """Greatest common divisor in Z[x], primitive with a positive leading
+    coefficient: the heuristic gcd, with the primitive polynomial
+    remainder sequence behind it (see `_gcd_cofactors`)."""
+    return _gcd_cofactors(a, b)[0]
 
 
 def yun_squarefree(p: Sequence[RationalLike]) -> list[tuple[int, Poly]]:
@@ -292,18 +376,13 @@ def yun_squarefree(p: Sequence[RationalLike]) -> list[tuple[int, Poly]]:
     out: list[tuple[int, Poly]] = []
     scale = lcm(*(c.denominator for c in coeffs))
     f = _primitive([c.numerator * (scale // c.denominator) for c in coeffs])
-    df = poly_derivative(f)
-    g = poly_gcd(f, df)
-    b, _ = poly_divmod(f, g)
-    c, _ = poly_divmod(df, g)
+    _, b, c = _gcd_cofactors(f, poly_derivative(f))
     d = _difference(c, poly_derivative(b))
     i = 1
     while len(b) > 1:
-        factor = poly_gcd(b, d)
+        factor, b, c = _gcd_cofactors(b, d)
         if len(factor) > 1:
             out.append((i, [Fraction(x, factor[-1]) for x in factor]))
-        b, _ = poly_divmod(b, factor)
-        c, _ = poly_divmod(d, factor)
         d = _difference(c, poly_derivative(b))
         i += 1
     return out

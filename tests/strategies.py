@@ -14,7 +14,11 @@ each kind, supports of at most a dozen terms.
   curve;
 - `cusp_curves`: line-free curves whose special points are (t^m, t^n)
   points, for the closed-form predegree;
-- `supports`: monomial supports for the Newton-polygon toolkit.
+- `supports`: monomial supports for the Newton-polygon toolkit;
+- `branch_curves`: curves that are products of branches z = c y^e, whose
+  polygon and root multiplicities are known;
+- `planted_gcd_pairs`: integer polynomials with a common factor, for the
+  squarefree step's gcd.
 """
 
 from __future__ import annotations
@@ -216,3 +220,30 @@ def supports(draw, min_terms: int = 1) -> newton.MonomialSupport:
     coefficients."""
     cells = draw(st.lists(st.integers(0, 99), min_size=min_terms, max_size=12, unique=True))
     return newton.MonomialSupport.from_terms(18, [(*divmod(c, 10), draw(_COEFFICIENTS)) for c in cells])
+
+
+@st.composite
+def branch_curves(draw) -> list[tuple[int, int]]:
+    """1..6 branches z = c y^e as pairs (c, e), with c in {1, -1, 2, -2, 3}
+    and e in 2..5."""
+    return draw(st.lists(st.tuples(st.sampled_from((1, -1, 2, -2, 3)), st.integers(2, 5)), min_size=1, max_size=6))
+
+
+_BIG = st.integers(-(2**100), 2**100)
+
+
+def _int_polys(min_size: int) -> st.SearchStrategy[list[int]]:
+    return st.lists(_BIG, min_size=min_size, max_size=4).filter(lambda p: not p or p[-1])
+
+
+@st.composite
+def planted_gcd_pairs(draw) -> tuple[list[int], list[int]]:
+    """Integer polynomials a = g u and b = g v (constant term first, no
+    trailing zeros) for drawn g, u and v of degree up to 3 with
+    coefficients of up to 100 bits.  u or v may be zero; in about one pair
+    in five one side is replaced by zero or a nonzero constant."""
+    common = draw(_int_polys(1))
+    a, b = ([int(c) for c in oracles.poly_mul(common, draw(_int_polys(0)))] for _ in range(2))
+    if draw(st.integers(0, 4)) == 0:
+        a = draw(st.lists(_BIG.filter(bool), max_size=1))
+    return (a, b) if draw(st.booleans()) else (b, a)

@@ -430,6 +430,9 @@ def test_newton_malformed_input_messages(capsys, tmp_path, text, message):
         (4, [[0, -1, 1]], "exponents must be non-negative, got (0, -1)"),
         (4, [[3, 2, 1]], "term (3, 2) exceeds degree 4"),
         (0, [[0, 2, 1]], "degree must be a positive integer"),
+        (10_001, [[0, 2, 1]], "degree must be at most 10000"),
+        (10**12, [[0, 2, 1]], "degree must be at most 10000"),
+        (2**64, [[0, 2, 1], [3, 0, 1]], "degree must be at most 10000"),
     ],
 )
 def test_newton_prints_the_library_term_checks(capsys, tmp_path, degree, terms, message):
@@ -515,12 +518,12 @@ def test_corpus_bad_fixtures_fail_without_stopping_replay(capsys, tmp_path):
 # -- malformed input ------------------------------------------------------------
 
 #: Far beyond any real curve, yet cheap on every path one edit can reach.
-#: Two paths cost time and memory in proportion to a value, and no single
-#: edit of these inputs gets there: `newton.side_data` walks a side's
-#: lattice span, bounded by exponents that must stay within the degree,
-#: and the `ordinary_multiple_point` shorthand builds m tangent lines, but
-#: a drawn shorthand has a contact, and with a huge m that contact is
-#: rejected (it must be at least m + 1) before any line is built.
+#: `newton.side_data` walks a side's lattice span, bounded by exponents
+#: that must stay within the degree, and `MonomialSupport.from_terms`
+#: refuses a degree above `newton.MAX_DEGREE` before it reads a term.  The
+#: `ordinary_multiple_point` shorthand builds m tangent lines, but a drawn
+#: shorthand has a contact, and with a huge m that contact is rejected (it
+#: must be at least m + 1) before any line is built.
 #: `contribution multiple-point` takes its m lines in closed form, so a
 #: huge `--m` is cheap there.
 HUGE = (10**12, 2**64)

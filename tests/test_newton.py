@@ -1,5 +1,6 @@
 """Polygon extraction, side data, squarefree decomposition, local invariants."""
 
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -10,7 +11,7 @@ import oracles
 from oracles import poly_derivative, poly_monic, poly_mul
 from orbitdeg import newton
 from orbitdeg.newton import MonomialSupport, yun_squarefree
-from strategies import rationals, supports
+from strategies import branch_curves, planted_gcd_pairs, rationals, supports
 
 # the quartic (y^2 - x z)^2 = y^3 z written out at the point (1:0:0), tangent z = 0
 QUARTIC_TERMS = [(4, 0, 1), (2, 1, -2), (0, 2, 1), (3, 1, -1)]
@@ -120,16 +121,13 @@ def test_side_data_two_simple_roots():
 
 
 def test_side_data_missing_endpoint_coefficients():
-    # not a hull side: the defensive paths for vanishing end coefficients
+    # not a hull side: a side whose end is not a support term is refused
     supp = support(4, [(2, 1, -2), (4, 0, 1)])
-    data = newton.side_data(supp, ((0, 2), (4, 0)))
-    assert data.gammas == (F(0), F(-2), F(1))
-    # one root at infinity plus one finite root
-    assert sum(mult * count for mult, count in data.profile) == 2
+    with pytest.raises(newton.SupportError, match=r"^side endpoint \(0, 2\) is not a term of the support$"):
+        newton.side_data(supp, ((0, 2), (4, 0)))
     supp2 = support(4, [(0, 2, 1), (2, 1, -2)])
-    data2 = newton.side_data(supp2, ((0, 2), (4, 0)))
-    assert data2.gammas == (F(1), F(-2), F(0))
-    assert sum(mult * count for mult, count in data2.profile) == 2
+    with pytest.raises(newton.SupportError, match=r"^side endpoint \(4, 0\) is not a term of the support$"):
+        newton.side_data(supp2, ((0, 2), (4, 0)))
 
 
 @settings(max_examples=200)
@@ -139,6 +137,49 @@ def test_side_data_random_invariants(supp):
         data = newton.side_data(supp, side)
         assert data.gammas[0] != 0 and data.gammas[-1] != 0
         assert sum(mult * count for mult, count in data.profile) == data.span
+
+
+def expand_branches(branches):
+    """The terms (j, k, coefficient) of the product of z - c y^e over the
+    branches (c, e)."""
+    product = {(0, 0): 1}
+    for c, e in branches:
+        step = Counter()
+        for (j, k), coeff in product.items():
+            step[j, k + 1] += coeff
+            step[j + e, k] -= c * coeff
+        product = step
+    return [(j, k, coeff) for (j, k), coeff in sorted(product.items()) if coeff]
+
+
+@settings(max_examples=200)
+@given(branch_curves())
+def test_sides_of_a_product_of_branches(branches):
+    # z = c y^e has slope -1/e: the branches with one e make one side,
+    # steepest first, and k equal c on it make a root of multiplicity k
+    terms = expand_branches(branches)
+    supp = support(max(j + k for j, k, _ in terms), terms)
+    by_exponent = {}
+    for c, e in branches:
+        by_exponent.setdefault(e, Counter())[c] += 1
+    vertices = [(0, len(branches))]
+    expected = []
+    for e, by_c in sorted(by_exponent.items()):
+        j, k = vertices[-1]
+        count = sum(by_c.values())
+        vertices.append((j + e * count, k - count))
+        expected.append((tuple(vertices[-2:]), tuple(sorted(by_c.values(), reverse=True))))
+    polygon = newton.newton_polygon(supp)
+    assert polygon.vertices == tuple(vertices)
+    assert [(side, newton.side_data(supp, side).s_values()) for side in newton.qualifying_sides(polygon)] == expected
+
+
+def test_tacnode_side():
+    # (z - y^2)(z - 2y^2): two smooth branches tangent to z = 0, apart at second order
+    supp = support(4, [(0, 2, 1), (2, 1, -3), (4, 0, 2)])
+    [side] = newton.qualifying_sides(newton.newton_polygon(supp))
+    assert side == ((0, 2), (4, 0))
+    assert newton.side_data(supp, side).s_values() == (1, 1)
 
 
 def test_local_invariants_quartic():
@@ -213,15 +254,22 @@ def test_poly_divmod_is_exact_division_over_the_integers():
 nonzero_rationals = rationals().filter(bool)
 # a factor of degree 1 to 3 whose leading coefficient need not be 1
 factors = st.builds(lambda low, lead: [*low, lead], st.lists(rationals(), min_size=1, max_size=3), nonzero_rationals)
+factor_blocks = st.lists(st.tuples(factors, st.integers(1, 3)), min_size=1, max_size=3)
 
 
-@settings(max_examples=150)
-@given(st.lists(st.tuples(factors, st.integers(1, 3)), min_size=1, max_size=3), nonzero_rationals)
-def test_yun_properties(blocks, lead):
+def power_product(blocks, lead=F(1)):
+    """lead times the product of factor**mult over the blocks (factor, mult)."""
     product = [lead]
     for factor, mult in blocks:
         for _ in range(mult):
             product = poly_mul(product, factor)
+    return product
+
+
+@settings(max_examples=150)
+@given(factor_blocks, nonzero_rationals)
+def test_yun_properties(blocks, lead):
+    product = power_product(blocks, lead)
     result = yun_squarefree(product)
     assert result == oracles.yun_squarefree(product)
     rebuilt = [F(1)]
@@ -238,6 +286,8 @@ def test_yun_properties(blocks, lead):
 
 
 def _int_mul(a, b):
+    if not (a and b):
+        return []
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         for j, y in enumerate(b):
@@ -271,16 +321,53 @@ def _blocks_product(degree):
     return product, sorted(by_mult.items())
 
 
-@pytest.mark.parametrize("degree", [78, 100])
-def test_yun_high_degree_product(degree):
+@pytest.mark.parametrize("degree", [78, 100, 160])
+def test_yun_high_degree_product(monkeypatch, degree):
     # Euclid over Q took seconds at degree 78: its remainder coefficients
-    # grow to thousands of bits
+    # grow to thousands of bits; the PRS took seconds at degree 160, and
+    # the heuristic gcd settles every step here without it
+    prs_calls = []
+    prs_gcd = newton._prs_gcd
+    monkeypatch.setattr(newton, "_prs_gcd", lambda a, b: prs_calls.append(1) or prs_gcd(a, b))
     product, expected = _blocks_product(degree)
     result = yun_squarefree(product)
     assert [(mult, [int(c) for c in factor]) for mult, factor in result] == expected
     assert all(c.denominator == 1 for _, factor in result for c in factor)
+    assert prs_calls == []
     rebuilt = [1]
     for mult, factor in expected:
         for _ in range(mult):
             rebuilt = _int_mul(rebuilt, factor)
     assert [-3 * c for c in rebuilt] == product
+
+
+def _primitive_prs_gcd(a, b):
+    return newton._prs_gcd(newton._primitive(a), newton._primitive(b))
+
+
+@settings(max_examples=300)
+@given(planted_gcd_pairs())
+def test_gcd_matches_the_prs_with_exact_cofactors(pair):
+    a, b = pair
+    g, a_over_g, b_over_g = newton._gcd_cofactors(a, b)
+    assert newton.poly_gcd(a, b) == g == _primitive_prs_gcd(a, b)
+    assert _int_mul(g, a_over_g) == a and _int_mul(g, b_over_g) == b
+
+
+@settings(max_examples=100)
+@given(planted_gcd_pairs(), factor_blocks)
+def test_prs_answers_when_every_heuristic_candidate_fails(pair, blocks):
+    def refused(a, b):
+        tried.append(1)
+        yield [0] * (len(a) + len(b)) + [1]  # x^n, n above both degrees, divides neither
+
+    product = power_product(blocks)
+    tried = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(newton, "_heuristic_candidates", refused)
+        g = newton.poly_gcd(*pair)
+        result = yun_squarefree(product)
+    assert tried
+    assert g == _primitive_prs_gcd(*pair)
+    assert poly_monic(g) == oracles.poly_gcd(*pair)
+    assert result == oracles.yun_squarefree(product)
