@@ -11,7 +11,6 @@ multiplicities plus local features of their special points.
 from .corrections import (
     Correction,
     flex_correction,
-    flexes_absorbed,
     irreducible_correction,
     line_correction,
     local_correction_from_quadratic,
@@ -34,12 +33,10 @@ from .model import (
     CurveDescriptor,
     DescriptorError,
     FlexPoint,
-    IrreduciblePoint,
     IrreducibleSingularity,
     LinearComponent,
     NewtonSide,
     NonlinearComponent,
-    TangentCone,
     Truncation,
     Violation,
     parse,
@@ -58,7 +55,6 @@ __all__ = [
     "DescriptorError",
     "EngineError",
     "FlexPoint",
-    "IrreduciblePoint",
     "IrreducibleSingularity",
     "LinearComponent",
     "MonomialSupport",
@@ -67,14 +63,12 @@ __all__ = [
     "OrbitReport",
     "Polygon",
     "SideData",
-    "TangentCone",
     "Truncation",
     "TruncSeries",
     "ValidationError",
     "Violation",
     "assemble",
     "flex_correction",
-    "flexes_absorbed",
     "irreducible_correction",
     "line_correction",
     "local_correction_from_quadratic",

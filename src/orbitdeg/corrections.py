@@ -255,18 +255,6 @@ def irreducible_correction(sing: model.IrreducibleSingularity) -> Correction:
     return _local(KIND_IRREDUCIBLE, -q0, -q1, -q2)
 
 
-def flexes_absorbed(sing: model.IrreducibleSingularity) -> int:
-    """How many ordinary inflections the singularity absorbs from the
-    3d(d-2) budget of a reduced line-free curve.
-
-    Never negative for a valid singularity: n >= m + 1 gives
-    3mn - 2m - 2n >= n - 2 >= 0, and the exponents increase, so no
-    later term of `absorbed_flex_count` is negative.
-    """
-    _check(model.irreducible_violations(sing))
-    return sing.absorbed_flex_count()
-
-
 #: The term of one ordinary inflection (contact 3): -H^6/48 + 3*H^7/70 -
 #: 197*H^8/4480 as the general contact formula gives it, and the same with
 #: the H^6 coefficient -1/42 that circulates in print.  The printed value is

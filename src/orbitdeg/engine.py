@@ -129,11 +129,11 @@ def _feature_corrections(
         else:
             single = corrections.irreducible_correction(model.IrreducibleSingularity(1, feature.contact))
             yield label, Correction(corrections.KIND_FLEX, single.a, single.den)
-    elif isinstance(feature, model.IrreduciblePoint):
-        yield label, corrections.irreducible_correction(feature.singularity)
+    elif isinstance(feature, model.IrreducibleSingularity):
+        yield label, corrections.irreducible_correction(feature)
     else:
         if feature.tangent_cone is not None:
-            yield f"{label}.tangent_cone", corrections.tangent_cone_correction(feature.tangent_cone.line_mults)
+            yield f"{label}.tangent_cone", corrections.tangent_cone_correction(feature.tangent_cone)
         for i, side in enumerate(feature.sides):
             if not side.suppress:
                 yield f"{label}.sides[{i}]", corrections.newton_side_correction(side)

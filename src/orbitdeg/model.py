@@ -86,13 +86,6 @@ class NonlinearComponent:
 
 
 @dataclass(frozen=True)
-class TangentCone:
-    """Multiplicities of the distinct lines in the tangent cone at a point."""
-
-    line_mults: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class NewtonSide:
     """A polygon side from (j0, k0) to (j1, k1) with the root
     multiplicities of its side polynomial.
@@ -126,16 +119,20 @@ class Truncation:
 
 @dataclass(frozen=True)
 class IrreducibleSingularity:
-    """An irreducible (one-branch) singularity.
+    """An irreducible (one-branch) singularity, and the point feature of
+    kind "irreducible".
 
     `m` is the multiplicity, `n` the contact order with the branch
     tangent, and `essential` the strictly increasing exponents that are
     not multiples of the running gcd.  `essential` may be empty.
     """
 
+    kind = "irreducible"
+
     m: int
     n: int
     essential: tuple[int, ...] = ()
+    label: Optional[str] = None
 
     def gcd_chain(self) -> tuple[int, ...]:
         """The chain d_0 = m, d_j = gcd(d_{j-1}, e_j)."""
@@ -152,7 +149,8 @@ class IrreducibleSingularity:
 
     def absorbed_flex_count(self) -> int:
         """How many ordinary inflections the singularity uses up:
-        (3mn - 2m - 2n) + 3 * sum (e_{j+1} - e_j)(d_j - 1) over `chain_steps`."""
+        (3mn - 2m - 2n) + 3 * sum (e_{j+1} - e_j)(d_j - 1) over `chain_steps`.
+        Never negative when valid: n >= m + 1 and the exponents increase."""
         m, n = self.m, self.n
         return 3 * m * n - 2 * m - 2 * n + 3 * sum(step * (d - 1) for step, d in self.chain_steps())
 
@@ -162,40 +160,38 @@ class FlexPoint:
     """A nonsingular point where the tangent meets the curve with the
     given contact order (>= 3)."""
 
+    kind = "flex"
+
     contact: int
-    label: Optional[str] = None
-
-
-@dataclass(frozen=True)
-class IrreduciblePoint:
-    singularity: IrreducibleSingularity
     label: Optional[str] = None
 
 
 @dataclass(frozen=True)
 class CompositePoint:
     """A point feature assembled from raw local data: an optional tangent
-    cone, polygon sides, truncations, and a user-supplied count of
-    absorbed inflections."""
+    cone (the multiplicities of its distinct lines), polygon sides,
+    truncations, and a user-supplied count of absorbed inflections."""
 
-    tangent_cone: Optional[TangentCone] = None
+    kind = "composite"
+
+    tangent_cone: Optional[tuple[int, ...]] = None
     sides: tuple[NewtonSide, ...] = ()
     truncations: tuple[Truncation, ...] = ()
     absorbed_flexes: int = 0
     label: Optional[str] = None
 
 
-PointFeature = Union[FlexPoint, IrreduciblePoint, CompositePoint]
+PointFeature = Union[FlexPoint, IrreducibleSingularity, CompositePoint]
 
 
 @dataclass(frozen=True)
 class CurveDescriptor:
     degree: int
+    stabilizer_degree: Optional[int] = None
+    flexes: Union[int, str] = 0
     linear: tuple[LinearComponent, ...] = ()
     nonlinear: tuple[NonlinearComponent, ...] = ()
     points: tuple[PointFeature, ...] = ()
-    flexes: Union[int, str] = 0
-    stabilizer_degree: Optional[int] = None
 
     def flexes_auto(self) -> bool:
         return self.flexes == AUTO_FLEXES
@@ -205,8 +201,8 @@ def absorbed_flexes(feature: PointFeature) -> int:
     """The number of ordinary inflections a feature removes from the budget."""
     if isinstance(feature, FlexPoint):
         return feature.contact - 2
-    if isinstance(feature, IrreduciblePoint):
-        return feature.singularity.absorbed_flex_count()
+    if isinstance(feature, IrreducibleSingularity):
+        return feature.absorbed_flex_count()
     return feature.absorbed_flexes
 
 
@@ -284,7 +280,7 @@ def ordinary_multiple_point(
 ) -> CompositePoint:
     """The composite point an ordinary multiple point of multiplicity m
     stands for: m reduced tangent-cone lines and its `branch_sides`."""
-    return CompositePoint(TangentCone((1,) * m), branch_sides(m, contacts), (), absorbed_flexes, label)
+    return CompositePoint((1,) * m, branch_sides(m, contacts), (), absorbed_flexes, label)
 
 
 def branch_sides(m: int, contacts: Sequence[int]) -> tuple[NewtonSide, ...]:
@@ -386,11 +382,11 @@ def validate(descriptor: CurveDescriptor) -> list[Violation]:
         if isinstance(feature, FlexPoint):
             if feature.contact < 3:
                 out.append(Violation(f"{path}.contact", "flex contact order must be >= 3"))
-        elif isinstance(feature, IrreduciblePoint):
-            out += irreducible_violations(feature.singularity, path)
+        elif isinstance(feature, IrreducibleSingularity):
+            out += irreducible_violations(feature, path)
         else:
             if feature.tangent_cone is not None:
-                out += tangent_cone_violations(feature.tangent_cone.line_mults, f"{path}.tangent_cone")
+                out += tangent_cone_violations(feature.tangent_cone, f"{path}.tangent_cone")
             for sidx, side in enumerate(feature.sides):
                 out += side_violations(side, f"{path}.sides[{sidx}]")
             for tidx, trunc in enumerate(feature.truncations):
@@ -427,7 +423,7 @@ def validate(descriptor: CurveDescriptor) -> list[Violation]:
 # ---------------------------------------------------------------------------
 #
 # Each JSON record is one table of key -> (reader, default), read by
-# `_record`.  A reader takes one JSON value and returns its model value, or
+# `_record` and written back by `_to_obj`.  A reader takes one JSON value and returns its model value, or
 # raises DescriptorSchemaError with a path relative to that value; each
 # record and array the error passes through puts its key or [i] in front.
 # So a path is built only when a read fails.
@@ -551,32 +547,32 @@ def _multiple_point(
 #: of the point's kind.
 _POINT = {"kind": (_str, ""), "label": (_str, None)}
 
-_side = _record(
-    {"from": (_pair, _REQUIRED), "to": (_pair, _REQUIRED), "s": (_ints, _REQUIRED), "suppress": (_bool, False)},
-    lambda start, end, s, suppress: NewtonSide(*start, *end, s, suppress),
-)
-_truncation = _record({"ell": (_int, _REQUIRED), "W": (_rational, _REQUIRED), "s": (_ints, _REQUIRED)}, Truncation)
+_SIDE = {"from": (_pair, _REQUIRED), "to": (_pair, _REQUIRED), "s": (_ints, _REQUIRED), "suppress": (_bool, False)}
+_TRUNCATION = {"ell": (_int, _REQUIRED), "W": (_rational, _REQUIRED), "s": (_ints, _REQUIRED)}
+_LINEAR = {"mult": (_int, _REQUIRED), "meets": (_ints, ())}
+_NONLINEAR = {"deg": (_int, _REQUIRED), "mult": (_int, 1)}
+
+#: The table of each point class, read for a point whose "kind" is the
+#: class's `kind`.
+_POINT_TABLES = {
+    FlexPoint: {**_POINT, "contact": (_int, _REQUIRED)},
+    IrreducibleSingularity: {**_POINT, "m": (_int, _REQUIRED), "n": (_int, _REQUIRED), "essential": (_ints, ())},
+    CompositePoint: {
+        **_POINT,
+        "tangent_cone": (lambda value: None if value is None else _ints(value), None),
+        "sides": (_array(_record(_SIDE, lambda start, end, s, suppress: NewtonSide(*start, *end, s, suppress))), ()),
+        "truncations": (_array(_record(_TRUNCATION, Truncation)), ()),
+        "absorbed_flexes": (_int, 0),
+    },
+}
 
 _POINT_KINDS = {
-    "flex": _record({**_POINT, "contact": (_int, _REQUIRED)}, lambda kind, label, contact: FlexPoint(contact, label)),
-    "irreducible": _record(
-        {**_POINT, "m": (_int, _REQUIRED), "n": (_int, _REQUIRED), "essential": (_ints, ())},
-        lambda kind, label, m, n, essential: IrreduciblePoint(IrreducibleSingularity(m, n, essential), label),
-    ),
-    "composite": _record(
-        {
-            **_POINT,
-            "tangent_cone": (lambda value: None if value is None else TangentCone(_ints(value)), None),
-            "sides": (_array(_side), ()),
-            "truncations": (_array(_truncation), ()),
-            "absorbed_flexes": (_int, 0),
-        },
-        lambda kind, label, *fields: CompositePoint(*fields, label),
-    ),
-    "ordinary_multiple_point": _record(
-        {**_POINT, "m": (_int, _REQUIRED), "contacts": (_ints, ()), "absorbed_flexes": (_int, None)}, _multiple_point
-    ),
+    cls.kind: _record(table, lambda kind, label, *fields, cls=cls: cls(*fields, label=label))
+    for cls, table in _POINT_TABLES.items()
 }
+_POINT_KINDS["ordinary_multiple_point"] = _record(
+    {**_POINT, "m": (_int, _REQUIRED), "contacts": (_ints, ()), "absorbed_flexes": (_int, None)}, _multiple_point
+)
 
 
 def _point(value: Any) -> PointFeature:
@@ -586,17 +582,15 @@ def _point(value: Any) -> PointFeature:
     return _POINT_KINDS[kind](value)
 
 
-_read_descriptor = _record(
-    {
-        "degree": (_int, _REQUIRED_FIELD),
-        "stabilizer_degree": (lambda value: None if value is None else _int(value), None),
-        "flexes": (lambda value: AUTO_FLEXES if value == AUTO_FLEXES else _int(value), 0),
-        "linear": (_array(_record({"mult": (_int, _REQUIRED), "meets": (_ints, ())}, LinearComponent)), ()),
-        "nonlinear": (_array(_record({"deg": (_int, _REQUIRED), "mult": (_int, 1)}, NonlinearComponent)), ()),
-        "points": (_array(_point), ()),
-    },
-    lambda degree, stabilizer, flexes, *components: CurveDescriptor(degree, *components, flexes, stabilizer),
-)
+_DESCRIPTOR = {
+    "degree": (_int, _REQUIRED_FIELD),
+    "stabilizer_degree": (lambda value: None if value is None else _int(value), None),
+    "flexes": (lambda value: AUTO_FLEXES if value == AUTO_FLEXES else _int(value), 0),
+    "linear": (_array(_record(_LINEAR, LinearComponent)), ()),
+    "nonlinear": (_array(_record(_NONLINEAR, NonlinearComponent)), ()),
+    "points": (_array(_point), ()),
+}
+_read_descriptor = _record(_DESCRIPTOR, CurveDescriptor)
 
 
 def descriptor_from_obj(obj: Any) -> CurveDescriptor:
@@ -626,45 +620,42 @@ def parse(text: str) -> CurveDescriptor:
 # ---------------------------------------------------------------------------
 
 
-def _point_to_obj(feature: PointFeature) -> dict:
-    out: dict[str, Any] = {}
-    if feature.label is not None:
-        out["label"] = feature.label
-    if isinstance(feature, FlexPoint):
-        out.update(kind="flex", contact=feature.contact)
-        return out
-    if isinstance(feature, IrreduciblePoint):
-        sing = feature.singularity
-        out.update(kind="irreducible", m=sing.m, n=sing.n, essential=list(sing.essential))
-        return out
-    out["kind"] = "composite"
-    if feature.tangent_cone is not None:
-        out["tangent_cone"] = list(feature.tangent_cone.line_mults)
-    out["sides"] = [
-        {
-            "from": [side.j0, side.k0],
-            "to": [side.j1, side.k1],
-            "s": list(side.s),
-            **({"suppress": True} if side.suppress else {}),
-        }
-        for side in feature.sides
-    ]
-    out["truncations"] = [
-        {"ell": t.ell, "W": rational_to_string(t.weight), "s": list(t.s)} for t in feature.truncations
-    ]
-    out["absorbed_flexes"] = feature.absorbed_flexes
+#: The table each record class is written by: the one it is read by.
+_TABLES = {
+    CurveDescriptor: _DESCRIPTOR,
+    LinearComponent: _LINEAR,
+    NonlinearComponent: _NONLINEAR,
+    NewtonSide: _SIDE,
+    Truncation: _TRUNCATION,
+    **_POINT_TABLES,
+}
+
+#: The keys whose value is not the attribute of the same name.
+_UNNAMED = {
+    "from": lambda side: (side.j0, side.k0),
+    "to": lambda side: (side.j1, side.k1),
+    "W": lambda trunc: rational_to_string(trunc.weight),
+}
+
+
+def _to_obj(value: Any) -> Any:
+    """The JSON value of a model value.  A record is the object its table
+    lays out, without the keys whose value is None or False."""
+    if isinstance(value, tuple):
+        return [_to_obj(item) for item in value]
+    table = _TABLES.get(type(value))
+    if table is None:
+        return value
+    out = {}
+    for key in table:
+        field = _to_obj(_UNNAMED[key](value) if key in _UNNAMED else getattr(value, key))
+        if field is not None and field is not False:
+            out[key] = field
     return out
 
 
 def descriptor_to_obj(descriptor: CurveDescriptor) -> dict:
-    out: dict[str, Any] = {"degree": descriptor.degree}
-    if descriptor.stabilizer_degree is not None:
-        out["stabilizer_degree"] = descriptor.stabilizer_degree
-    out["flexes"] = descriptor.flexes
-    out["linear"] = [{"mult": c.mult, "meets": list(c.meets)} for c in descriptor.linear]
-    out["nonlinear"] = [{"deg": c.deg, "mult": c.mult} for c in descriptor.nonlinear]
-    out["points"] = [_point_to_obj(p) for p in descriptor.points]
-    return out
+    return _to_obj(descriptor)
 
 
 def serialize(descriptor: CurveDescriptor, indent: int | None = 2) -> str:

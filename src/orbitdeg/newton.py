@@ -170,14 +170,16 @@ def qualifying_sides(polygon: Polygon) -> list[Side]:
 def side_data(support: MonomialSupport, side: Side) -> SideData:
     """Coefficients along a side and the multiplicity profile of its roots.
 
-    Both endpoints must be terms of the support, as they are for every
-    side `qualifying_sides` returns; otherwise this raises SupportError.
+    Both endpoints must be distinct terms of the support, as they are for
+    every side `qualifying_sides` returns; otherwise this raises SupportError.
     """
     (j0, k0), (j1, k1) = side
     lookup = {(j, k): coeff for j, k, coeff in support.terms}
     for end in (j0, k0), (j1, k1):
         if end not in lookup:
             raise SupportError(f"side endpoint {end} is not a term of the support")
+    if (j0, k0) == (j1, k1):
+        raise SupportError(f"side endpoints are the same term {(j0, k0)}")
     span = gcd(j1 - j0, k0 - k1)
     step_j = (j1 - j0) // span
     step_k = (k0 - k1) // span

@@ -741,14 +741,13 @@ def _direct_top_coefficient(descriptor: model.CurveDescriptor) -> Fraction:
     for feature in descriptor.points:
         if isinstance(feature, model.FlexPoint):
             total -= _direct_side(d, 0, 1, feature.contact, 0, (1,))
-        elif isinstance(feature, model.IrreduciblePoint):
-            sing = feature.singularity
-            total -= _direct_side(d, 0, sing.m, sing.n, 0, (gcd(sing.m, sing.n),))
-            for trunc in irreducible_truncations(sing):
+        elif isinstance(feature, model.IrreducibleSingularity):
+            total -= _direct_side(d, 0, feature.m, feature.n, 0, (gcd(feature.m, feature.n),))
+            for trunc in irreducible_truncations(feature):
                 total -= _direct_truncation(d, trunc)
         else:
             if feature.tangent_cone is not None:
-                total -= _direct_tangent_cone(d, feature.tangent_cone.line_mults)
+                total -= _direct_tangent_cone(d, feature.tangent_cone)
             for side in feature.sides:
                 if not side.suppress:
                     total -= _direct_side(d, side.j0, side.k0, side.j1, side.k1, side.s)

@@ -98,7 +98,7 @@ def irreducibles(draw) -> model.IrreducibleSingularity:
 
 
 def composites() -> st.SearchStrategy[model.CompositePoint]:
-    cones = st.none() | st.builds(model.TangentCone, st.lists(st.integers(1, 3), min_size=1, max_size=5).map(tuple))
+    cones = st.none() | st.lists(st.integers(1, 3), min_size=1, max_size=5).map(tuple)
     return st.builds(
         model.CompositePoint,
         tangent_cone=cones,
@@ -110,7 +110,7 @@ def composites() -> st.SearchStrategy[model.CompositePoint]:
 
 # Built once: strategies built inside each draw doubled a descriptor's cost.
 _SCALABLE_POINTS = st.builds(model.FlexPoint, st.integers(3, 6)) | composites()
-_POINTS = _SCALABLE_POINTS | st.builds(model.IrreduciblePoint, irreducibles())
+_POINTS = _SCALABLE_POINTS | irreducibles()
 
 
 @st.composite
@@ -156,12 +156,12 @@ def scaled_descriptor(descriptor: model.CurveDescriptor, multiple: int) -> model
         if isinstance(feature, model.FlexPoint):
             side = model.NewtonSide(0, multiple, feature.contact * multiple, 0, (multiple,))
             points.append(model.CompositePoint(sides=(side,)))
-        elif isinstance(feature, model.IrreduciblePoint):
+        elif isinstance(feature, model.IrreducibleSingularity):
             raise ValueError("irreducible features cannot be scaled at the descriptor level")
         else:
             cone = None
             if feature.tangent_cone is not None:
-                cone = model.TangentCone(tuple(v * multiple for v in feature.tangent_cone.line_mults))
+                cone = tuple(v * multiple for v in feature.tangent_cone)
             sides = tuple(
                 model.NewtonSide(
                     s.j0 * multiple,

@@ -31,12 +31,12 @@ def smooth_curve(degree, stabilizer=None):
 
 
 def cusp():
-    return model.IrreduciblePoint(model.IrreducibleSingularity(2, 3, (3,)))
+    return model.IrreducibleSingularity(2, 3, (3,))
 
 
 def node():
     return model.CompositePoint(
-        tangent_cone=model.TangentCone((1, 1)),
+        tangent_cone=(1, 1),
         sides=(model.NewtonSide(1, 1, 3, 0, (1,)), model.NewtonSide(1, 1, 3, 0, (1,))),
         absorbed_flexes=6,
     )
@@ -88,7 +88,7 @@ def test_criterion_2_nodal_quartics_and_rational_nodal():
 
 def test_criterion_3_biflecnode_quartic():
     biflecnode = model.CompositePoint(
-        tangent_cone=model.TangentCone((1, 1)),
+        tangent_cone=(1, 1),
         sides=(model.NewtonSide(1, 1, 4, 0, (1,)), model.NewtonSide(1, 1, 4, 0, (1,))),
         absorbed_flexes=8,
     )
@@ -139,15 +139,15 @@ def test_criterion_5_unions():
         nonlinear=(model.NonlinearComponent(3, 1),),
         points=(
             model.CompositePoint(
-                tangent_cone=model.TangentCone((1, 1)),
+                tangent_cone=(1, 1),
                 sides=(model.NewtonSide(1, 1, 3, 0, (1,)),),
             ),
             model.CompositePoint(
-                tangent_cone=model.TangentCone((1, 1)),
+                tangent_cone=(1, 1),
                 sides=(model.NewtonSide(1, 1, 3, 0, (1,)),),
             ),
             model.CompositePoint(
-                tangent_cone=model.TangentCone((1, 1)),
+                tangent_cone=(1, 1),
                 sides=(model.NewtonSide(1, 1, 4, 0, (1,)),),
             ),
         ),
@@ -159,9 +159,7 @@ def test_criterion_5_unions():
 
 def test_criterion_6_higher_unibranch_points():
     for k in (5, 7):
-        descriptor = with_points(
-            4, [model.IrreduciblePoint(model.IrreducibleSingularity(2, 4, (k,)))]
-        )
+        descriptor = with_points(4, [model.IrreducibleSingularity(2, 4, (k,))])
         assert engine.assemble(descriptor).predegree == 14280 - 1785 * k, k
     piece = corrections.truncation_correction(model.Truncation(1, F(5), (1, 1))).term
     assert (exp_linear(4) * piece).app_coefficient(8) == -5 * 6528
@@ -173,7 +171,7 @@ def test_criterion_7_line_configurations():
         star = model.CurveDescriptor(
             degree=d,
             linear=tuple(model.LinearComponent(1, (d - 1,)) for _ in range(d)),
-            points=(model.CompositePoint(tangent_cone=model.TangentCone((1,) * d)),),
+            points=(model.CompositePoint(tangent_cone=(1,) * d),),
             flexes=0,
         )
         full_power = series({0: 1, 1: 1, 2: F(1, 2)}) ** d
@@ -214,9 +212,7 @@ def test_criterion_8_oracle_equivalences():
     # closed form for curves with only (t^m, t^n) points
     for d, points in ((4, []), (4, [(2, 3)]), (5, [(2, 3), (1, 4)]), (6, [(2, 3)] * 9), (5, [(3, 4)])):
         features = tuple(
-            model.IrreduciblePoint(
-                model.IrreducibleSingularity(m, n, (n,) if m > 1 else ())
-            )
+            model.IrreducibleSingularity(m, n, (n,) if m > 1 else ())
             for m, n in points
         )
         report = engine.assemble(with_points(d, features))
@@ -238,7 +234,7 @@ def test_criterion_9_newton_toolkit():
 
     # end-to-end: polygon side + the known truncation reproduce -1785k at k = 5
     feature = model.CompositePoint(
-        tangent_cone=model.TangentCone((2,)),
+        tangent_cone=(2,),
         sides=(data.as_newton_side(),),
         truncations=(model.Truncation(1, F(5), (1, 1)),),
         absorbed_flexes=15,

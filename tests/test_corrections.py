@@ -343,24 +343,6 @@ def test_unibranch_factor_one_pair_display():
         assert got == expected, (m, n, n1)
 
 
-def test_flexes_absorbed_examples():
-    assert corrections.flexes_absorbed(model.IrreducibleSingularity(1, 3)) == 1
-    for k in range(3, 9):
-        assert corrections.flexes_absorbed(model.IrreducibleSingularity(1, k)) == k - 2
-    assert corrections.flexes_absorbed(model.IrreducibleSingularity(2, 3, (3,))) == 8
-    assert corrections.flexes_absorbed(model.IrreducibleSingularity(2, 4, (5,))) == 15
-    assert corrections.flexes_absorbed(model.IrreducibleSingularity(2, 4, (7,))) == 21
-
-
-@settings(max_examples=50)
-@given(irreducibles())
-def test_flexes_absorbed_is_the_nonnegative_model_count(sing):
-    count = corrections.flexes_absorbed(sing)
-    assert count == sing.absorbed_flex_count() >= 0
-    if gcd(sing.m, sing.n) == 1 and sing.essential == (sing.n,):
-        assert count == 3 * sing.m * sing.n - 2 * sing.m - 2 * sing.n
-
-
 # -- ordinary multiple points ----------------------------------------------------
 
 

@@ -36,7 +36,7 @@ CONIC = model.CurveDescriptor(degree=2, nonlinear=(model.NonlinearComponent(2, 1
 CUSPIDAL_CUBIC = model.CurveDescriptor(
     degree=3,
     nonlinear=(model.NonlinearComponent(3, 1),),
-    points=(model.IrreduciblePoint(model.IrreducibleSingularity(2, 3, (3,))),),
+    points=(model.IrreducibleSingularity(2, 3, (3,)),),
     flexes="auto",
     stabilizer_degree=3,
 )
@@ -271,7 +271,7 @@ def test_union_matches_direct_descriptor():
     # the same curves assembled in one shot as plain descriptors
     def node_with_line(contact):
         return model.CompositePoint(
-            tangent_cone=model.TangentCone((1, 1)),
+            tangent_cone=(1, 1),
             sides=(model.NewtonSide(1, 1, contact, 0, (1,)),),
         )
 
@@ -290,7 +290,7 @@ def test_union_matches_direct_descriptor():
         nonlinear=(model.NonlinearComponent(2, 1), model.NonlinearComponent(2, 1)),
         points=tuple(
             model.CompositePoint(
-                tangent_cone=model.TangentCone((1, 1)),
+                tangent_cone=(1, 1),
                 sides=(model.NewtonSide(1, 1, 3, 0, (1,)), model.NewtonSide(1, 1, 3, 0, (1,))),
             )
             for _ in range(4)
@@ -335,9 +335,7 @@ def test_direct_route_fixture_values():
     sextic = model.CurveDescriptor(
         degree=6,
         nonlinear=(model.NonlinearComponent(6, 1),),
-        points=tuple(
-            model.IrreduciblePoint(model.IrreducibleSingularity(2, 3, (3,))) for _ in range(9)
-        ),
+        points=tuple(model.IrreducibleSingularity(2, 3, (3,)) for _ in range(9)),
         flexes="auto",
     )
     assert oracles.predegree_direct(sextic) == 908064
@@ -368,7 +366,7 @@ def test_closed_form_route():
 def test_closed_form_matches_assembly_on_cusp_curves(curve):
     d, points = curve
     features = tuple(
-        model.IrreduciblePoint(model.IrreducibleSingularity(m, n, (n,) if n % m != 0 and m > 1 else ()))
+        model.IrreducibleSingularity(m, n, (n,) if n % m != 0 and m > 1 else ())
         for m, n in points
     )
     descriptor = model.CurveDescriptor(

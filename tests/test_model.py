@@ -3,13 +3,14 @@
 import dataclasses
 import json
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbitdeg import corpus, model
-from strategies import descriptors
+from strategies import descriptors, irreducibles
 
 
 def violations_of(descriptor):
@@ -89,8 +90,8 @@ def test_auto_flexes_restrictions():
         degree=3,
         nonlinear=(model.NonlinearComponent(3, 1),),
         points=(
-            model.IrreduciblePoint(model.IrreducibleSingularity(2, 3, (3,))),
-            model.IrreduciblePoint(model.IrreducibleSingularity(2, 3, (3,))),
+            model.IrreducibleSingularity(2, 3, (3,)),
+            model.IrreducibleSingularity(2, 3, (3,)),
         ),
         flexes="auto",
     )
@@ -101,7 +102,7 @@ def test_resolved_flex_count():
     cubic = model.CurveDescriptor(
         degree=3,
         nonlinear=(model.NonlinearComponent(3, 1),),
-        points=(model.IrreduciblePoint(model.IrreducibleSingularity(2, 3, (3,))),),
+        points=(model.IrreducibleSingularity(2, 3, (3,)),),
         flexes="auto",
     )
     assert model.resolved_flex_count(cubic) == 1
@@ -262,7 +263,7 @@ def test_parse_biflecnode_shorthand():
     assert len(descriptor.points) == 3
     feature = descriptor.points[0]
     assert isinstance(feature, model.CompositePoint)
-    assert feature.tangent_cone.line_mults == (1, 1)
+    assert feature.tangent_cone == (1, 1)
     assert [ (s.j0, s.k0, s.j1, s.k1, s.s) for s in feature.sides ] == [(1, 1, 4, 0, (1,)), (1, 1, 4, 0, (1,))]
     assert feature.absorbed_flexes == 8
 
@@ -305,6 +306,53 @@ def dressed_descriptors(draw) -> model.CurveDescriptor:
 @given(dressed_descriptors(), st.sampled_from([None, 2]))
 def test_parse_inverts_serialize(descriptor, indent):
     assert model.parse(model.serialize(descriptor, indent=indent)) == descriptor
+
+
+def test_serialize_text():
+    # keys in the reader's order, "kind" first in a point; no None or False value
+    descriptor = model.CurveDescriptor(
+        degree=5,
+        stabilizer_degree=3,
+        flexes="auto",
+        linear=(model.LinearComponent(1, (2, 2)),),
+        nonlinear=(model.NonlinearComponent(4),),
+        points=(
+            model.FlexPoint(4),
+            model.IrreducibleSingularity(2, 3, (3,), label="cusp"),
+            model.CompositePoint(
+                (2,),
+                (model.NewtonSide(0, 2, 4, 0, (1, 1)), model.NewtonSide(1, 1, 3, 0, (1,), suppress=True)),
+                (model.Truncation(1, Fraction(5, 2), (1, 1)),),
+                absorbed_flexes=3,
+                label="tacnode",
+            ),
+        ),
+    )
+    text = (
+        '{"degree": 5, "stabilizer_degree": 3, "flexes": "auto", "linear": [{"mult": 1, "meets": [2, 2]}], '
+        '"nonlinear": [{"deg": 4, "mult": 1}], "points": [{"kind": "flex", "contact": 4}, '
+        '{"kind": "irreducible", "label": "cusp", "m": 2, "n": 3, "essential": [3]}, '
+        '{"kind": "composite", "label": "tacnode", "tangent_cone": [2], '
+        '"sides": [{"from": [0, 2], "to": [4, 0], "s": [1, 1]}, {"from": [1, 1], "to": [3, 0], "s": [1], "suppress": true}], '
+        '"truncations": [{"ell": 1, "W": "5/2", "s": [1, 1]}], "absorbed_flexes": 3}]}'
+    )
+    assert model.serialize(descriptor, indent=None) == text
+    assert model.serialize(descriptor) == json.dumps(json.loads(text), indent=2)
+    assert model.parse(text) == descriptor
+
+
+def test_records_equal_only_their_own_class():
+    cusp = model.IrreducibleSingularity(2, 3, (3,))
+    assert cusp != (2, 3, (3,), None)
+    assert cusp != model.IrreducibleSingularity(2, 3, (3,), label="cusp")
+    assert model.FlexPoint(3) != model.IrreducibleSingularity(1, 3)
+    assert model.FlexPoint(3) != (3, None)
+    assert model.CompositePoint((1, 1)) != model.CompositePoint((1, 1), label="node")
+    assert model.LinearComponent(2) != model.NonlinearComponent(2)
+    assert model.NewtonSide(0, 2, 4, 0, (2,)) != (0, 2, 4, 0, (2,), False)
+    assert model.Truncation(1, Fraction(5), (1,)) != (1, Fraction(5), (1,))
+    assert model.CurveDescriptor(2) != (2, None, 0, (), (), ())
+    assert len({cusp, model.IrreducibleSingularity(2, 3, (3,), label="cusp"), (2, 3, (3,), None)}) == 3
 
 
 def test_parse_serialize_round_trip_corpus():
@@ -359,3 +407,20 @@ def test_absorbed_flex_counts():
     assert model.IrreducibleSingularity(1, 5).absorbed_flex_count() == 3
     assert model.IrreducibleSingularity(2, 3, (3,)).absorbed_flex_count() == 8
     assert model.IrreducibleSingularity(2, 4, (5,)).absorbed_flex_count() == 15
+
+
+def test_absorbed_flex_count_examples():
+    for k in range(3, 9):
+        assert model.IrreducibleSingularity(1, k).absorbed_flex_count() == k - 2
+    assert model.IrreducibleSingularity(2, 3, (3,)).absorbed_flex_count() == 8
+    assert model.IrreducibleSingularity(2, 4, (5,)).absorbed_flex_count() == 15
+    assert model.IrreducibleSingularity(2, 4, (7,)).absorbed_flex_count() == 21
+
+
+@settings(max_examples=50)
+@given(irreducibles())
+def test_absorbed_flex_count_is_nonnegative(sing):
+    count = sing.absorbed_flex_count()
+    assert count >= 0
+    if gcd(sing.m, sing.n) == 1 and sing.essential == (sing.n,):
+        assert count == 3 * sing.m * sing.n - 2 * sing.m - 2 * sing.n

@@ -130,6 +130,13 @@ def test_side_data_missing_endpoint_coefficients():
         newton.side_data(supp2, ((0, 2), (4, 0)))
 
 
+def test_side_data_refuses_a_side_of_one_term():
+    # its span would be gcd(0, 0) = 0
+    supp = support(4, [(0, 2, 1), (4, 0, 1)])
+    with pytest.raises(newton.SupportError, match=r"^side endpoints are the same term \(0, 2\)$"):
+        newton.side_data(supp, ((0, 2), (0, 2)))
+
+
 @settings(max_examples=200)
 @given(supports(min_terms=2))
 def test_side_data_random_invariants(supp):
