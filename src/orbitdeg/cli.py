@@ -21,11 +21,10 @@ import os
 import re
 import sys
 from fractions import Fraction
-from pathlib import Path
 from typing import Any, NoReturn
 
-from . import corpus as corpus_mod
-from . import corrections, engine, model, newton
+# `newton` and `corpus` are imported by the commands that use them.
+from . import corrections, engine, model
 from .series import predegree_strings, rational_to_string, to_rational
 
 EXIT_OK = 0
@@ -48,9 +47,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _read_text(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
     except OSError as exc:
         raise _CliError(f"cannot read {path}: {exc.strerror or exc}", EXIT_IO) from None
+    except ValueError as exc:  # not UTF-8 text, or a NUL in the path
+        raise _CliError(f"cannot read {path}: {exc}", EXIT_IO) from None
 
 
 def _load_descriptor(path: str) -> model.CurveDescriptor:
@@ -181,7 +183,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common_output_flags(p_scale)
 
     p_corpus = sub.add_parser("corpus", help="replay the bundled golden fixtures")
-    p_corpus.add_argument("--dir", default=None, help=f"fixture directory (or ${corpus_mod.ENV_CORPUS_DIR})")
+    p_corpus.add_argument("--dir", default=None, help="fixture directory (or $ORBITDEG_CORPUS)")
     p_corpus.add_argument("--erratum", choices=("derived", "strict"), default="derived")
 
     return parser
@@ -276,6 +278,8 @@ def _newton_input(data: Any) -> tuple[int, list]:
 
 
 def _cmd_newton(args: argparse.Namespace) -> int:
+    from . import newton
+
     text = _read_text(args.path)
     try:
         data = model.decode_json(text)
@@ -343,20 +347,18 @@ def _cmd_scale(args: argparse.Namespace) -> int:
 
 
 def _cmd_corpus(args: argparse.Namespace) -> int:
+    from . import corpus
+
     try:
-        results = corpus_mod.run(Path(args.dir) if args.dir else None, args.erratum == "strict")
+        results = corpus.run(args.dir or None, args.erratum == "strict")
     except FileNotFoundError as exc:
         raise _CliError(str(exc), EXIT_IO) from None
     width = max(len(r.name) for r in results)
-    failed = 0
     for result in results:
-        status = "pass" if result.passed else "FAIL"
-        print(f"{result.name:<{width}}  {status}")
+        print(f"{result.name:<{width}}  {'pass' if result.passed else 'FAIL'}")
         for failure in result.failures:
-            failed_line = f"{'':<{width}}    {failure}"
-            print(failed_line)
-        if not result.passed:
-            failed += 1
+            print(f"{'':<{width}}    {failure}")
+    failed = sum(not result.passed for result in results)
     print(f"{len(results) - failed}/{len(results)} fixtures passed")
     return EXIT_OK if failed == 0 else EXIT_INVALID
 

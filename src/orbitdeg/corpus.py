@@ -11,19 +11,25 @@ when every expected value is reproduced exactly.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import engine, model
+from .record import Record
 from .series import rational_to_string
 
 ENV_CORPUS_DIR = "ORBITDEG_CORPUS"
 
 
-@dataclass
-class FixtureResult:
-    name: str
-    failures: list[str] = field(default_factory=list)
+class FixtureResult(Record):
+    """A fixture's name and its mismatches: a record that `check_fixture` fills in, so mutable."""
+
+    __slots__ = ("name", "failures")
+    __setattr__, __delattr__ = object.__setattr__, object.__delattr__
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(self, name: str, failures: list[str] | None = None):
+        self.name = name
+        self.failures = [] if failures is None else failures
 
     @property
     def passed(self) -> bool:
@@ -100,7 +106,7 @@ def check_fixture(path: Path, erratum_strict: bool = False) -> FixtureResult:
     return result
 
 
-def run(directory: Path | None = None, erratum_strict: bool = False) -> list[FixtureResult]:
+def run(directory: str | os.PathLike | None = None, erratum_strict: bool = False) -> list[FixtureResult]:
     """Replay the whole corpus; results come back in fixture-name order."""
     target = corpus_dir(directory)
     return [check_fixture(path, erratum_strict) for path in fixture_paths(target)]

@@ -14,12 +14,12 @@ positive denominator, standing for the sum of a_i * H^i / (i! * den).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb, lcm
 from operator import mul
 from typing import Sequence
 
 from . import model
+from .record import record
 from .series import TruncSeries, to_rational
 
 KIND_LINE = "I"
@@ -42,7 +42,7 @@ def _check(problems: list[model.Violation]) -> None:
         raise FeatureError(str(problems[0]))
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Correction:
     """An additive correction term tagged with the feature kind it came from.
 

@@ -19,13 +19,13 @@ supplied, the degree of the orbit closure itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
 from typing import Iterator, Optional, Sequence
 
 from . import corrections, model
 from .corrections import Correction
+from .record import record
 from .series import TRUNCATION_ORDER, TruncSeries, predegree_strings, ratio_string
 
 
@@ -59,7 +59,7 @@ _ERRATUM_NOTE = (
 )
 
 
-@dataclass(frozen=True)
+@record
 class OrbitReport:
     """Everything the computation yields for one curve.
 

@@ -12,11 +12,11 @@ abstract labels; no coordinates are stored.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Any, Callable, Optional, Sequence, Union
 
+from .record import record
 from .series import rational_to_string, to_rational
 
 AUTO_FLEXES = "auto"
@@ -57,7 +57,7 @@ class DescriptorValueError(DescriptorSchemaError):
     descriptor (the command line exits 1 on it, as on a validation failure)."""
 
 
-@dataclass(frozen=True)
+@record
 class Violation:
     """A single validation failure: which field, and what rule it breaks."""
 
@@ -68,7 +68,7 @@ class Violation:
         return f"{self.path}: {self.message}"
 
 
-@dataclass(frozen=True)
+@record
 class LinearComponent:
     """A line in the curve, with its multiplicity and the multiplicities
     of the points where it meets the rest of the curve."""
@@ -77,7 +77,7 @@ class LinearComponent:
     meets: tuple[int, ...] = ()
 
 
-@dataclass(frozen=True)
+@record
 class NonlinearComponent:
     """A component of degree >= 2 with its multiplicity."""
 
@@ -85,7 +85,7 @@ class NonlinearComponent:
     mult: int = 1
 
 
-@dataclass(frozen=True)
+@record
 class NewtonSide:
     """A polygon side from (j0, k0) to (j1, k1) with the root
     multiplicities of its side polynomial.
@@ -107,7 +107,7 @@ class NewtonSide:
         return gcd(abs(self.j1 - self.j0), abs(self.k0 - self.k1))
 
 
-@dataclass(frozen=True)
+@record
 class Truncation:
     """A branch-truncation feature: denominator-clearing exponent `ell`,
     rational weight, and the multiplicities of the limit conics."""
@@ -117,7 +117,7 @@ class Truncation:
     s: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@record
 class IrreducibleSingularity:
     """An irreducible (one-branch) singularity, and the point feature of
     kind "irreducible".
@@ -155,7 +155,7 @@ class IrreducibleSingularity:
         return 3 * m * n - 2 * m - 2 * n + 3 * sum(step * (d - 1) for step, d in self.chain_steps())
 
 
-@dataclass(frozen=True)
+@record
 class FlexPoint:
     """A nonsingular point where the tangent meets the curve with the
     given contact order (>= 3)."""
@@ -166,7 +166,7 @@ class FlexPoint:
     label: Optional[str] = None
 
 
-@dataclass(frozen=True)
+@record
 class CompositePoint:
     """A point feature assembled from raw local data: an optional tangent
     cone (the multiplicities of its distinct lines), polygon sides,
@@ -184,7 +184,7 @@ class CompositePoint:
 PointFeature = Union[FlexPoint, IrreducibleSingularity, CompositePoint]
 
 
-@dataclass(frozen=True)
+@record
 class CurveDescriptor:
     degree: int
     stabilizer_degree: Optional[int] = None

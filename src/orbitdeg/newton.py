@@ -31,13 +31,13 @@ lists of Fractions.
 from __future__ import annotations
 
 import reprlib
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, lcm
 from typing import Any, Iterable, Iterator, Sequence
 
 from . import model
+from .record import record
 from .series import RationalLike, to_rational
 
 Poly = list[Fraction]
@@ -57,7 +57,7 @@ class SupportError(ValueError):
 MAX_DEGREE = 10_000
 
 
-@dataclass(frozen=True)
+@record
 class MonomialSupport:
     """The support of a degree-d equation sum coeff * x^(d-j-k) y^j z^k.
 
@@ -102,14 +102,14 @@ class MonomialSupport:
         return cls(degree, tuple([(j, k, value) for (j, k), value in sorted(cleaned.items())]))
 
 
-@dataclass(frozen=True)
+@record
 class Polygon:
     """Lower-left boundary vertices: j strictly increasing, k strictly decreasing."""
 
     vertices: tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
+@record
 class SideData:
     """One side with its coefficient string and root-multiplicity profile.
 

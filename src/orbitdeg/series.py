@@ -17,6 +17,8 @@ from fractions import Fraction
 from math import factorial, gcd
 from typing import Sequence, Union
 
+from .record import Record
+
 RationalLike = Union[Fraction, int, str]
 
 #: Number of retained coefficients: H^0 through H^8.
@@ -70,7 +72,7 @@ def predegree_strings(a: Sequence[int], den: int = 1) -> list[str]:
     return [ratio_string(v, f * den) if v else "0" for v, f in zip(a, FACTORIALS)]
 
 
-class TruncSeries:
+class TruncSeries(Record):
     """The series sum of a[i] * H^i / (i! * den) in Q[H]/(H^9), read only.
 
     A view of the integers a correction or a report was built from: it
@@ -86,9 +88,6 @@ class TruncSeries:
     def __init__(self, a: Sequence[int], den: int = 1):
         object.__setattr__(self, "a", tuple(a))
         object.__setattr__(self, "den", den)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("TruncSeries is immutable")
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:

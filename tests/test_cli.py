@@ -2,7 +2,6 @@
 
 import contextlib
 import copy
-import dataclasses
 import io
 import json
 import os
@@ -17,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import records
 from orbitdeg import cli, corpus, engine, model, newton
 from oracles import TruncSeries
 from strategies import descriptors, supports
@@ -74,6 +74,26 @@ def test_compute_missing_file(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "{path}"],
+        ["newton", "{path}"],
+        ["union", "{conic}", "{path}"],
+        ["scale", "{path}", "--multiple", "2"],
+    ],
+)
+def test_unreadable_text_or_path_is_one_error_line(capsys, tmp_path, conic_path, argv):
+    """A file that is not UTF-8 text, and a path with a NUL byte, which
+    `open` refuses with ValueError rather than OSError."""
+    undecodable = tmp_path / "utf16.json"
+    undecodable.write_bytes(b"\xff\xfe{")
+    for path in (str(undecodable), "a\0b"):
+        code, out, err = run(capsys, *[arg.format(path=path, conic=conic_path) for arg in argv])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read {path}: ") and err.count("\n") == 1, err
 
 
 def test_compute_malformed_json(capsys, tmp_path):
@@ -192,6 +212,12 @@ def test_help_still_prints_usage(capsys):
     assert out.startswith("usage: orbitdeg contribution [-h]")
 
 
+def test_corpus_help_names_the_environment_variable(capsys):
+    code, out, _ = run(capsys, "corpus", "--help")
+    assert code == 0
+    assert f"fixture directory (or ${corpus.ENV_CORPUS_DIR})" in out
+
+
 def test_contribution_multiple_point_with_a_huge_m(capsys):
     code, out, err = run(capsys, "contribution", "multiple-point", "--m", "99999999999999999999")
     assert (code, err) == (0, "")
@@ -216,6 +242,34 @@ def test_closed_stdout_exits_2_without_traceback():
         os.close(write_end)
     assert proc.returncode == 2
     assert proc.stderr == "error: cannot write to stdout: broken pipe\n"
+
+
+def cold_cli(*argv):
+    """Run `orbitdeg` in a fresh interpreter: its exit code, its stderr and the
+    modules it loaded."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    script = "import sys\nfrom orbitdeg.cli import main\ncode = main(sys.argv[1:])\nprint(*sys.modules)\nsys.exit(code)"
+    proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, env=env, text=True, timeout=120)
+    return proc.returncode, proc.stderr, set(proc.stdout.splitlines()[-1].split())
+
+
+def test_each_command_loads_only_the_modules_it_uses(tmp_path, conic_path):
+    """`compute`, `union` and `scale` load neither `newton` nor `corpus`, nor
+    `dataclasses` and `inspect` unless the bare interpreter has them; `newton`
+    does not load `corpus`.  (`pathlib` is not checked: `site` imports it.)"""
+    bare = subprocess.run([sys.executable, "-c", "import sys; print(*sys.modules)"], capture_output=True, text=True)
+    heavy = {"orbitdeg.newton", "orbitdeg.corpus", "dataclasses", "inspect"} - set(bare.stdout.split())
+    support = tmp_path / "support.json"
+    support.write_text(json.dumps({"degree": 4, "terms": [[4, 0, "1"], [2, 1, "-2"], [0, 2, "1"], [3, 1, "-1"]]}))
+    for argv, unused in (
+        (["compute", conic_path], heavy),
+        (["union", conic_path, conic_path, "--crossings", "4"], heavy),
+        (["scale", conic_path, "--multiple", "2"], heavy),
+        (["newton", str(support)], {"orbitdeg.corpus"}),
+    ):
+        code, err, loaded = cold_cli(*argv)
+        assert (code, err) == (0, ""), argv
+        assert "orbitdeg.cli" in loaded and loaded & unused == set(), argv
 
 
 @settings(max_examples=40)
@@ -575,7 +629,7 @@ def fixture_documents(draw):
         contacts = draw(st.lists(st.integers(m + 1, m + 3), min_size=1, max_size=m))
         shorthand = {"kind": "ordinary_multiple_point", "m": m, "contacts": contacts, "absorbed_flexes": 0}
         point = model.ordinary_multiple_point(m, contacts)
-        descriptor = dataclasses.replace(descriptor, points=descriptor.points + (point,))
+        descriptor = records.replace(descriptor, points=descriptor.points + (point,))
     obj = engine.report_to_obj(engine.assemble(descriptor))
     expected = {key: obj[key] for key in ("orbit_dimension", "predegree", "app")}
     expected["a"] = {"8": obj["predegree_polynomial"][8]}

@@ -1,6 +1,5 @@
 """Assembly, unions, scaling, and the independent top-coefficient routes."""
 
-import dataclasses
 import json
 from fractions import Fraction as F
 
@@ -9,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+import records
 from orbitdeg import corpus, corrections, engine, model
 from orbitdeg import series as shipped
 from orbitdeg.series import TRUNCATION_ORDER
@@ -115,7 +115,7 @@ def assert_sum_and_product_forms(descriptor, strict):
 def test_breakdown_reassembles_additively():
     for descriptor in fixture_descriptors():
         # strict-mode predegrees need not be divisible by the stabilizer degree
-        descriptor = dataclasses.replace(descriptor, stabilizer_degree=None)
+        descriptor = records.replace(descriptor, stabilizer_degree=None)
         for strict in (False, True):
             assert_sum_and_product_forms(descriptor, strict)
 
@@ -450,7 +450,7 @@ def assert_stabilizer_rule(build, stabilizer):
 
 
 def test_report_keeps_only_what_it_was_built_from():
-    fields = [field.name for field in dataclasses.fields(engine.OrbitReport)]
+    fields = records.fields(engine.OrbitReport)
     assert fields == ["a", "den", "breakdown", "stabilizer_degree", "erratum_notes"]
     assert not hasattr(engine, "F") and not hasattr(engine, "_build_report")
 
@@ -459,7 +459,7 @@ def test_report_numbers_on_fixtures():
     for descriptor in fixture_descriptors():
         for strict in (False, True):
             assert_stabilizer_rule(
-                lambda s: engine.assemble(dataclasses.replace(descriptor, stabilizer_degree=s), erratum_strict=strict),
+                lambda s: engine.assemble(records.replace(descriptor, stabilizer_degree=s), erratum_strict=strict),
                 descriptor.stabilizer_degree,
             )
 
@@ -481,7 +481,7 @@ def test_report_numbers_on_unions_and_scales(first, second, strict, multiple, st
 
 @pytest.mark.parametrize("stabilizer", [0, -2, 5])
 def test_union_and_scale_refuse_a_stabilizer_that_does_not_divide(stabilizer):
-    cubic = engine.assemble(dataclasses.replace(CUSPIDAL_CUBIC, stabilizer_degree=None))  # predegree 72
+    cubic = engine.assemble(records.replace(CUSPIDAL_CUBIC, stabilizer_degree=None))  # predegree 72
     for build in (
         lambda s: engine.union(cubic, cubic, crossings=9, stabilizer_degree=s),
         lambda s: engine.scale(cubic, 2, stabilizer_degree=s),

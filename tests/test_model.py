@@ -1,6 +1,5 @@
 """Descriptor model: validation rules, JSON parsing, round-trips."""
 
-import dataclasses
 import json
 from fractions import Fraction
 from math import gcd
@@ -9,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import records
 from orbitdeg import corpus, model
 from strategies import descriptors, irreducibles
 
@@ -291,10 +291,10 @@ def dressed_descriptors(draw) -> model.CurveDescriptor:
     points = []
     for point in base.points:
         if isinstance(point, model.CompositePoint):
-            sides = tuple(dataclasses.replace(side, suppress=draw(st.booleans())) for side in point.sides)
-            point = dataclasses.replace(point, sides=sides)
-        points.append(dataclasses.replace(point, label=draw(st.none() | st.text(max_size=6))))
-    return dataclasses.replace(
+            sides = tuple(records.replace(side, suppress=draw(st.booleans())) for side in point.sides)
+            point = records.replace(point, sides=sides)
+        points.append(records.replace(point, label=draw(st.none() | st.text(max_size=6))))
+    return records.replace(
         base,
         points=tuple(points),
         flexes=draw(st.sampled_from([base.flexes, model.AUTO_FLEXES])),
