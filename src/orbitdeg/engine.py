@@ -65,8 +65,9 @@ class OrbitReport:
 
     `a` and `den` are the integers the polynomial was built from: it is
     the sum of a[i] * H^i / (i! * den).  Every number the report gives is
-    read off them.  A stabilizer degree that does not divide the
-    predegree into a positive integer is refused with EngineError.
+    read off them.  A stabilizer degree that is not exactly `int` (a bool
+    is not), or does not divide the predegree into a positive integer, is
+    refused with EngineError.
     """
 
     a: tuple[int, ...]
@@ -77,6 +78,8 @@ class OrbitReport:
 
     def __post_init__(self) -> None:
         s, top = self.stabilizer_degree, self.a[self.orbit_dimension]
+        if s is not None and type(s) is not int:
+            raise EngineError(f"stabilizer degree must be an integer, got {type(s).__name__}")
         if s is not None and (not s or top % (self.den * s) or top // (self.den * s) <= 0):
             raise EngineError(
                 f"stabilizer degree {s} does not divide the predegree "
@@ -196,9 +199,12 @@ def union(
     nonsingular non-inflection points (plus optional simple tangencies).
 
     `crossings` counts nonlinear-with-nonlinear intersections,
-    `line_crossings` nonlinear-with-line intersections.  The geometric
-    preconditions are the caller's responsibility.
+    `line_crossings` nonlinear-with-line intersections.  Each count must be
+    exactly `int` (not a bool) and >= 0.  The geometric preconditions are
+    the caller's responsibility.
     """
+    if any(type(count) is not int for count in (crossings, line_crossings, tangencies)):
+        raise EngineError("intersection counts must be integers")
     if min(crossings, line_crossings, tangencies) < 0:
         raise EngineError("intersection counts must be >= 0")
     breakdown = [(f"left.{label}", corr) for label, corr in left.breakdown]
@@ -224,9 +230,10 @@ def scale(report: OrbitReport, multiple: int, stabilizer_degree: Optional[int] =
 
     The stabilizer of the multiple need not match the original curve's,
     so the degree field is only populated when a stabilizer degree is
-    passed explicitly.  A multiple below 1 is refused with EngineError.
+    passed explicitly.  A multiple that is not exactly `int` (a bool is
+    not) or is below 1 is refused with EngineError.
     """
-    if not isinstance(multiple, int) or multiple < 1:
+    if type(multiple) is not int or multiple < 1:
         raise EngineError("scaling multiple must be a positive integer")
     powers = [multiple**i for i in range(TRUNCATION_ORDER)]
     breakdown = [

@@ -14,9 +14,9 @@ downstream power sums need.  The decomposition is Yun's algorithm run
 over the integers.  Each of its gcds comes with the two exact quotients
 Yun needs next, from the heuristic gcd GCDHEU: evaluate at one large
 integer, take the integer gcd and read it back as a polynomial, which
-is accepted only when it divides both inputs exactly.  When a few
-evaluation points fail, the primitive polynomial remainder sequence
-decides.  Neither route lets coefficients grow the way Euclid's
+is accepted only when it divides both inputs exactly.  A refused
+candidate squares the point, and the heuristic always finishes
+(`_gcd_cofactors` says why).  Coefficients never grow the way Euclid's
 algorithm over Q makes them grow.
 
 A side's lattice span, and with it the work on the side, grows with the
@@ -34,7 +34,7 @@ import reprlib
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, lcm
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterator, Sequence
 
 from . import model
 from .record import record
@@ -69,12 +69,16 @@ class MonomialSupport:
     terms: tuple[tuple[int, int, Fraction], ...]
 
     @classmethod
-    def from_terms(cls, degree: int, terms: Iterable[Sequence[Any]]) -> "MonomialSupport":
-        """The support of the given terms, each [j, k, coefficient] as a
-        list or a tuple.  The exponents must be exactly `int`: a float, a
-        string or a boolean is rejected rather than rounded or coerced.  The
+    def from_terms(cls, degree: int, terms: Sequence[Sequence[Any]]) -> "MonomialSupport":
+        """The support of the given terms: a list or a tuple of [j, k, coefficient],
+        each a list or a tuple.  The degree and the exponents must be exactly
+        `int`: a float, a string or a boolean is rejected, not coerced.  The
         coefficient is anything `to_rational` reads; a bad term is reported
         with its index.  The degree must lie in 1..MAX_DEGREE."""
+        if type(degree) is not int:
+            raise SupportError(f'"degree": expected an integer, got {type(degree).__name__}')
+        if not isinstance(terms, (list, tuple)):
+            raise SupportError(f'"terms": expected an array, got {type(terms).__name__}')
         if degree < 1:
             raise SupportError("degree must be a positive integer")
         if degree > MAX_DEGREE:
@@ -258,35 +262,6 @@ def poly_divmod(a: Sequence[int], b: Sequence[int]) -> tuple[ZPoly, ZPoly]:
     return quotient, _trim(remainder[:n])
 
 
-def _pseudo_remainder(a: Sequence[int], b: Sequence[int]) -> ZPoly:
-    """A nonzero integer multiple of the remainder of a by b."""
-    r = list(a)
-    n = len(b) - 1
-    lead = b[-1]
-    while len(r) > n:
-        top = r.pop()
-        common = gcd(top, lead)
-        scale, factor = lead // common, top // common
-        shift = len(r) - n
-        if scale != 1:
-            r = [scale * c for c in r]
-        for i in range(n):
-            r[shift + i] -= factor * b[i]
-        _trim(r)
-    return r
-
-
-def _prs_gcd(a: ZPoly, b: ZPoly) -> ZPoly:
-    """gcd of two primitive polynomials by the primitive polynomial
-    remainder sequence (Knuth, TAOCP vol. 2, 4.6.1): each pseudo-remainder
-    is divided by its content."""
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        a, b = b, _primitive(_pseudo_remainder(a, b))
-    return a
-
-
 def _evaluate(p: Sequence[int], xi: int) -> int:
     value = 0
     for c in reversed(p):
@@ -321,29 +296,31 @@ def _exact_quotients(g: ZPoly, *polys: ZPoly) -> list[ZPoly] | None:
     return quotients
 
 
-#: Evaluation points the heuristic gcd tries before the PRS decides.
-_HEURISTIC_TRIES = 4
-
-
 def _heuristic_candidates(a: ZPoly, b: ZPoly) -> Iterator[ZPoly]:
     """GCDHEU's gcd candidates for two nonzero primitive polynomials
     (Char, Geddes and Gonnet, J. Symbolic Comput. 7, 1989): the primitive
     part of the balanced base-xi digits of gcd(a(xi), b(xi)), for xi
-    squared at every try.  Every xi is at least 2 min(|a|, |b|) + 2 in
-    the max norm, so a candidate that divides both a and b is their gcd
-    (Geddes, Czapor and Labahn, Algorithms for Computer Algebra, Thm 7.7)."""
+    squared after every candidate, without end.  Every xi is at least
+    2 min(|a|, |b|) + 2 in the max norm, so a candidate that divides both
+    a and b is their gcd (Geddes, Czapor and Labahn, Algorithms for
+    Computer Algebra, Thm 7.7)."""
     xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
-    for _ in range(_HEURISTIC_TRIES):
+    while True:
         yield _primitive(_balanced_digits(gcd(_evaluate(a, xi), _evaluate(b, xi)), xi))
         xi *= xi
 
 
 def _gcd_cofactors(a: Sequence[int], b: Sequence[int]) -> tuple[ZPoly, ZPoly, ZPoly]:
     """(g, a/g, b/g) for g the gcd `poly_gcd` returns, with both quotients
-    exact.  The heuristic gcd proposes g and exact division accepts it,
-    which gives the quotients too; when every candidate fails, the PRS
-    finds g.  gcd(p, 0) is the primitive part of p, and gcd(0, 0) is 0
-    with zero quotients."""
+    exact: the first heuristic candidate that divides a and b exactly.
+    gcd(p, 0) is the primitive part of p, and gcd(0, 0) is 0 with zero
+    quotients.
+
+    The loop ends.  With g the gcd of the primitive parts and u, v their
+    coprime quotients by g, gcd(a(xi), b(xi)) = |g(xi)| * e, where
+    e = gcd(u(xi), v(xi)) divides Res(u, v) != 0.  Once xi > 2 |Res(u, v)| |g|
+    (and the root bounds of g, u and v), the balanced digits are +-e*g and
+    the candidate is g: squaring xi gets there in O(log(degree * bits)) tries."""
     a, b = _trim(list(a)), _trim(list(b))
     pa, pb = _primitive(a), _primitive(b)
     if not (pa and pb):
@@ -353,14 +330,11 @@ def _gcd_cofactors(a: Sequence[int], b: Sequence[int]) -> tuple[ZPoly, ZPoly, ZP
         quotients = _exact_quotients(g, a, b)
         if quotients:
             return g, *quotients
-    g = _prs_gcd(pa, pb)
-    return g, *_exact_quotients(g, a, b)
 
 
 def poly_gcd(a: Sequence[int], b: Sequence[int]) -> ZPoly:
     """Greatest common divisor in Z[x], primitive with a positive leading
-    coefficient: the heuristic gcd, with the primitive polynomial
-    remainder sequence behind it (see `_gcd_cofactors`)."""
+    coefficient, by the heuristic gcd (see `_gcd_cofactors`)."""
     return _gcd_cofactors(a, b)[0]
 
 
@@ -370,7 +344,8 @@ def yun_squarefree(p: Sequence[RationalLike]) -> list[tuple[int, Poly]]:
     The product of factor**multiplicity over all pairs reproduces the
     input up to its leading coefficient; factors of degree zero are not
     reported.  Yun's algorithm runs on the primitive integer multiple of
-    the input, where every division it makes is exact.
+    the input and takes each gcd, with both exact quotients, from the
+    heuristic gcd `_gcd_cofactors`.
     """
     coeffs = _trim([to_rational(c) for c in p])
     if not coeffs:

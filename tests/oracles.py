@@ -3,7 +3,9 @@
 The squarefree decomposition here is Yun's algorithm with Euclid's gcd
 over Q, on lists of Fractions (constant term first, no trailing zeros).
 It is slow, because its coefficients grow along the remainder sequence,
-but it is the plain textbook form.
+but it is the plain textbook form.  `prs_gcd` is the gcd in Z[x] by the
+primitive polynomial remainder sequence, the reference for the package's
+heuristic gcd.
 
 `TruncSeries` here is the ring Q[H]/(H^9) on nine Fractions, with +, -,
 *, ** and calculus; the package ships only a read-only view of its
@@ -115,6 +117,44 @@ def yun_squarefree(p: Sequence) -> list[tuple[int, Poly]]:
         d = poly_difference(poly_divmod(d, factor)[0], poly_derivative(b))
         i += 1
     return out
+
+
+def int_primitive(p: Sequence[int]) -> list[int]:
+    """p divided by its content, with a positive leading coefficient."""
+    p = [int(c) for c in poly_trim(p)]
+    if not p:
+        return []
+    content = gcd(*p) if p[-1] > 0 else -gcd(*p)
+    return [c // content for c in p]
+
+
+def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
+    """A nonzero integer multiple of the remainder of a by b."""
+    r = list(a)
+    n = len(b) - 1
+    while len(r) > n:
+        top = r.pop()
+        common = gcd(top, b[-1])
+        scale, factor = b[-1] // common, top // common
+        r = [scale * c for c in r]
+        for i in range(n):
+            r[len(r) - n + i] -= factor * b[i]
+        while r and not r[-1]:
+            r.pop()
+    return r
+
+
+def prs_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """gcd in Z[x], primitive with a positive leading coefficient, by the
+    primitive polynomial remainder sequence (Knuth, TAOCP vol. 2, 4.6.1):
+    each pseudo-remainder is divided by its content.  gcd(p, 0) is the
+    primitive part of p, and gcd(0, 0) is []."""
+    a, b = int_primitive(a), int_primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        a, b = b, int_primitive(_pseudo_remainder(a, b))
+    return a
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,8 @@ each kind, supports of at most a dozen terms.
 - `cusp_curves`: line-free curves whose special points are (t^m, t^n)
   points, for the closed-form predegree;
 - `supports`: monomial supports for the Newton-polygon toolkit;
-- `branch_curves`: curves that are products of branches z = c y^e, whose
+- `branch_curves`, `puiseux_curves` and `transverse_lines`: curves that
+  are products of branches z = c y^e, z^q = c y^p or z = c y, whose
   polygon and root multiplicities are known;
 - `planted_gcd_pairs`: integer polynomials with a common factor, for the
   squarefree step's gcd.
@@ -222,11 +223,28 @@ def supports(draw, min_terms: int = 1) -> newton.MonomialSupport:
     return newton.MonomialSupport.from_terms(18, [(*divmod(c, 10), draw(_COEFFICIENTS)) for c in cells])
 
 
+_BRANCH_COEFFICIENTS = st.sampled_from((1, -1, 2, -2, 3))
+
+
 @st.composite
 def branch_curves(draw) -> list[tuple[int, int]]:
     """1..6 branches z = c y^e as pairs (c, e), with c in {1, -1, 2, -2, 3}
     and e in 2..5."""
-    return draw(st.lists(st.tuples(st.sampled_from((1, -1, 2, -2, 3)), st.integers(2, 5)), min_size=1, max_size=6))
+    return draw(st.lists(st.tuples(_BRANCH_COEFFICIENTS, st.integers(2, 5)), min_size=1, max_size=6))
+
+
+@st.composite
+def puiseux_curves(draw) -> tuple[int, int, list[int]]:
+    """(p, q, cs): 1..4 branches z^q = c y^p, one per c in cs, with c in
+    {1, -1, 2, -2, 3}, q in 2..4 and p in q+1..9 coprime to q."""
+    q = draw(st.integers(2, 4))
+    p = draw(st.integers(q + 1, 9).filter(lambda p: gcd(p, q) == 1))
+    return p, q, draw(st.lists(_BRANCH_COEFFICIENTS, min_size=1, max_size=4))
+
+
+def transverse_lines() -> st.SearchStrategy[list[int]]:
+    """The slopes c of 1..5 lines z = c y, each in {1, -1, 2, -2, 3}."""
+    return st.lists(_BRANCH_COEFFICIENTS, min_size=1, max_size=5)
 
 
 _BIG = st.integers(-(2**100), 2**100)

@@ -455,6 +455,8 @@ def test_newton_rejects_non_integer_exponents(capsys, tmp_path, body):
         ('{"terms": [[0, 2, 1]]}', 'missing key "degree"'),
         ("[[0, 2, 1]]", "expected a JSON object"),
         ('{"degree": 4.0, "terms": [[0, 2, 1]]}', '"degree": expected an integer, got float'),
+        ('{"degree": 4.0, "terms": {}}', '"degree": expected an integer, got float'),
+        ('{"degree": 0, "terms": {}}', '"terms": expected an array, got dict'),
         ('{"degree": 4, "terms": [[0, 2, 1], [0, 1, 1.5]]}', "term 1: cannot interpret float as a rational"),
         ('{"degree": 4, "terms": [[0, 2, "1/0"]]}', "term 0: invalid rational literal: '1/0'"),
         ('{"degree": 4, "terms": [[0, 2, true]]}', "term 0: booleans are not rational numbers"),
@@ -487,6 +489,11 @@ def test_newton_malformed_input_messages(capsys, tmp_path, text, message):
         (10_001, [[0, 2, 1]], "degree must be at most 10000"),
         (10**12, [[0, 2, 1]], "degree must be at most 10000"),
         (2**64, [[0, 2, 1], [3, 0, 1]], "degree must be at most 10000"),
+        (4.0, [[0, 2, 1]], '"degree": expected an integer, got float'),
+        ("4", [[0, 2, 1]], '"degree": expected an integer, got str'),
+        (True, [[0, 2, 1]], '"degree": expected an integer, got bool'),
+        (4, {"terms": [[0, 2, 1]]}, '"terms": expected an array, got dict'),
+        (4, "0 2 1", '"terms": expected an array, got str'),
     ],
 )
 def test_newton_prints_the_library_term_checks(capsys, tmp_path, degree, terms, message):

@@ -223,6 +223,27 @@ def test_union_and_scale_refuse_bad_counts(combine, message):
     assert str(raised.value) == message
 
 
+@pytest.mark.parametrize("value", [1.5, True, "2"])
+def test_union_scale_and_reports_refuse_numbers_that_are_not_int(value):
+    # past the check, 1.5 would make float a_i that the writer cannot print,
+    # True would scale by 1, and a stabilizer 1.0 would give a float degree
+    conic = engine.assemble(CONIC)
+    counts, multiple = "intersection counts must be integers", "scaling multiple must be a positive integer"
+    stabilizer = f"stabilizer degree must be an integer, got {type(value).__name__}"
+    for build, message in [
+        (lambda: engine.union(conic, conic, crossings=value), counts),
+        (lambda: engine.union(conic, conic, line_crossings=value), counts),
+        (lambda: engine.union(conic, conic, tangencies=value), counts),
+        (lambda: engine.scale(conic, value), multiple),
+        (lambda: engine.scale(conic, 1, stabilizer_degree=value), stabilizer),
+        (lambda: engine.union(conic, conic, stabilizer_degree=value), stabilizer),
+        (lambda: engine.OrbitReport(conic.a, conic.den, conic.breakdown, value), stabilizer),
+    ]:
+        with pytest.raises(engine.EngineError) as raised:
+            build()
+        assert str(raised.value) == message
+
+
 def test_union_conic_and_line():
     report = engine.union(
         engine.assemble(CONIC), engine.assemble(LINE), line_crossings=2, stabilizer_degree=4

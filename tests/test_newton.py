@@ -11,7 +11,7 @@ import oracles
 from oracles import poly_derivative, poly_monic, poly_mul
 from orbitdeg import newton
 from orbitdeg.newton import MonomialSupport, yun_squarefree
-from strategies import branch_curves, planted_gcd_pairs, rationals, supports
+from strategies import branch_curves, planted_gcd_pairs, puiseux_curves, rationals, supports, transverse_lines
 
 # the quartic (y^2 - x z)^2 = y^3 z written out at the point (1:0:0), tangent z = 0
 QUARTIC_TERMS = [(4, 0, 1), (2, 1, -2), (0, 2, 1), (3, 1, -1)]
@@ -147,16 +147,21 @@ def test_side_data_random_invariants(supp):
 
 
 def expand_branches(branches):
-    """The terms (j, k, coefficient) of the product of z - c y^e over the
-    branches (c, e)."""
+    """The terms (j, k, coefficient) of the product of z^q - c y^p over the
+    branches (c, p, q)."""
     product = {(0, 0): 1}
-    for c, e in branches:
+    for c, p, q in branches:
         step = Counter()
         for (j, k), coeff in product.items():
-            step[j, k + 1] += coeff
-            step[j + e, k] -= c * coeff
+            step[j, k + q] += coeff
+            step[j + p, k] -= c * coeff
         product = step
     return [(j, k, coeff) for (j, k), coeff in sorted(product.items()) if coeff]
+
+
+def support_of(branches):
+    terms = expand_branches(branches)
+    return support(max(j + k for j, k, _ in terms), terms)
 
 
 @settings(max_examples=200)
@@ -164,8 +169,7 @@ def expand_branches(branches):
 def test_sides_of_a_product_of_branches(branches):
     # z = c y^e has slope -1/e: the branches with one e make one side,
     # steepest first, and k equal c on it make a root of multiplicity k
-    terms = expand_branches(branches)
-    supp = support(max(j + k for j, k, _ in terms), terms)
+    supp = support_of([(c, e, 1) for c, e in branches])
     by_exponent = {}
     for c, e in branches:
         by_exponent.setdefault(e, Counter())[c] += 1
@@ -179,6 +183,41 @@ def test_sides_of_a_product_of_branches(branches):
     polygon = newton.newton_polygon(supp)
     assert polygon.vertices == tuple(vertices)
     assert [(side, newton.side_data(supp, side).s_values()) for side in newton.qualifying_sides(polygon)] == expected
+
+
+@settings(max_examples=200)
+@given(puiseux_curves())
+def test_side_of_puiseux_branches(curve):
+    # n branches z^q = c y^p make one side of slope -q/p, (0, nq) -> (np, 0);
+    # its polynomial is the product of (t - c), so k equal c make a root of
+    # multiplicity k
+    p, q, cs = curve
+    supp = support_of([(c, p, q) for c in cs])
+    n = len(cs)
+    polygon = newton.newton_polygon(supp)
+    assert polygon.vertices == ((0, n * q), (n * p, 0))
+    [side] = newton.qualifying_sides(polygon)
+    data = newton.side_data(supp, side)
+    assert (data.span, data.k0 - data.k1, data.j1 - data.j0) == (n, n * q, n * p)
+    assert data.s_values() == tuple(sorted(Counter(cs).values(), reverse=True))
+
+
+@settings(max_examples=200)
+@given(transverse_lines(), st.none() | puiseux_curves())
+def test_transverse_lines_make_no_qualifying_side(lines, curve):
+    # lines z = c y make the side of slope -1, which does not qualify; after
+    # it come the sides of any other branches
+    n = len(lines)
+    branches = [(c, 1, 1) for c in lines]
+    vertices, qualifying = ((0, n), (n, 0)), []
+    if curve:
+        p, q, cs = curve
+        branches += [(c, p, q) for c in cs]
+        vertices = ((0, n + len(cs) * q), (n, len(cs) * q), (n + len(cs) * p, 0))
+        qualifying = [vertices[1:]]
+    polygon = newton.newton_polygon(support_of(branches))
+    assert polygon.vertices == vertices
+    assert newton.qualifying_sides(polygon) == qualifying
 
 
 def test_tacnode_side():
@@ -329,18 +368,13 @@ def _blocks_product(degree):
 
 
 @pytest.mark.parametrize("degree", [78, 100, 160])
-def test_yun_high_degree_product(monkeypatch, degree):
+def test_yun_high_degree_product(degree):
     # Euclid over Q took seconds at degree 78: its remainder coefficients
-    # grow to thousands of bits; the PRS took seconds at degree 160, and
-    # the heuristic gcd settles every step here without it
-    prs_calls = []
-    prs_gcd = newton._prs_gcd
-    monkeypatch.setattr(newton, "_prs_gcd", lambda a, b: prs_calls.append(1) or prs_gcd(a, b))
+    # grow to thousands of bits; the primitive PRS took seconds at degree 160
     product, expected = _blocks_product(degree)
     result = yun_squarefree(product)
     assert [(mult, [int(c) for c in factor]) for mult, factor in result] == expected
     assert all(c.denominator == 1 for _, factor in result for c in factor)
-    assert prs_calls == []
     rebuilt = [1]
     for mult, factor in expected:
         for _ in range(mult):
@@ -348,33 +382,51 @@ def test_yun_high_degree_product(monkeypatch, degree):
     assert [-3 * c for c in rebuilt] == product
 
 
-def _primitive_prs_gcd(a, b):
-    return newton._prs_gcd(newton._primitive(a), newton._primitive(b))
-
-
 @settings(max_examples=300)
 @given(planted_gcd_pairs())
 def test_gcd_matches_the_prs_with_exact_cofactors(pair):
     a, b = pair
     g, a_over_g, b_over_g = newton._gcd_cofactors(a, b)
-    assert newton.poly_gcd(a, b) == g == _primitive_prs_gcd(a, b)
+    assert newton.poly_gcd(a, b) == g == oracles.prs_gcd(a, b)
+    assert poly_monic(g) == oracles.poly_gcd(a, b)
     assert _int_mul(g, a_over_g) == a and _int_mul(g, b_over_g) == b
 
 
 @settings(max_examples=100)
-@given(planted_gcd_pairs(), factor_blocks)
-def test_prs_answers_when_every_heuristic_candidate_fails(pair, blocks):
-    def refused(a, b):
-        tried.append(1)
-        yield [0] * (len(a) + len(b)) + [1]  # x^n, n above both degrees, divides neither
+@given(planted_gcd_pairs(), factor_blocks, st.integers(1, 4))
+def test_refused_candidates_are_passed_over(pair, blocks, refusals):
+    # however many candidates divide neither input, the first one that
+    # divides both is still the gcd
+    real = newton._heuristic_candidates
+
+    def refused_first(a, b):
+        for _ in range(refusals):
+            tried.append(1)
+            yield [0] * (len(a) + len(b)) + [1]  # x^n, n above both degrees, divides neither
+        yield from real(a, b)
 
     product = power_product(blocks)
     tried = []
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(newton, "_heuristic_candidates", refused)
+        patch.setattr(newton, "_heuristic_candidates", refused_first)
         g = newton.poly_gcd(*pair)
         result = yun_squarefree(product)
-    assert tried
-    assert g == _primitive_prs_gcd(*pair)
+    assert len(tried) >= refusals
+    assert g == oracles.prs_gcd(*pair)
     assert poly_monic(g) == oracles.poly_gcd(*pair)
     assert result == oracles.yun_squarefree(product)
+
+
+def test_a_first_candidate_that_divides_one_input_is_refused(monkeypatch):
+    # f = (x - 1)(x - 2)(x + 2): at xi = 10, gcd(f(10), f'(10)) = 12 reads
+    # back as x + 2, which divides f but not f'
+    real, pulled = newton._heuristic_candidates, []
+
+    def counted(a, b):
+        for candidate in real(a, b):
+            pulled.append(candidate)
+            yield candidate
+
+    monkeypatch.setattr(newton, "_heuristic_candidates", counted)
+    assert yun_squarefree([4, -4, -1, 1]) == [(1, [F(4), F(-4), F(-1), F(1)])]
+    assert pulled[0] == [2, 1] and len(pulled) >= 2
