@@ -15,7 +15,6 @@ positive denominator, standing for the sum of a_i * H^i / (i! * den).
 from __future__ import annotations
 
 from math import comb, lcm
-from operator import mul
 from typing import Sequence
 
 from . import model
@@ -151,30 +150,26 @@ def _cone_term(es: Sequence[int]) -> Correction:
     return _local(KIND_TANGENT_CONE, 30 * prefactor, -180 * e1 * prefactor, 630 * e1 * e1 * prefactor)
 
 
-#: 420 / (i + 1) for i <= 6: the integral of t^i over [0, 1], times 420 = lcm(1..7).
-_MOMENTS = tuple(420 // (i + 1) for i in range(7))
-
-
-def _times_linear(f: Sequence[int], s0: int, s1: int) -> list[int]:
-    """The polynomial f(t) * (s0 + s1*t), coefficients constant term first."""
-    return [s0 * f[0]] + [s0 * f[i] + s1 * f[i - 1] for i in range(1, len(f))] + [s1 * f[-1]]
+#: Weights of the closed seven-point Newton-Cotes rule on [0, 1], over 840.
+_NEWTON_COTES_7 = (41, 216, 27, 272, 27, 216, 41)
 
 
 def _side_vertex_polynomials(j0: int, k0: int, j1: int, k1: int) -> tuple[int, int, int]:
     """(l6, l7, l8) = 30, 180 and 630 times the integrals over 0 <= t <= 1 of
     (jk)^2, (jk)^2 (j+k) and (jk)^2 (j+k)^2 along the side j = (1-t)j0 + t*j1,
-    k = (1-t)k0 + t*k1: symmetric in the endpoints, since t <-> 1-t swaps them.
-
-    The integrands are expanded in t as integers, and sum(c_i * t^i)
-    integrates to sum(c_i * 420/(i+1)) / 420 with one exact division.
+    k = (1-t)k0 + t*k1, by the seven-point rule: exact to degree 7 in t, and
+    symmetric in the endpoints as its weights are.  At t = i/6, 6j and 6k are
+    integers, and each division is exact: (1-t)^a t^b integrates to
+    a! b! / (a+b+1)!, which 30, 180 and 630 make integral except for odd a, where
+    the squares (jk)^2 and (jk(j+k))^2 have even coefficients as forms in (1-t, t).
     """
     dj, dk = j1 - j0, k1 - k0
-    p0, p1, p2 = j0 * k0, j0 * dk + k0 * dj, dj * dk  # jk = p0 + p1*t + p2*t^2
-    q6 = [p0 * p0, 2 * p0 * p1, p1 * p1 + 2 * p0 * p2, 2 * p1 * p2, p2 * p2]
-    q7 = _times_linear(q6, j0 + k0, dj + dk)
-    q8 = _times_linear(q7, j0 + k0, dj + dk)
-    l6, l7, l8 = (w * sum(map(mul, q, _MOMENTS)) // 420 for w, q in ((30, q6), (180, q7), (630, q8)))
-    return l6, l7, l8
+    s6 = s7 = s8 = 0
+    for i, w in enumerate(_NEWTON_COTES_7):
+        j, k = 6 * j0 + i * dj, 6 * k0 + i * dk
+        v = w * (j * k) ** 2
+        s6, s7, s8 = s6 + v, s7 + v * (j + k), s8 + v * (j + k) ** 2
+    return 30 * s6 // (840 * 6**4), 180 * s7 // (840 * 6**5), 630 * s8 // (840 * 6**6)
 
 
 def newton_side_correction(side: model.NewtonSide) -> Correction:

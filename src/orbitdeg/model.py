@@ -358,7 +358,7 @@ def validate(descriptor: CurveDescriptor) -> list[Violation]:
     """
     out: list[Violation] = []
     d = descriptor.degree
-    if d < 1:
+    if type(d) is not int or d < 1:  # a bool or a float is no degree
         out.append(Violation("degree", "degree must be a positive integer"))
         return out
 
@@ -408,12 +408,13 @@ def validate(descriptor: CurveDescriptor) -> list[Violation]:
                     f"absorbed flexes exceed the budget 3d(d-2) = {3 * d * (d - 2)}",
                 )
             )
-    elif isinstance(descriptor.flexes, int):
+    elif type(descriptor.flexes) is int:
         out += flex_count_violations(descriptor.flexes)
     else:
         out.append(Violation("flexes", 'flex count must be an integer or "auto"'))
 
-    if descriptor.stabilizer_degree is not None and descriptor.stabilizer_degree < 1:
+    stabilizer = descriptor.stabilizer_degree
+    if stabilizer is not None and (type(stabilizer) is not int or stabilizer < 1):
         out.append(Violation("stabilizer_degree", "stabilizer degree must be a positive integer"))
     return out
 

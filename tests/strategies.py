@@ -17,7 +17,8 @@ each kind, supports of at most a dozen terms.
 - `supports`: monomial supports for the Newton-polygon toolkit;
 - `branch_curves`, `puiseux_curves` and `transverse_lines`: curves that
   are products of branches z = c y^e, z^q = c y^p or z = c y, whose
-  polygon and root multiplicities are known;
+  polygon and root multiplicities are known, and `ordinary_branch_points`,
+  such products that make the shorthand's ordinary multiple point;
 - `planted_gcd_pairs`: integer polynomials with a common factor, for the
   squarefree step's gcd.
 """
@@ -245,6 +246,17 @@ def puiseux_curves(draw) -> tuple[int, int, list[int]]:
 def transverse_lines() -> st.SearchStrategy[list[int]]:
     """The slopes c of 1..5 lines z = c y, each in {1, -1, 2, -2, 3}."""
     return st.lists(_BRANCH_COEFFICIENTS, min_size=1, max_size=5)
+
+
+@st.composite
+def ordinary_branch_points(draw) -> tuple[int, int, list[int]]:
+    """(m, r, cs): the branch z = y^(r-m+1) and the m - 1 lines z = c y,
+    one per c in cs, which make an ordinary m-fold point with one
+    nonlinear branch of contact r; m in 2..6, r in m+1..m+7 and distinct
+    c in {1, -1, 2, -2, 3}."""
+    m = draw(st.integers(2, 6))
+    r = draw(st.integers(m + 1, m + 7))
+    return m, r, draw(st.lists(_BRANCH_COEFFICIENTS, min_size=m - 1, max_size=m - 1, unique=True))
 
 
 _BIG = st.integers(-(2**100), 2**100)

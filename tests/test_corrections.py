@@ -109,6 +109,14 @@ def test_nonlinear_correction_precondition():
         (lambda: corrections.tangent_cone_correction((1, 0, 1)), model.tangent_cone_violations((1, 0, 1))),
         (lambda: corrections.flex_correction(-1), model.flex_count_violations(-1)),
         (lambda: corrections.multiple_point_correction(1, ()), model.multiple_point_violations(1, ())),
+        (
+            lambda: corrections.truncation_correction(model.Truncation(1, F(1), ())),
+            model.truncation_violations(model.Truncation(1, F(1), ())),
+        ),
+        (
+            lambda: corrections.truncation_correction(model.Truncation(1, F(1), (1, 0))),
+            model.truncation_violations(model.Truncation(1, F(1), (1, 0))),
+        ),
     ],
 )
 def test_builders_raise_the_first_model_violation(build, problems):
@@ -201,6 +209,8 @@ def test_side_vertex_polynomial_symmetry(vertices):
     j0, k0, j1, k1 = vertices
     for vertex_polynomial in (oracles._side_l6, oracles._side_l7, oracles._side_l8):
         assert vertex_polynomial(j0, k0, j1, k1) == vertex_polynomial(j1, k1, j0, k0)
+    shipped = corrections._side_vertex_polynomials
+    assert shipped(j0, k0, j1, k1) == shipped(j1, k1, j0, k0)
 
 
 #: (j0, k0, j1, k1) in [-9, 9]^4 as the base-19 digits of one index: one
@@ -211,6 +221,14 @@ VERTEX_TUPLES = st.sampled_from(range(19**4)).map(lambda c: tuple(c // 19**i % 1
 @settings(max_examples=2000)
 @given(VERTEX_TUPLES)
 def test_side_vertex_integral_matches_expanded_forms(vertices):
+    expanded = tuple(l(*vertices) for l in (oracles._side_l6, oracles._side_l7, oracles._side_l8))
+    assert corrections._side_vertex_polynomials(*vertices) == expanded
+
+
+@settings(max_examples=200)
+@given(st.tuples(*[st.integers(-(10**6), 10**6)] * 4))
+def test_side_vertex_integral_exact_on_large_coordinates(vertices):
+    # the quadrature's sums reach about 6^6 * 10^36; the divisions stay exact
     expanded = tuple(l(*vertices) for l in (oracles._side_l6, oracles._side_l7, oracles._side_l8))
     assert corrections._side_vertex_polynomials(*vertices) == expanded
 

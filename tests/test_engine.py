@@ -199,6 +199,23 @@ def test_validation_error_raised():
         engine.assemble(bad)
 
 
+@pytest.mark.parametrize(
+    "fields, path",
+    [
+        ({"stabilizer_degree": "2"}, "stabilizer_degree"),
+        ({"degree": 2.0}, "degree"),
+        ({"degree": True, "nonlinear": (), "linear": (model.LinearComponent(1, ()),)}, "degree"),
+        ({"flexes": True}, "flexes"),
+    ],
+)
+def test_validation_refuses_wrongly_typed_scalars(fields, path):
+    # a bool is an int to Python, and a float or a string compares badly with one
+    descriptor = model.CurveDescriptor(**{"degree": 2, "nonlinear": (model.NonlinearComponent(2, 1),), **fields})
+    with pytest.raises(engine.ValidationError) as excinfo:
+        engine.assemble(descriptor)
+    assert [v.path for v in excinfo.value.violations] == [path]
+
+
 def test_degree_requires_divisibility():
     descriptor = model.CurveDescriptor(
         degree=2, nonlinear=(model.NonlinearComponent(2, 1),), flexes=0, stabilizer_degree=3

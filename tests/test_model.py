@@ -137,6 +137,14 @@ CONIC = model.NonlinearComponent(2, 1)
             ["stabilizer_degree: stabilizer degree must be a positive integer"],
         ),
         (
+            lambda: model.validate(
+                model.CurveDescriptor(
+                    2, nonlinear=(CONIC,), points=(model.CompositePoint(truncations=(model.Truncation(1, Fraction(1), ()),)),)
+                )
+            ),
+            ["points[0].truncations[0].s: conic multiplicities must be a non-empty list of positive integers"],
+        ),
+        (
             lambda: model.irreducible_violations(model.IrreducibleSingularity(0, 3)),
             ["singularity.m: multiplicity must be a positive integer"],
         ),

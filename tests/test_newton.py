@@ -9,9 +9,17 @@ from hypothesis import strategies as st
 
 import oracles
 from oracles import poly_derivative, poly_monic, poly_mul
-from orbitdeg import newton
+from orbitdeg import model, newton
 from orbitdeg.newton import MonomialSupport, yun_squarefree
-from strategies import branch_curves, planted_gcd_pairs, puiseux_curves, rationals, supports, transverse_lines
+from strategies import (
+    branch_curves,
+    ordinary_branch_points,
+    planted_gcd_pairs,
+    puiseux_curves,
+    rationals,
+    supports,
+    transverse_lines,
+)
 
 # the quartic (y^2 - x z)^2 = y^3 z written out at the point (1:0:0), tangent z = 0
 QUARTIC_TERMS = [(4, 0, 1), (2, 1, -2), (0, 2, 1), (3, 1, -1)]
@@ -218,6 +226,19 @@ def test_transverse_lines_make_no_qualifying_side(lines, curve):
     polygon = newton.newton_polygon(support_of(branches))
     assert polygon.vertices == vertices
     assert newton.qualifying_sides(polygon) == qualifying
+
+
+@settings(max_examples=200)
+@given(ordinary_branch_points())
+def test_side_of_the_shorthand_branch(point):
+    # the lines make the side of slope -1, which does not qualify; the
+    # branch makes (m-1, 1) -> (r, 0) with a simple root, the side that the
+    # shorthand writes for it
+    m, r, cs = point
+    supp = support_of([(1, r - m + 1, 1)] + [(c, 1, 1) for c in cs])
+    polygon = newton.newton_polygon(supp)
+    sides = [newton.side_data(supp, side).as_newton_side() for side in newton.qualifying_sides(polygon)]
+    assert sides == list(model.branch_sides(m, [r]))
 
 
 def test_tacnode_side():
