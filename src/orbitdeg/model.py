@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from math import gcd
-from typing import Any, Callable, Optional, Sequence, Union
+from typing import Any, Callable, Optional, Sequence, Union, get_args
 
 from .record import record
 from .series import rational_to_string, to_rational
@@ -350,15 +350,68 @@ def truncation_violations(trunc: Truncation, path: str = "truncation") -> list[V
     return out
 
 
+_NONE, _INTS, _TUPLE = type(None), frozenset({int}), frozenset({tuple})
+
+#: Per field annotation: the classes its value may have, `_INTS` or the
+#: record classes the entries of its tuple may have, and what it asks for.
+#: A value's own class is looked up, so a bool is no int here.
+_TYPES: dict[str, tuple[frozenset, Any, str]] = {
+    "int": (_INTS, (), "an integer"),
+    "bool": (frozenset({bool}), (), "a boolean"),
+    "Fraction": (frozenset({Fraction, int}), (), "a Fraction or an integer"),
+    "Optional[int]": (frozenset({int, _NONE}), (), "an integer or None"),
+    "Optional[str]": (frozenset({str, _NONE}), (), "a string or None"),
+    "Union[int, str]": (frozenset({int, str}), (), "an integer or a string"),
+    "tuple[int, ...]": (_TUPLE, _INTS, "a tuple of integers"),
+    "Optional[tuple[int, ...]]": (frozenset({tuple, _NONE}), _INTS, "a tuple of integers or None"),
+    "tuple[LinearComponent, ...]": (_TUPLE, (LinearComponent,), "a tuple of LinearComponent records"),
+    "tuple[NonlinearComponent, ...]": (_TUPLE, (NonlinearComponent,), "a tuple of NonlinearComponent records"),
+    "tuple[NewtonSide, ...]": (_TUPLE, (NewtonSide,), "a tuple of NewtonSide records"),
+    "tuple[Truncation, ...]": (_TUPLE, (Truncation,), "a tuple of Truncation records"),
+    "tuple[PointFeature, ...]": (_TUPLE, get_args(PointFeature), "a tuple of point records"),
+}
+
+#: (field, path key, *its `_TYPES` entry) per field of each descriptor
+#: record class; the rules name a truncation's weight by its JSON key.
+_FIELD_TYPES = {
+    cls: [(name, "W" if name == "weight" else name, *_TYPES[hint]) for name, hint in cls.__annotations__.items()]
+    for cls in (CurveDescriptor, LinearComponent, NonlinearComponent, NewtonSide, Truncation, *get_args(PointFeature))
+}
+
+
+def _type_violations(value: Any, prefix: str = "") -> list[Violation]:
+    """The fields of the record `value`, and of the records it holds, whose
+    value does not have the field's annotated type; `prefix` leads to `value`."""
+    out = []
+    for name, key, classes, entries, what in _FIELD_TYPES[type(value)]:
+        field = getattr(value, name)
+        if type(field) not in classes:
+            out.append(Violation(prefix + key, f"must be {what}"))
+        elif entries is _INTS:
+            if field and not _INTS.issuperset(map(type, field)):
+                out.append(Violation(prefix + key, f"must be {what}"))
+        elif entries:
+            for idx, item in enumerate(field):
+                path = f"{prefix}{key}[{idx}]"
+                if type(item) in entries:
+                    out += _type_violations(item, path + ".")
+                else:
+                    out.append(Violation(path, f"must be a {' or '.join([c.__name__ for c in entries])} record"))
+    return out
+
+
 def validate(descriptor: CurveDescriptor) -> list[Violation]:
     """Check every descriptor invariant; an empty list means valid.
 
     Violations are data, not exceptions: callers decide how to surface
-    them.
+    them.  Every field's type is checked first, and the value rules run
+    only when all of them hold.
     """
-    out: list[Violation] = []
+    out = _type_violations(descriptor)
+    if out:
+        return out
     d = descriptor.degree
-    if type(d) is not int or d < 1:  # a bool or a float is no degree
+    if d < 1:
         out.append(Violation("degree", "degree must be a positive integer"))
         return out
 
@@ -414,7 +467,7 @@ def validate(descriptor: CurveDescriptor) -> list[Violation]:
         out.append(Violation("flexes", 'flex count must be an integer or "auto"'))
 
     stabilizer = descriptor.stabilizer_degree
-    if stabilizer is not None and (type(stabilizer) is not int or stabilizer < 1):
+    if stabilizer is not None and stabilizer < 1:
         out.append(Violation("stabilizer_degree", "stabilizer degree must be a positive integer"))
     return out
 

@@ -422,6 +422,26 @@ def test_check_fixture_names_each_mismatch(tmp_path, expected, failures):
     assert corpus.check_fixture(path).failures == failures
 
 
+def test_check_fixture_keeps_the_mismatches_before_a_value_it_cannot_compare(tmp_path):
+    good = json.loads((corpus.corpus_dir() / "smooth-conic.json").read_text(encoding="utf-8"))
+    path = tmp_path / "conic.json"
+    expected = {"orbit_dimension": 4, "predegree": "9", "a": {"4": "3/2", "99": "1", "5": "1/15"}}
+    path.write_text(json.dumps(dict(good, expected=expected)), encoding="utf-8")
+    result = corpus.check_fixture(path)
+    assert result == corpus.FixtureResult(
+        "smooth-conic",
+        [
+            "orbit_dimension: expected 4, got 5",
+            "predegree: expected 9, got 8",
+            "a4: expected 3/2, got 16",
+            "expected values could not be compared: tuple index out of range",
+        ],
+    )
+    assert not result.passed
+    with pytest.raises(AttributeError):
+        result.failures = []
+
+
 def test_compute_oversized_integer_is_a_parse_error(capsys, tmp_path):
     path = tmp_path / "big.json"
     path.write_text('{"degree": ' + "9" * 5000 + "}", encoding="utf-8")

@@ -216,6 +216,92 @@ def test_validation_refuses_wrongly_typed_scalars(fields, path):
     assert [v.path for v in excinfo.value.violations] == [path]
 
 
+@pytest.mark.parametrize(
+    "fields, violation",
+    [
+        (
+            {"points": (model.CompositePoint(tangent_cone=("1", "1")),)},
+            "points[0].tangent_cone: must be a tuple of integers or None",
+        ),
+        (
+            {"points": {"a": 1}},
+            "points: must be a tuple of point records",
+        ),
+        (
+            {"points": ("cusp",)},
+            "points[0]: must be a FlexPoint or IrreducibleSingularity or CompositePoint record",
+        ),
+        ({"linear": (1,)}, "linear[0]: must be a LinearComponent record"),
+        (
+            {"points": (model.CompositePoint(sides=(model.NewtonSide(1, 1, 3, 0, None),)),)},
+            "points[0].sides[0].s: must be a tuple of integers",
+        ),
+        (
+            {"points": (model.CompositePoint(sides=(model.NewtonSide(1.0, 1, 3, 0, (1,)),)),)},
+            "points[0].sides[0].j0: must be an integer",
+        ),
+        (
+            {"points": (model.CompositePoint(truncations=(model.Truncation(1, "1/2", (1,)),)),)},
+            "points[0].truncations[0].W: must be a Fraction or an integer",
+        ),
+        ({"points": (model.FlexPoint("3"),)}, "points[0].contact: must be an integer"),
+        ({"points": (model.IrreducibleSingularity(2, 3, ("5",)),)}, "points[0].essential: must be a tuple of integers"),
+        ({"nonlinear": (model.NonlinearComponent(4, True),)}, "nonlinear[0].mult: must be an integer"),
+        ({"points": (model.FlexPoint(3, label=5),)}, "points[0].label: must be a string or None"),
+        ({"points": (model.CompositePoint(absorbed_flexes=0.0),)}, "points[0].absorbed_flexes: must be an integer"),
+    ],
+)
+def test_validation_refuses_wrongly_typed_nested_fields(fields, violation):
+    # each raised TypeError or AttributeError, or gave a report, before the
+    # field types were checked
+    quartic = {"degree": 4, "flexes": 0, "nonlinear": (model.NonlinearComponent(4),)}
+    with pytest.raises(engine.ValidationError) as excinfo:
+        engine.assemble(model.CurveDescriptor(**{**quartic, **fields}))
+    assert [str(v) for v in excinfo.value.violations] == [violation]
+
+
+def _swappable(record, prefix=""):
+    """(path, value, rebuild) for each field of `record`, each entry of its
+    tuples and the same below each record it holds; rebuild(new) is `record`
+    with that one value replaced by `new`.  The entry of a tuple of integers
+    is reported at its field's path."""
+    for name in records.fields(type(record)):
+        value, path = getattr(record, name), prefix + ("W" if name == "weight" else name)
+
+        def put(new, name=name):
+            return records.replace(record, **{name: new})
+
+        yield path, value, put
+        for idx, item in enumerate(value if type(value) is tuple else ()):
+
+            def put_item(new, value=value, idx=idx, put=put):
+                return put(value[:idx] + (new,) + value[idx + 1 :])
+
+            if type(item) is int:
+                yield path, item, put_item
+            else:
+                yield f"{path}[{idx}]", item, put_item
+                for inner_path, inner, rebuild in _swappable(item, f"{path}[{idx}]."):
+                    yield inner_path, inner, lambda new, rebuild=rebuild, put_item=put_item: put_item(rebuild(new))
+
+
+#: The wrong values the property draws that a field takes after all.
+_TAKES = {"label": ("1", None), "stabilizer_degree": (None,), "tangent_cone": (None,), "suppress": (True,)}
+
+
+@settings(max_examples=200)
+@given(descriptors(), st.data())
+def test_validation_names_the_field_of_the_wrong_type(descriptor, data):
+    slots = list(_swappable(descriptor))
+    path, value, rebuild = slots[data.draw(st.integers(0, len(slots) - 1), label="slot")]
+    other = model.LinearComponent(1) if type(value) is model.NonlinearComponent else model.NonlinearComponent(2)
+    taken = _TAKES.get(path.rsplit(".", 1)[-1], ())
+    wrong = data.draw(st.sampled_from([v for v in (1.5, "1", True, None, [1], other) if v not in taken]), label="wrong")
+    with pytest.raises(engine.ValidationError) as excinfo:
+        engine.assemble(rebuild(wrong))
+    assert [v.path for v in excinfo.value.violations] == [path]
+
+
 def test_degree_requires_divisibility():
     descriptor = model.CurveDescriptor(
         degree=2, nonlinear=(model.NonlinearComponent(2, 1),), flexes=0, stabilizer_degree=3

@@ -363,6 +363,15 @@ def test_records_equal_only_their_own_class():
     assert len({cusp, model.IrreducibleSingularity(2, 3, (3,), label="cusp"), (2, 3, (3,), None)}) == 3
 
 
+def test_record_repr_names_every_field():
+    # the README's Name(field=value, ...), through a nested record
+    point = model.CompositePoint(sides=(model.NewtonSide(1, 1, 3, 0, (1,)),), label="p")
+    assert repr(point) == (
+        "CompositePoint(tangent_cone=None, sides=(NewtonSide(j0=1, k0=1, j1=3, k1=0, s=(1,), suppress=False),), "
+        "truncations=(), absorbed_flexes=0, label='p')"
+    )
+
+
 def test_parse_serialize_round_trip_corpus():
     for path in corpus.fixture_paths(corpus.corpus_dir()):
         with open(path, encoding="utf-8") as fh:

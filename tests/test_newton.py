@@ -1,5 +1,6 @@
 """Polygon extraction, side data, squarefree decomposition, local invariants."""
 
+import json
 from collections import Counter
 from fractions import Fraction as F
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 from oracles import poly_derivative, poly_monic, poly_mul
-from orbitdeg import model, newton
+from orbitdeg import corpus, model, newton
 from orbitdeg.newton import MonomialSupport, yun_squarefree
 from strategies import (
     branch_curves,
@@ -247,6 +248,53 @@ def test_tacnode_side():
     [side] = newton.qualifying_sides(newton.newton_polygon(supp))
     assert side == ((0, 2), (4, 0))
     assert newton.side_data(supp, side).s_values() == (1, 1)
+
+
+def branch_frame(m, r):
+    """A branch of contact r at an ordinary m-fold point, in the frame of
+    its tangent z = 0: the branch z = y^(r-m+1) and the point's other m - 1
+    branches as the lines z = c y, c = 1..m-1."""
+    return [(1, r - m + 1, 1)] + [(c, 1, 1) for c in range(1, m)]
+
+
+#: The local equations of each fixture point that has polygon sides, as
+#: branches (c, p, q) for `support_of`: per shorthand branch the equation
+#: in its tangent's frame, per composite point one equation.  In fixture
+#: order, their qualifying sides are the fixture's sides.
+FIXTURE_EQUATIONS = {
+    "biflecnode-quartic": 6 * [branch_frame(2, 4)],
+    "conic-line": 2 * [branch_frame(2, 3)],
+    "conic-tangent-line": [[(0, 1, 1), (1, 2, 1)]],  # z (z - y^2): the line and the conic it touches
+    "cubic-line-through-flex": 2 * [branch_frame(2, 3)] + [branch_frame(2, 4)],
+    "cubic-line": 3 * [branch_frame(2, 3)],
+    "nodal-quartic-3": 6 * [branch_frame(2, 3)],
+    "nodal-quartic": 2 * [branch_frame(2, 3)],
+    "quadritangent-conics": [[(1, 2, 1), (1, 2, 1)]],  # (z - y^2)^2
+    "quartic-triple-point": 3 * [branch_frame(3, 4)],
+    "rational-nodal-quintic": 12 * [branch_frame(2, 3)],
+    "tacnodal-quartic": [[(1, 2, 1), (2, 2, 1)]],  # (z - y^2)(z - 2y^2)
+    "two-transversal-conics": 8 * [branch_frame(2, 3)],
+}
+
+
+def test_fixture_sides_rebuilt_from_local_equations():
+    # a fixture side that was mistyped, or a polygon step that went wrong,
+    # shows up as a difference here
+    rebuilt = {}
+    for name, equations in FIXTURE_EQUATIONS.items():
+        rebuilt[name] = []
+        for branches in equations:
+            supp = support_of(branches)
+            polygon = newton.newton_polygon(supp)
+            rebuilt[name] += [newton.side_data(supp, side).as_newton_side() for side in newton.qualifying_sides(polygon)]
+    written = {}
+    for path in corpus.fixture_paths(corpus.corpus_dir()):
+        descriptor = model.descriptor_from_obj(json.loads(path.read_text(encoding="utf-8"))["descriptor"])
+        sides = [side for point in descriptor.points if isinstance(point, model.CompositePoint) for side in point.sides]
+        if sides:
+            written[path.stem] = sides
+    assert rebuilt == written
+    assert sum(map(len, written.values())) == 48
 
 
 def test_local_invariants_quartic():
