@@ -87,6 +87,8 @@ def check_fixture(path: Path, erratum_strict: bool = False) -> FixtureResult:
     except (OSError, ValueError, AttributeError, KeyError, model.DescriptorError, engine.EngineError) as exc:
         return FixtureResult(name, [f"fixture did not compute: {exc}"])
     expected = data.get("expected", {})
+    if type(expected) is not dict:
+        return FixtureResult(name, [f"expected values must be an object, got {type(expected).__name__}"])
     try:
         obj = engine.report_to_obj(report)
         unknown = set(expected) - _EXPECTED_KEYS

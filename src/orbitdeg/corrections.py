@@ -250,20 +250,18 @@ def irreducible_correction(sing: model.IrreducibleSingularity) -> Correction:
     return _local(KIND_IRREDUCIBLE, -q0, -q1, -q2)
 
 
-#: The term of one ordinary inflection (contact 3): -H^6/48 + 3*H^7/70 -
-#: 197*H^8/4480 as the general contact formula gives it, and the same with
-#: the H^6 coefficient -1/42 that circulates in print.  The printed value is
-#: inconsistent with every cross-check in this package (see README), but
-#: can be selected to reproduce the discrepancy.
-_FLEX_DERIVED = irreducible_correction(model.IrreducibleSingularity(1, 3))
-_FLEX_PRINTED = _local(KIND_FLEX, -120, 1512, -12411, 7)
-
-
-def flex_correction(count: int, printed: bool = False) -> Correction:
-    """The term of `count` ordinary inflections: count times that of one."""
-    _check(model.flex_count_violations(count))
-    one = _FLEX_PRINTED if printed else _FLEX_DERIVED
-    return Correction(KIND_FLEX, tuple([count * v for v in one.a]), one.den)
+def flex_correction(count: int, printed: bool = False, contact: int = 3) -> Correction:
+    """`count` times the term of an inflection of contact c >= 3: the irreducible
+    term at m = 1, n = c, whose one chain step weighs pair_jet(1, 2) = (0, 0, 0).
+    At c = 3 that is -H^6/48 + 3*H^7/70 - 197*H^8/4480; `printed` gives H^6 the
+    coefficient -1/42 that circulates in print (6! * -1/42 = -120/7), which
+    every cross-check in this package refutes (see README).
+    """
+    _check(model.flex_count_violations(count) + model.flex_violations(contact))
+    q0, q1, q2 = (-count * contact * v for v in pair_jet(1, contact))
+    if printed and contact == 3:
+        return _local(KIND_FLEX, -120 * count, 7 * q1, 7 * q2, 7)
+    return _local(KIND_FLEX, q0, q1, q2)
 
 
 # ---------------------------------------------------------------------------

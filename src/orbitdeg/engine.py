@@ -127,11 +127,7 @@ def _feature_corrections(
 ) -> Iterator[tuple[str, Correction]]:
     label = feature.label if feature.label is not None else f"points[{index}]"
     if isinstance(feature, model.FlexPoint):
-        if erratum_strict and feature.contact == 3:
-            yield label, corrections.flex_correction(1, printed=True)
-        else:
-            single = corrections.irreducible_correction(model.IrreducibleSingularity(1, feature.contact))
-            yield label, Correction(corrections.KIND_FLEX, single.a, single.den)
+        yield label, corrections.flex_correction(1, erratum_strict, feature.contact)
     elif isinstance(feature, model.IrreducibleSingularity):
         yield label, corrections.irreducible_correction(feature)
     else:
@@ -161,15 +157,11 @@ def assemble(descriptor: model.CurveDescriptor, *, erratum_strict: bool = False)
     for i, comp in enumerate(descriptor.nonlinear):
         breakdown.append((f"nonlinear[{i}]", corrections.nonlinear_correction(d, comp.deg, comp.mult)))
 
-    flex_in_use = False
     for i, feature in enumerate(descriptor.points):
-        if isinstance(feature, model.FlexPoint) and feature.contact == 3:
-            flex_in_use = True
         breakdown.extend(_feature_corrections(feature, i, erratum_strict))
 
     count = model.resolved_flex_count(descriptor)
     if count:
-        flex_in_use = True
         breakdown.append(("ordinary_flexes", corrections.flex_correction(count, printed=erratum_strict)))
 
     den = lcm(*[corr.den for _, corr in breakdown])
@@ -180,7 +172,8 @@ def assemble(descriptor: model.CurveDescriptor, *, erratum_strict: bool = False)
             if v:
                 total[i] += factor * v
     app = _convolve([d**i for i in range(TRUNCATION_ORDER)], total)
-    notes = (_ERRATUM_NOTE,) if erratum_strict and flex_in_use else ()
+    printed = erratum_strict and (count or any(type(p) is model.FlexPoint and p.contact == 3 for p in descriptor.points))
+    notes = (_ERRATUM_NOTE,) if printed else ()
     # Tuples here, in `union` and in `scale` are built from lists: tuple() of a
     # generator allocates ten slots and then shrinks, and the shrunk tuples
     # collect in CPython's per-size free lists, so a long run's peak memory grows.

@@ -255,6 +255,13 @@ def tangent_cone_violations(line_mults: Sequence[int], path: str = "tangent_cone
     return []
 
 
+def flex_violations(contact: int, path: str = "flex") -> list[Violation]:
+    """Checks for the contact order of an inflection."""
+    if contact < 3:
+        return [Violation(f"{path}.contact", "flex contact order must be >= 3")]
+    return []
+
+
 def flex_count_violations(count: int, path: str = "flexes") -> list[Violation]:
     """Checks for an explicit count of ordinary inflections."""
     if count < 0:
@@ -433,8 +440,7 @@ def validate(descriptor: CurveDescriptor) -> list[Violation]:
     for idx, feature in enumerate(descriptor.points):
         path = f"points[{idx}]"
         if isinstance(feature, FlexPoint):
-            if feature.contact < 3:
-                out.append(Violation(f"{path}.contact", "flex contact order must be >= 3"))
+            out += flex_violations(feature.contact, path)
         elif isinstance(feature, IrreducibleSingularity):
             out += irreducible_violations(feature, path)
         else:

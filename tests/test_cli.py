@@ -413,6 +413,11 @@ def test_corpus_empty_dir(capsys, tmp_path):
         ({"orbit_dimension": 4}, ["orbit_dimension: expected 4, got 5"]),
         ({"a": {"5": "8", "4": "3/2"}}, ["a4: expected 3/2, got 16"]),
         ({"app": ["1", "2"]}, ["app: expected ['1', '2'], got ['1', '2', '2', '4/3', '2/3', '1/15', '0', '0', '0']"]),
+        ("degree", ["expected values must be an object, got str"]),
+        ("xyz", ["expected values must be an object, got str"]),
+        (["predegree"], ["expected values must be an object, got list"]),
+        (5, ["expected values must be an object, got int"]),
+        (None, ["expected values must be an object, got NoneType"]),
     ],
 )
 def test_check_fixture_names_each_mismatch(tmp_path, expected, failures):

@@ -108,6 +108,7 @@ def test_nonlinear_correction_precondition():
         (lambda: corrections.nonlinear_correction(3, 2, 0), model.nonlinear_violations(2, 0)),
         (lambda: corrections.tangent_cone_correction((1, 0, 1)), model.tangent_cone_violations((1, 0, 1))),
         (lambda: corrections.flex_correction(-1), model.flex_count_violations(-1)),
+        (lambda: corrections.flex_correction(1, contact=2), model.flex_violations(2)),
         (lambda: corrections.multiple_point_correction(1, ()), model.multiple_point_violations(1, ())),
         (
             lambda: corrections.truncation_correction(model.Truncation(1, F(1), ())),
@@ -477,6 +478,23 @@ def test_flex_correction_precondition():
 def test_flex_factor_conventions():
     assert factor(corrections.flex_correction(1)).coeffs[6] == F(-1, 48)
     assert factor(corrections.flex_correction(1, printed=True)).coeffs[6] == F(-1, 42)
+
+
+@settings(max_examples=200)
+@given(st.integers(3, 10**6), st.integers(0, 50))
+def test_flex_correction_is_the_irreducible_term_at_multiplicity_one(contact, count):
+    single = corrections.irreducible_correction(model.IrreducibleSingularity(1, contact))
+    got = corrections.flex_correction(count, contact=contact)
+    assert got.kind == corrections.KIND_FLEX
+    assert (got.a, got.den) == (tuple([count * v for v in single.a]), single.den)
+
+
+@settings(max_examples=100)
+@given(st.integers(3, 40), st.integers(0, 50))
+def test_printed_flex_changes_only_a6_and_only_at_contact_3(contact, count):
+    derived, printed = (corrections.flex_correction(count, p, contact) for p in (False, True))
+    changed = [i for i in range(9) if F(derived.a[i], derived.den) != F(printed.a[i], printed.den)]
+    assert changed == ([6] if contact == 3 and count else [])
 
 
 # -- structural invariants ---------------------------------------------------------

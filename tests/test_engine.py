@@ -512,6 +512,24 @@ def test_erratum_strict_changes_flex_dependent_values():
     assert engine.assemble(CONIC, erratum_strict=True).app == engine.assemble(CONIC).app
 
 
+def test_erratum_strict_notes_only_contact_3_flexes():
+    high = model.CurveDescriptor(
+        degree=4,
+        nonlinear=(model.NonlinearComponent(4, 1),),
+        points=(model.FlexPoint(4, label="hyperflex"), model.FlexPoint(5)),
+        flexes=0,
+    )
+    strict = engine.assemble(high, erratum_strict=True)
+    assert not strict.erratum_notes
+    assert strict == engine.assemble(high)
+    for ordinary in (records.replace(high, points=high.points + (model.FlexPoint(3),)), records.replace(high, flexes=1)):
+        strict, derived = (engine.assemble(ordinary, erratum_strict=s) for s in (True, False))
+        assert strict.erratum_notes
+        assert strict.erratum_notes == engine.assemble(smooth_curve(4), erratum_strict=True).erratum_notes
+        assert not derived.erratum_notes
+        assert strict.app != derived.app
+
+
 def test_report_serialization_round_trip():
     report = engine.assemble(CUSPIDAL_CUBIC)
     obj = engine.report_to_obj(report)
