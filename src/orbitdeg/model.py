@@ -38,7 +38,8 @@ class DescriptorParseError(DescriptorError):
 
 
 class DescriptorSchemaError(DescriptorError):
-    """The JSON is well-formed but does not match the descriptor schema."""
+    """Well-formed JSON that does not match the descriptor schema, or a
+    descriptor record built in Python with a field of the wrong type."""
 
     def __init__(self, path: str, message: str):
         self.path = path
@@ -68,7 +69,28 @@ class Violation:
         return f"{self.path}: {self.message}"
 
 
-@record
+def _typed(value: Any) -> None:
+    """The `__post_init__` of each descriptor record: refuse the first field
+    whose value's own class its annotation does not allow (so a bool is no
+    int), at the field's key, or at key[i] for a tuple entry.  A record in a
+    tuple checked its fields when it was built, so only its class is checked."""
+    for name, key, classes, entries, what in _FIELD_TYPES[type(value)]:
+        field = getattr(value, name)
+        if type(field) not in classes:
+            raise DescriptorSchemaError(key, f"expected {what}, got {type(field).__name__}")
+        for idx, item in enumerate(field if entries and field else ()):
+            if type(item) not in entries:
+                entry = "an integer" if entries is _INTS else f"a {' or '.join([c.__name__ for c in entries])} record"
+                raise DescriptorSchemaError(f"{key}[{idx}]", f"expected {entry}, got {type(item).__name__}")
+
+
+def _typed_record(cls: type) -> type:
+    """The `record` of `cls`, with `_typed` as its `__post_init__`."""
+    cls.__post_init__ = _typed  # type: ignore[attr-defined]
+    return record(cls)
+
+
+@_typed_record
 class LinearComponent:
     """A line in the curve, with its multiplicity and the multiplicities
     of the points where it meets the rest of the curve."""
@@ -77,7 +99,7 @@ class LinearComponent:
     meets: tuple[int, ...] = ()
 
 
-@record
+@_typed_record
 class NonlinearComponent:
     """A component of degree >= 2 with its multiplicity."""
 
@@ -85,7 +107,7 @@ class NonlinearComponent:
     mult: int = 1
 
 
-@record
+@_typed_record
 class NewtonSide:
     """A polygon side from (j0, k0) to (j1, k1) with the root
     multiplicities of its side polynomial.
@@ -107,7 +129,7 @@ class NewtonSide:
         return gcd(abs(self.j1 - self.j0), abs(self.k0 - self.k1))
 
 
-@record
+@_typed_record
 class Truncation:
     """A branch-truncation feature: denominator-clearing exponent `ell`,
     rational weight, and the multiplicities of the limit conics."""
@@ -117,7 +139,7 @@ class Truncation:
     s: tuple[int, ...]
 
 
-@record
+@_typed_record
 class IrreducibleSingularity:
     """An irreducible (one-branch) singularity, and the point feature of
     kind "irreducible".
@@ -155,7 +177,7 @@ class IrreducibleSingularity:
         return 3 * m * n - 2 * m - 2 * n + 3 * sum(step * (d - 1) for step, d in self.chain_steps())
 
 
-@record
+@_typed_record
 class FlexPoint:
     """A nonsingular point where the tangent meets the curve with the
     given contact order (>= 3)."""
@@ -166,7 +188,7 @@ class FlexPoint:
     label: Optional[str] = None
 
 
-@record
+@_typed_record
 class CompositePoint:
     """A point feature assembled from raw local data: an optional tangent
     cone (the multiplicities of its distinct lines), polygon sides,
@@ -184,7 +206,7 @@ class CompositePoint:
 PointFeature = Union[FlexPoint, IrreducibleSingularity, CompositePoint]
 
 
-@record
+@_typed_record
 class CurveDescriptor:
     degree: int
     stabilizer_degree: Optional[int] = None
@@ -195,6 +217,35 @@ class CurveDescriptor:
 
     def flexes_auto(self) -> bool:
         return self.flexes == AUTO_FLEXES
+
+
+_NONE, _INTS, _TUPLE = type(None), frozenset({int}), frozenset({tuple})
+
+#: Per field annotation: the classes its value may have, `_INTS` or the
+#: record classes the entries of its tuple may have, and what it asks for.
+#: An optional field names only the value it asks for, as the reader does.
+_TYPES: dict[str, tuple[frozenset, Any, str]] = {
+    "int": (_INTS, (), "an integer"),
+    "bool": (frozenset({bool}), (), "a boolean"),
+    "Fraction": (frozenset({Fraction, int}), (), "a Fraction or an integer"),
+    "Optional[int]": (frozenset({int, _NONE}), (), "an integer"),
+    "Optional[str]": (frozenset({str, _NONE}), (), "a string"),
+    "Union[int, str]": (frozenset({int, str}), (), "an integer or a string"),
+    "tuple[int, ...]": (_TUPLE, _INTS, "a tuple of integers"),
+    "Optional[tuple[int, ...]]": (frozenset({tuple, _NONE}), _INTS, "a tuple of integers"),
+    "tuple[LinearComponent, ...]": (_TUPLE, (LinearComponent,), "a tuple of LinearComponent records"),
+    "tuple[NonlinearComponent, ...]": (_TUPLE, (NonlinearComponent,), "a tuple of NonlinearComponent records"),
+    "tuple[NewtonSide, ...]": (_TUPLE, (NewtonSide,), "a tuple of NewtonSide records"),
+    "tuple[Truncation, ...]": (_TUPLE, (Truncation,), "a tuple of Truncation records"),
+    "tuple[PointFeature, ...]": (_TUPLE, get_args(PointFeature), "a tuple of point records"),
+}
+
+#: (field, path key, *its `_TYPES` entry) per field of each descriptor
+#: record class; the rules name a truncation's weight by its JSON key.
+_FIELD_TYPES = {
+    cls: [(name, "W" if name == "weight" else name, *_TYPES[hint]) for name, hint in cls.__annotations__.items()]
+    for cls in (CurveDescriptor, LinearComponent, NonlinearComponent, NewtonSide, Truncation, *get_args(PointFeature))
+}
 
 
 def absorbed_flexes(feature: PointFeature) -> int:
@@ -357,66 +408,14 @@ def truncation_violations(trunc: Truncation, path: str = "truncation") -> list[V
     return out
 
 
-_NONE, _INTS, _TUPLE = type(None), frozenset({int}), frozenset({tuple})
-
-#: Per field annotation: the classes its value may have, `_INTS` or the
-#: record classes the entries of its tuple may have, and what it asks for.
-#: A value's own class is looked up, so a bool is no int here.
-_TYPES: dict[str, tuple[frozenset, Any, str]] = {
-    "int": (_INTS, (), "an integer"),
-    "bool": (frozenset({bool}), (), "a boolean"),
-    "Fraction": (frozenset({Fraction, int}), (), "a Fraction or an integer"),
-    "Optional[int]": (frozenset({int, _NONE}), (), "an integer or None"),
-    "Optional[str]": (frozenset({str, _NONE}), (), "a string or None"),
-    "Union[int, str]": (frozenset({int, str}), (), "an integer or a string"),
-    "tuple[int, ...]": (_TUPLE, _INTS, "a tuple of integers"),
-    "Optional[tuple[int, ...]]": (frozenset({tuple, _NONE}), _INTS, "a tuple of integers or None"),
-    "tuple[LinearComponent, ...]": (_TUPLE, (LinearComponent,), "a tuple of LinearComponent records"),
-    "tuple[NonlinearComponent, ...]": (_TUPLE, (NonlinearComponent,), "a tuple of NonlinearComponent records"),
-    "tuple[NewtonSide, ...]": (_TUPLE, (NewtonSide,), "a tuple of NewtonSide records"),
-    "tuple[Truncation, ...]": (_TUPLE, (Truncation,), "a tuple of Truncation records"),
-    "tuple[PointFeature, ...]": (_TUPLE, get_args(PointFeature), "a tuple of point records"),
-}
-
-#: (field, path key, *its `_TYPES` entry) per field of each descriptor
-#: record class; the rules name a truncation's weight by its JSON key.
-_FIELD_TYPES = {
-    cls: [(name, "W" if name == "weight" else name, *_TYPES[hint]) for name, hint in cls.__annotations__.items()]
-    for cls in (CurveDescriptor, LinearComponent, NonlinearComponent, NewtonSide, Truncation, *get_args(PointFeature))
-}
-
-
-def _type_violations(value: Any, prefix: str = "") -> list[Violation]:
-    """The fields of the record `value`, and of the records it holds, whose
-    value does not have the field's annotated type; `prefix` leads to `value`."""
-    out = []
-    for name, key, classes, entries, what in _FIELD_TYPES[type(value)]:
-        field = getattr(value, name)
-        if type(field) not in classes:
-            out.append(Violation(prefix + key, f"must be {what}"))
-        elif entries is _INTS:
-            if field and not _INTS.issuperset(map(type, field)):
-                out.append(Violation(prefix + key, f"must be {what}"))
-        elif entries:
-            for idx, item in enumerate(field):
-                path = f"{prefix}{key}[{idx}]"
-                if type(item) in entries:
-                    out += _type_violations(item, path + ".")
-                else:
-                    out.append(Violation(path, f"must be a {' or '.join([c.__name__ for c in entries])} record"))
-    return out
-
-
 def validate(descriptor: CurveDescriptor) -> list[Violation]:
     """Check every descriptor invariant; an empty list means valid.
 
     Violations are data, not exceptions: callers decide how to surface
-    them.  Every field's type is checked first, and the value rules run
-    only when all of them hold.
+    them.  Only values are checked here: each record checked the types of
+    its fields when it was built.
     """
-    out = _type_violations(descriptor)
-    if out:
-        return out
+    out: list[Violation] = []
     d = descriptor.degree
     if d < 1:
         out.append(Violation("degree", "degree must be a positive integer"))
@@ -483,8 +482,9 @@ def validate(descriptor: CurveDescriptor) -> list[Violation]:
 # ---------------------------------------------------------------------------
 #
 # Each JSON record is one table of key -> (reader, default), read by
-# `_record` and written back by `_to_obj`.  A reader takes one JSON value and returns its model value, or
-# raises DescriptorSchemaError with a path relative to that value; each
+# `_record` and written back by `_to_obj`.  A reader takes one JSON value
+# and returns its model value, which the record built from it type-checks,
+# or raises DescriptorSchemaError with a path relative to that value; each
 # record and array the error passes through puts its key or [i] in front.
 # So a path is built only when a read fails.
 
@@ -511,12 +511,6 @@ def _str(value: Any) -> str:
     return value
 
 
-def _bool(value: Any) -> bool:
-    if not isinstance(value, bool):
-        raise DescriptorSchemaError("", "expected a boolean")
-    return value
-
-
 def _rational(value: Any) -> Fraction:
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise DescriptorSchemaError("", f'expected an integer or "num/den" string, got {type(value).__name__}')
@@ -524,6 +518,10 @@ def _rational(value: Any) -> Fraction:
         return to_rational(value)
     except ValueError as exc:
         raise DescriptorSchemaError("", str(exc)) from None
+
+
+def _as_is(value: Any) -> Any:
+    return value
 
 
 def _array(read: Callable[[Any], Any]) -> Callable[[Any], tuple]:
@@ -543,7 +541,7 @@ def _array(read: Callable[[Any], Any]) -> Callable[[Any], tuple]:
     return read_array
 
 
-_ints = _array(_int)
+_ints, _tuple = _array(_int), _array(_as_is)
 
 
 def _pair(value: Any) -> tuple[int, ...]:
@@ -607,22 +605,22 @@ def _multiple_point(
 #: of the point's kind.
 _POINT = {"kind": (_str, ""), "label": (_str, None)}
 
-_SIDE = {"from": (_pair, _REQUIRED), "to": (_pair, _REQUIRED), "s": (_ints, _REQUIRED), "suppress": (_bool, False)}
-_TRUNCATION = {"ell": (_int, _REQUIRED), "W": (_rational, _REQUIRED), "s": (_ints, _REQUIRED)}
-_LINEAR = {"mult": (_int, _REQUIRED), "meets": (_ints, ())}
-_NONLINEAR = {"deg": (_int, _REQUIRED), "mult": (_int, 1)}
+_SIDE = {"from": (_pair, _REQUIRED), "to": (_pair, _REQUIRED), "s": (_tuple, _REQUIRED), "suppress": (_as_is, False)}
+_TRUNCATION = {"ell": (_as_is, _REQUIRED), "W": (_rational, _REQUIRED), "s": (_tuple, _REQUIRED)}
+_LINEAR = {"mult": (_as_is, _REQUIRED), "meets": (_tuple, ())}
+_NONLINEAR = {"deg": (_as_is, _REQUIRED), "mult": (_as_is, 1)}
 
 #: The table of each point class, read for a point whose "kind" is the
 #: class's `kind`.
 _POINT_TABLES = {
-    FlexPoint: {**_POINT, "contact": (_int, _REQUIRED)},
-    IrreducibleSingularity: {**_POINT, "m": (_int, _REQUIRED), "n": (_int, _REQUIRED), "essential": (_ints, ())},
+    FlexPoint: {**_POINT, "contact": (_as_is, _REQUIRED)},
+    IrreducibleSingularity: {**_POINT, "m": (_as_is, _REQUIRED), "n": (_as_is, _REQUIRED), "essential": (_tuple, ())},
     CompositePoint: {
         **_POINT,
-        "tangent_cone": (lambda value: None if value is None else _ints(value), None),
+        "tangent_cone": (lambda value: None if value is None else _tuple(value), None),
         "sides": (_array(_record(_SIDE, lambda start, end, s, suppress: NewtonSide(*start, *end, s, suppress))), ()),
         "truncations": (_array(_record(_TRUNCATION, Truncation)), ()),
-        "absorbed_flexes": (_int, 0),
+        "absorbed_flexes": (_as_is, 0),
     },
 }
 
@@ -630,6 +628,7 @@ _POINT_KINDS = {
     cls.kind: _record(table, lambda kind, label, *fields, cls=cls: cls(*fields, label=label))
     for cls, table in _POINT_TABLES.items()
 }
+# the shorthand's values are used before its record is built, so they are read as integers
 _POINT_KINDS["ordinary_multiple_point"] = _record(
     {**_POINT, "m": (_int, _REQUIRED), "contacts": (_ints, ()), "absorbed_flexes": (_int, None)}, _multiple_point
 )
@@ -643,8 +642,8 @@ def _point(value: Any) -> PointFeature:
 
 
 _DESCRIPTOR = {
-    "degree": (_int, _REQUIRED_FIELD),
-    "stabilizer_degree": (lambda value: None if value is None else _int(value), None),
+    "degree": (_as_is, _REQUIRED_FIELD),
+    "stabilizer_degree": (_as_is, None),
     "flexes": (lambda value: AUTO_FLEXES if value == AUTO_FLEXES else _int(value), 0),
     "linear": (_array(_record(_LINEAR, LinearComponent)), ()),
     "nonlinear": (_array(_record(_NONLINEAR, NonlinearComponent)), ()),

@@ -205,7 +205,7 @@ SCHEMA, VALUE = model.DescriptorSchemaError, model.DescriptorValueError
         ({"degree": 2, "nonlinear": [{"deg": 2, "mult": 1, "bogus": 1}]}, SCHEMA, "nonlinear[0].bogus: unknown field"),
         (_side_doc(**{"from": [0, 1, 2]}), SCHEMA, "points[0].sides[0].from: expected a [j, k] pair"),
         (_side_doc(**{"from": [0, None]}), SCHEMA, "points[0].sides[0].from[1]: expected an integer, got NoneType"),
-        (_side_doc(suppress=1), SCHEMA, "points[0].sides[0].suppress: expected a boolean"),
+        (_side_doc(suppress=1), SCHEMA, "points[0].sides[0].suppress: expected a boolean, got int"),
         (_point_doc({"kind": "composite", "sides": [{"from": [0, 2], "s": [2]}]}), SCHEMA, 'points[0].sides[0]: missing "to"'),
         (_truncation_doc({"ell": 1, "s": [1]}), SCHEMA, 'points[0].truncations[0]: missing "W"'),
         (_truncation_doc({"ell": 1, "W": "1/0", "s": [1]}), SCHEMA, "points[0].truncations[0].W: invalid rational literal: '1/0'"),
