@@ -23,7 +23,7 @@ _EXPORTS = {
         "truncation_correction",
         "engine": "EngineError OrbitReport ValidationError assemble scale union",
         "model": "CompositePoint CurveDescriptor DescriptorError FlexPoint IrreducibleSingularity LinearComponent "
-        "NewtonSide NonlinearComponent Truncation Violation parse serialize validate",
+        "NewtonSide NonlinearComponent OrdinaryMultiplePoint Truncation Violation parse serialize validate",
         "newton": "MonomialSupport Polygon SideData local_invariants newton_polygon qualifying_sides side_data "
         "yun_squarefree",
         "series": "TruncSeries rational_to_string to_rational",

@@ -59,8 +59,6 @@ def _load_descriptor(path: str) -> model.CurveDescriptor:
     text = _read_text(path)
     try:
         return model.parse(text)
-    except model.DescriptorValueError as exc:
-        raise _CliError(f"{path}: {exc}", EXIT_INVALID) from None
     except model.DescriptorError as exc:
         raise _CliError(f"{path}: {exc}", EXIT_IO) from None
 

@@ -269,11 +269,11 @@ def flex_correction(count: int, printed: bool = False, contact: int = 3) -> Corr
 # ---------------------------------------------------------------------------
 
 
-def multiple_point_correction(m: int, contacts: Sequence[int]) -> Correction:
-    """Correction of an ordinary multiple point: the sum of the terms of
-    the composite point it stands for (`model.ordinary_multiple_point`),
-    its m reduced tangent lines and one polygon side per nonlinear branch.
-    The m lines have e_k = C(m, k), so the cost does not grow with m.
+def multiple_point_terms(m: int, contacts: Sequence[int]) -> list[tuple[str, Correction]]:
+    """The terms of an ordinary multiple point, each after the part it
+    comes from: "tangent_cone", the m reduced tangent lines, whose e_k =
+    C(m, k) keep the cost from growing with m, and "sides[i]", the polygon
+    side of the i-th nonlinear branch (`model.branch_sides`).
 
     `m` counts all branches (linear and nonlinear); `contacts` lists, for
     each nonlinear branch, the intersection multiplicity of the curve
@@ -281,5 +281,12 @@ def multiple_point_correction(m: int, contacts: Sequence[int]) -> Correction:
     their own but enter through m.
     """
     _check(model.multiple_point_violations(m, contacts))
-    terms = [_cone_term([comb(m, k) for k in range(6)])] + [newton_side_correction(s) for s in model.branch_sides(m, contacts)]
-    return Correction(KIND_LOCAL, tuple([sum(column) for column in zip(*[t.a for t in terms])]))
+    sides = [(f"sides[{i}]", newton_side_correction(side)) for i, side in enumerate(model.branch_sides(m, contacts))]
+    return [("tangent_cone", _cone_term([comb(m, k) for k in range(6)]))] + sides
+
+
+def multiple_point_correction(m: int, contacts: Sequence[int]) -> Correction:
+    """Correction of an ordinary multiple point: the sum of its
+    `multiple_point_terms`."""
+    terms = [corr.a for _, corr in multiple_point_terms(m, contacts)]
+    return Correction(KIND_LOCAL, tuple([sum(column) for column in zip(*terms)]))

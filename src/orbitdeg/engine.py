@@ -130,6 +130,9 @@ def _feature_corrections(
         yield label, corrections.flex_correction(1, erratum_strict, feature.contact)
     elif isinstance(feature, model.IrreducibleSingularity):
         yield label, corrections.irreducible_correction(feature)
+    elif isinstance(feature, model.OrdinaryMultiplePoint):
+        for part, corr in corrections.multiple_point_terms(feature.m, feature.contacts):
+            yield f"{label}.{part}", corr
     else:
         if feature.tangent_cone is not None:
             yield f"{label}.tangent_cone", corrections.tangent_cone_correction(feature.tangent_cone)

@@ -4,7 +4,8 @@ A descriptor records the discrete data of a plane curve that the degree
 computation consumes: the global components (lines and higher-degree
 components with their multiplicities), and per-point local features
 (inflection contact orders, irreducible singularities given by their
-characteristic exponents, or composite features given by tangent-cone
+characteristic exponents, ordinary multiple points given by m and their
+branch contacts, or composite features given by tangent-cone
 multiplicities, polygon sides, and branch truncations).  Points are
 abstract labels; no coordinates are stored.
 """
@@ -51,11 +52,6 @@ class DescriptorSchemaError(DescriptorError):
         key or "[i]" that leads to the value the error is about."""
         path = self.path if not self.path or self.path[0] == "[" else f".{self.path}"
         return type(self)(step + path, self.message)
-
-
-class DescriptorValueError(DescriptorSchemaError):
-    """The JSON matches the schema but a value breaks a rule of the
-    descriptor (the command line exits 1 on it, as on a validation failure)."""
 
 
 @record
@@ -203,7 +199,23 @@ class CompositePoint:
     label: Optional[str] = None
 
 
-PointFeature = Union[FlexPoint, IrreducibleSingularity, CompositePoint]
+@_typed_record
+class OrdinaryMultiplePoint:
+    """An ordinary point of multiplicity m: m branches with distinct
+    tangents, where `contacts` gives, per nonlinear branch, the
+    intersection multiplicity of the curve with that branch's tangent
+    (linear branches are left out).  `absorbed_flexes` None asks for the
+    default count (see `absorbed_flexes`)."""
+
+    kind = "ordinary_multiple_point"
+
+    m: int
+    contacts: tuple[int, ...] = ()
+    absorbed_flexes: Optional[int] = None
+    label: Optional[str] = None
+
+
+PointFeature = Union[FlexPoint, IrreducibleSingularity, CompositePoint, OrdinaryMultiplePoint]
 
 
 @_typed_record
@@ -249,12 +261,18 @@ _FIELD_TYPES = {
 
 
 def absorbed_flexes(feature: PointFeature) -> int:
-    """The number of ordinary inflections a feature removes from the budget."""
+    """The number of ordinary inflections a feature removes from the budget.
+    An ordinary multiple point without a count whose branches are all
+    nonlinear absorbs 3m(m-1) + sum(contacts) - m(m+1): the smooth-branch
+    count 3m(m-1) plus one per extra contact order."""
     if isinstance(feature, FlexPoint):
         return feature.contact - 2
     if isinstance(feature, IrreducibleSingularity):
         return feature.absorbed_flex_count()
-    return feature.absorbed_flexes
+    if feature.absorbed_flexes is not None:
+        return feature.absorbed_flexes
+    m, contacts = feature.m, feature.contacts
+    return 3 * m * (m - 1) + sum(contacts) - m * (m + 1) if len(contacts) == m else 0
 
 
 def resolved_flex_count(descriptor: CurveDescriptor) -> int:
@@ -331,14 +349,6 @@ def multiple_point_violations(m: int, contacts: Sequence[int], path: str = "mult
         if r < m + 1:
             return [Violation(f"{path}.contacts[{i}]", f"contact must be >= m + 1 = {m + 1}")]
     return []
-
-
-def ordinary_multiple_point(
-    m: int, contacts: Sequence[int], absorbed_flexes: int = 0, label: Optional[str] = None
-) -> CompositePoint:
-    """The composite point an ordinary multiple point of multiplicity m
-    stands for: m reduced tangent-cone lines and its `branch_sides`."""
-    return CompositePoint((1,) * m, branch_sides(m, contacts), (), absorbed_flexes, label)
 
 
 def branch_sides(m: int, contacts: Sequence[int]) -> tuple[NewtonSide, ...]:
@@ -442,6 +452,8 @@ def validate(descriptor: CurveDescriptor) -> list[Violation]:
             out += flex_violations(feature.contact, path)
         elif isinstance(feature, IrreducibleSingularity):
             out += irreducible_violations(feature, path)
+        elif isinstance(feature, OrdinaryMultiplePoint):
+            out += multiple_point_violations(feature.m, feature.contacts, path)
         else:
             if feature.tangent_cone is not None:
                 out += tangent_cone_violations(feature.tangent_cone, f"{path}.tangent_cone")
@@ -449,8 +461,8 @@ def validate(descriptor: CurveDescriptor) -> list[Violation]:
                 out += side_violations(side, f"{path}.sides[{sidx}]")
             for tidx, trunc in enumerate(feature.truncations):
                 out += truncation_violations(trunc, f"{path}.truncations[{tidx}]")
-            if feature.absorbed_flexes < 0:
-                out.append(Violation(f"{path}.absorbed_flexes", "absorbed flex count must be >= 0"))
+        if isinstance(feature, (CompositePoint, OrdinaryMultiplePoint)) and (feature.absorbed_flexes or 0) < 0:
+            out.append(Violation(f"{path}.absorbed_flexes", "absorbed flex count must be >= 0"))
 
     if descriptor.flexes_auto():
         if descriptor.linear:
@@ -583,24 +595,6 @@ def _record(table: dict, build: Callable[..., Any]) -> Callable[[Any], Any]:
     return read_record
 
 
-def _multiple_point(
-    kind: str, label: Optional[str], m: int, contacts: tuple[int, ...], absorbed: Optional[int]
-) -> CompositePoint:
-    """Desugar the ordinary-multiple-point shorthand into the composite
-    feature `ordinary_multiple_point` builds.
-
-    When every branch is nonlinear and no count is given, the
-    absorbed-flex count defaults to 3m(m-1) + sum(r) - m(m+1), which is
-    the smooth-branch count 3m(m-1) plus one per extra contact order.
-    """
-    for problem in multiple_point_violations(m, contacts, path=""):
-        # the rule's paths (".m", ".contacts[1]") start at the point
-        raise DescriptorValueError(problem.path[1:], problem.message)
-    if absorbed is None:
-        absorbed = 3 * m * (m - 1) + sum(contacts) - m * (m + 1) if len(contacts) == m else 0
-    return ordinary_multiple_point(m, contacts, absorbed, label)
-
-
 #: The keys every point has.  `_point` reads them first, to pick the table
 #: of the point's kind.
 _POINT = {"kind": (_str, ""), "label": (_str, None)}
@@ -622,16 +616,14 @@ _POINT_TABLES = {
         "truncations": (_array(_record(_TRUNCATION, Truncation)), ()),
         "absorbed_flexes": (_as_is, 0),
     },
+    # `_int`: a JSON null would read as the default count
+    OrdinaryMultiplePoint: {**_POINT, "m": (_as_is, _REQUIRED), "contacts": (_tuple, ()), "absorbed_flexes": (_int, None)},
 }
 
 _POINT_KINDS = {
     cls.kind: _record(table, lambda kind, label, *fields, cls=cls: cls(*fields, label=label))
     for cls, table in _POINT_TABLES.items()
 }
-# the shorthand's values are used before its record is built, so they are read as integers
-_POINT_KINDS["ordinary_multiple_point"] = _record(
-    {**_POINT, "m": (_int, _REQUIRED), "contacts": (_ints, ()), "absorbed_flexes": (_int, None)}, _multiple_point
-)
 
 
 def _point(value: Any) -> PointFeature:

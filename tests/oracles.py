@@ -20,7 +20,11 @@ through elementary symmetric functions of the contacts and per branch
 in closed form (`_branch_contact`, where the package adds one side term
 per branch), and the union factors as printed.
 
-The direct route evaluates the top coefficient a_8 of a curve with an
+`ordinary_multiple_point` is the reference expansion of an ordinary
+multiple point into the composite point it stands for, whose terms the
+cone and side builders give where the package takes them from
+`multiple_point_terms`.  The direct route, which expands each such point
+through it, evaluates the top coefficient a_8 of a curve with an
 8-dimensional orbit from hand-expanded closed forms, one per feature,
 without the series assembly; `predegree_from_cusp_types` is the closed
 form for line-free curves whose special points are all (t^m, t^n) points.
@@ -765,6 +769,34 @@ def irreducible_truncations(sing: model.IrreducibleSingularity) -> list[model.Tr
     return out
 
 
+def ordinary_multiple_point(
+    m: int, contacts: Sequence[int], absorbed_flexes: int | None = None, label: str | None = None
+) -> model.CompositePoint:
+    """The composite point a valid ordinary multiple point of multiplicity m
+    stands for, the reference expansion of `model.OrdinaryMultiplePoint`:
+    m reduced tangent-cone lines, per nonlinear branch of contact r the
+    side (m-1, 1) -> (r, 0) with a simple root, and the absorbed-flex count,
+    by default 3m(m-1) + sum(r) - m(m+1) when every branch is nonlinear and
+    0 otherwise."""
+    if absorbed_flexes is None:
+        absorbed_flexes = 3 * m * (m - 1) + sum(contacts) - m * (m + 1) if len(contacts) == m else 0
+    sides = tuple(model.NewtonSide(m - 1, 1, r, 0, (1,)) for r in contacts)
+    return model.CompositePoint((1,) * m, sides, (), absorbed_flexes, label)
+
+
+def expanded(descriptor: model.CurveDescriptor) -> model.CurveDescriptor:
+    """`descriptor` with each `OrdinaryMultiplePoint` replaced by its
+    `ordinary_multiple_point` expansion."""
+    points = tuple(
+        ordinary_multiple_point(p.m, p.contacts, p.absorbed_flexes, p.label)
+        if isinstance(p, model.OrdinaryMultiplePoint)
+        else p
+        for p in descriptor.points
+    )
+    d = descriptor
+    return model.CurveDescriptor(d.degree, d.stabilizer_degree, d.flexes, d.linear, d.nonlinear, points)
+
+
 def _direct_top_coefficient(descriptor: model.CurveDescriptor) -> Fraction:
     """d^8 minus the direct per-feature top-coefficient contributions.
 
@@ -772,6 +804,7 @@ def _direct_top_coefficient(descriptor: model.CurveDescriptor) -> Fraction:
     series assembly; equals 8! times the H^8 coefficient of the
     adjusted predegree polynomial for every valid descriptor.
     """
+    descriptor = expanded(descriptor)
     d = descriptor.degree
     total = F(d**8)
     for line in descriptor.linear:

@@ -8,10 +8,12 @@ each kind, supports of at most a dozen terms.
 
 - `rationals`, `ring_series` and `series_views`: coefficients, elements
   of the oracle ring Q[H]/(H^9), and the shipped read-only series views;
-- `compositions`, `sides`, `truncations`, `irreducibles`, `composites`
-  and `descriptors`: structurally valid curve data, and
-  `scaled_descriptor`, the descriptor of the m-fold multiple of a drawn
-  curve;
+- `compositions`, `sides`, `truncations`, `irreducibles`, `composites`,
+  `ordinary_multiple_points` and `descriptors`: structurally valid curve
+  data, `multiple_point_curves`, descriptors with more ordinary multiple
+  points and flexes that may be "auto", `scaled_descriptor`, the
+  descriptor of the m-fold multiple of a drawn curve, and `unions`, two
+  reduced curves with the descriptor of the curve they make together;
 - `cusp_curves`: line-free curves whose special points are (t^m, t^n)
   points, for the closed-form predegree;
 - `supports`: monomial supports for the Newton-polygon toolkit;
@@ -31,6 +33,7 @@ from math import gcd
 from hypothesis import strategies as st
 
 import oracles
+import records
 from orbitdeg import model, newton
 from orbitdeg import series as shipped
 
@@ -110,20 +113,33 @@ def composites() -> st.SearchStrategy[model.CompositePoint]:
     )
 
 
+@st.composite
+def ordinary_multiple_points(draw, max_m: int = 4, labels: bool = False) -> model.OrdinaryMultiplePoint:
+    """An ordinary m-fold point, m in 2..max_m, with 0..m contacts in
+    m+1..m+3, an absorbed-flex count that is None (the default count) or
+    0..9, and, with labels=True, a label that may be None."""
+    m = draw(st.integers(2, max_m))
+    contacts = tuple(draw(st.lists(st.integers(m + 1, m + 3), max_size=m)))
+    label = draw(st.none() | st.text(max_size=4)) if labels else None
+    return model.OrdinaryMultiplePoint(m, contacts, draw(st.none() | st.integers(0, 9)), label)
+
+
 # Built once: strategies built inside each draw doubled a descriptor's cost.
-_SCALABLE_POINTS = st.builds(model.FlexPoint, st.integers(3, 6)) | composites()
+_SCALABLE_POINTS = st.builds(model.FlexPoint, st.integers(3, 6)) | composites() | ordinary_multiple_points()
 _POINTS = _SCALABLE_POINTS | irreducibles()
 
 
 @st.composite
-def descriptors(draw, scalable: bool = False) -> model.CurveDescriptor:
+def descriptors(draw, scalable: bool = False, reduced: bool = False) -> model.CurveDescriptor:
     """A valid descriptor with explicit flex count and no stabilizer degree.
 
     With scalable=True no irreducible features are drawn, so the curve
     stays expressible after taking multiples (see `scaled_descriptor`).
+    With reduced=True every component has multiplicity 1.
     """
-    line_mults = draw(st.lists(st.integers(1, 2), max_size=2))
-    nonlinear = draw(st.lists(st.builds(model.NonlinearComponent, st.integers(2, 4), st.integers(1, 2)), max_size=2))
+    mults = st.integers(1, 1 if reduced else 2)
+    line_mults = draw(st.lists(mults, max_size=2))
+    nonlinear = draw(st.lists(st.builds(model.NonlinearComponent, st.integers(2, 4), mults), max_size=2))
     if not line_mults and not nonlinear:
         nonlinear = [model.NonlinearComponent(draw(st.integers(2, 4)), 1)]
     degree = sum(line_mults) + sum(c.deg * c.mult for c in nonlinear)
@@ -138,12 +154,95 @@ def descriptors(draw, scalable: bool = False) -> model.CurveDescriptor:
     )
 
 
+@st.composite
+def multiple_point_curves(draw) -> model.CurveDescriptor:
+    """A drawn descriptor, or a curve of one nonlinear component of degree
+    3..8 with up to two drawn points, with one to three ordinary multiple
+    points more (m in 2..6, some labelled) among its points and flexes an
+    integer or "auto".  The result need not be valid: "auto" asks for one
+    reduced nonlinear component, and the points' absorbed inflections may
+    exceed its budget."""
+    if draw(st.booleans()):
+        base = draw(descriptors())
+    else:
+        d = draw(st.integers(3, 8))
+        points = tuple(draw(st.lists(_POINTS, max_size=2)))
+        base = model.CurveDescriptor(d, nonlinear=(model.NonlinearComponent(d),), points=points)
+    points = base.points + tuple(draw(st.lists(ordinary_multiple_points(6, labels=True), min_size=1, max_size=3)))
+    points = tuple(draw(st.permutations(points)))
+    flexes = draw(st.sampled_from([base.flexes, model.AUTO_FLEXES]))
+    return model.CurveDescriptor(base.degree, None, flexes, base.linear, base.nonlinear, points)
+
+
+#: The union's point where two nonlinear branches cross, where a line
+#: crosses a nonlinear branch, where two lines cross, and where a line
+#: touches a nonlinear branch simply, as in the `conic-tangent-line` fixture.
+_NODE = model.OrdinaryMultiplePoint(2, (3, 3))
+_LINE_NODE = model.OrdinaryMultiplePoint(2, (3,))
+_LINES_NODE = model.OrdinaryMultiplePoint(2, ())
+_TANGENCY = model.CompositePoint((2,), (model.NewtonSide(0, 2, 2, 1, (1,)),))
+
+
+@st.composite
+def unions(draw) -> tuple[model.CurveDescriptor, model.CurveDescriptor, dict, model.CurveDescriptor]:
+    """(left, right, counts, union): two reduced curves, which ask for
+    automatic flexes where they may, the intersection counts of
+    `engine.union`, and the union's own descriptor.
+
+    Each pair of components meets as Bezout says: two lines once, two
+    nonlinear components of degrees e and f in e*f crossings, and a line
+    and a nonlinear component of degree e in e points, t of them simple
+    tangencies and e - 2t crossings.  So d1*d2 = crossings + line_crossings
+    + 2*tangencies + the line-line crossings.  The union concatenates the
+    components, adds a point per intersection, extends each line's `meets`
+    by the points where it meets the other curve, and counts the flexes of
+    both curves, resolved first.
+    """
+    curves = []
+    for _ in range(2):
+        curve = draw(descriptors(reduced=True))
+        auto = records.replace(curve, flexes=model.AUTO_FLEXES)
+        curves.append(auto if not model.validate(auto) and draw(st.booleans()) else curve)
+    left, right = curves
+    counts = {"crossings": 0, "line_crossings": 0, "tangencies": 0}
+    meets = [[list(line.meets) for line in curve.linear] for curve in curves]
+    points = list(left.points + right.points)
+    for i in range(len(left.linear)):
+        for j in range(len(right.linear)):
+            meets[0][i].append(1)
+            meets[1][j].append(1)
+            points.append(_LINES_NODE)
+    for side, other in ((0, right), (1, left)):
+        for line_meets in meets[side]:
+            for comp in other.nonlinear:
+                tangencies = draw(st.integers(0, comp.deg // 2))
+                crossings = comp.deg - 2 * tangencies
+                line_meets += [2] * tangencies + [1] * crossings
+                points += [_TANGENCY] * tangencies + [_LINE_NODE] * crossings
+                counts["tangencies"] += tangencies
+                counts["line_crossings"] += crossings
+    for a in left.nonlinear:
+        for b in right.nonlinear:
+            counts["crossings"] += a.deg * b.deg
+            points += [_NODE] * (a.deg * b.deg)
+    linear = tuple(model.LinearComponent(1, tuple(m)) for m in meets[0] + meets[1])
+    union = model.CurveDescriptor(
+        left.degree + right.degree,
+        flexes=model.resolved_flex_count(left) + model.resolved_flex_count(right),
+        linear=linear,
+        nonlinear=left.nonlinear + right.nonlinear,
+        points=tuple(points),
+    )
+    return left, right, counts, union
+
+
 def scaled_descriptor(descriptor: model.CurveDescriptor, multiple: int) -> model.CurveDescriptor:
     """The descriptor of the m-fold multiple of a curve.
 
     Component multiplicities, intersection multiplicities, tangent-cone
     multiplicities, side vertices and root data, and truncation weights
-    all scale by m; explicit inflections become scaled polygon sides.
+    all scale by m; explicit inflections become scaled polygon sides, and
+    an ordinary multiple point is first expanded into its composite point.
     Irreducible features are not supported (the multiple is not reduced).
     """
     linear = tuple(
@@ -154,7 +253,7 @@ def scaled_descriptor(descriptor: model.CurveDescriptor, multiple: int) -> model
         model.NonlinearComponent(c.deg, c.mult * multiple) for c in descriptor.nonlinear
     )
     points: list[model.PointFeature] = []
-    for feature in descriptor.points:
+    for feature in oracles.expanded(descriptor).points:
         if isinstance(feature, model.FlexPoint):
             side = model.NewtonSide(0, multiple, feature.contact * multiple, 0, (multiple,))
             points.append(model.CompositePoint(sides=(side,)))

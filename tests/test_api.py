@@ -128,7 +128,8 @@ def sample_records():
 
 def test_the_sample_has_every_point_kind_a_correction_a_side_and_a_series():
     kinds = {type(value).__name__ for value in records_in(sample_records())}
-    assert kinds >= {"FlexPoint", "IrreducibleSingularity", "CompositePoint", "NewtonSide", "Truncation"}
+    assert kinds >= {"FlexPoint", "IrreducibleSingularity", "CompositePoint", "OrdinaryMultiplePoint"}
+    assert kinds >= {"NewtonSide", "Truncation"}
     assert kinds >= {"CurveDescriptor", "LinearComponent", "NonlinearComponent", "OrbitReport", "Correction", "SideData"}
     assert "TruncSeries" in kinds
 

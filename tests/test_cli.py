@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import records
 from orbitdeg import cli, corpus, engine, model, newton
 from oracles import TruncSeries
-from strategies import descriptors, supports
+from strategies import descriptors, ordinary_multiple_points, supports
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -545,7 +545,22 @@ def test_multiple_point_shorthand_errors_are_invalid(capsys, tmp_path, point, me
     code, out, err = run(capsys, "compute", str(path))
     assert code == 1
     assert out == ""
-    assert err == f"error: {path}: {message}\n"
+    assert err == f"error: {path}: invalid descriptor: {message}\n"
+
+
+@pytest.mark.parametrize("m", [10**6, 10**12, 2**64])
+def test_multiple_point_shorthand_with_a_huge_m_is_a_report(capsys, tmp_path, m):
+    """The shorthand's terms take its m tangent lines in closed form, so a
+    huge m costs no more than a small one.  No quartic has a point of
+    multiplicity above 4: a planned rule of `validate`, that a point's
+    multiplicity is at most the degree, will turn each of these inputs into
+    exit 1 and one line."""
+    path = tmp_path / "curve.json"
+    point = {"kind": "ordinary_multiple_point", "m": m}
+    path.write_text(json.dumps({"degree": 4, "flexes": 0, "nonlinear": [{"deg": 4}], "points": [point]}), encoding="utf-8")
+    code, out, err = run(capsys, "compute", str(path))
+    assert (code, err) == (0, "")
+    assert [entry["label"] for entry in json.loads(out)["breakdown"]] == ["nonlinear[0]", "points[0].tangent_cone"]
 
 
 def test_deeply_nested_json_is_a_parse_error(capsys, tmp_path):
@@ -606,12 +621,10 @@ def test_corpus_bad_fixtures_fail_without_stopping_replay(capsys, tmp_path):
 #: Far beyond any real curve, yet cheap on every path one edit can reach.
 #: `newton.side_data` walks a side's lattice span, bounded by exponents
 #: that must stay within the degree, and `MonomialSupport.from_terms`
-#: refuses a degree above `newton.MAX_DEGREE` before it reads a term.  The
-#: `ordinary_multiple_point` shorthand builds m tangent lines, but a drawn
-#: shorthand has a contact, and with a huge m that contact is rejected (it
-#: must be at least m + 1) before any line is built.
-#: `contribution multiple-point` takes its m lines in closed form, so a
-#: huge `--m` is cheap there.
+#: refuses a degree above `newton.MAX_DEGREE` before it reads a term.  An
+#: `ordinary_multiple_point`, drawn with or without contacts, and
+#: `contribution multiple-point` both take their m tangent lines in closed
+#: form, so a huge m or `--m` is cheap there.
 HUGE = (10**12, 2**64)
 
 
@@ -654,21 +667,14 @@ def mutated(draw, document):
 def fixture_documents(draw):
     """A corpus fixture holding a drawn descriptor and its own report's
     values.  Some descriptors get one more point, an ordinary multiple point
-    written as the shorthand, with at least one contact (see `HUGE`)."""
-    descriptor, shorthand = draw(descriptors()), None
+    with 0 to m contacts (see `HUGE`)."""
+    descriptor = draw(descriptors())
     if draw(st.booleans()):
-        m = draw(st.integers(2, 4))
-        contacts = draw(st.lists(st.integers(m + 1, m + 3), min_size=1, max_size=m))
-        shorthand = {"kind": "ordinary_multiple_point", "m": m, "contacts": contacts, "absorbed_flexes": 0}
-        point = model.ordinary_multiple_point(m, contacts)
-        descriptor = records.replace(descriptor, points=descriptor.points + (point,))
+        descriptor = records.replace(descriptor, points=descriptor.points + (draw(ordinary_multiple_points()),))
     obj = engine.report_to_obj(engine.assemble(descriptor))
     expected = {key: obj[key] for key in ("orbit_dimension", "predegree", "app")}
     expected["a"] = {"8": obj["predegree_polynomial"][8]}
-    document = model.descriptor_to_obj(descriptor)
-    if shorthand:
-        document["points"][-1] = shorthand
-    return {"name": "drawn", "descriptor": document, "expected": expected}
+    return {"name": "drawn", "descriptor": model.descriptor_to_obj(descriptor), "expected": expected}
 
 
 def assert_clean_exit(argv):

@@ -110,6 +110,7 @@ def test_nonlinear_correction_precondition():
         (lambda: corrections.flex_correction(-1), model.flex_count_violations(-1)),
         (lambda: corrections.flex_correction(1, contact=2), model.flex_violations(2)),
         (lambda: corrections.multiple_point_correction(1, ()), model.multiple_point_violations(1, ())),
+        (lambda: corrections.multiple_point_terms(2, (3, 2)), model.multiple_point_violations(2, (3, 2))),
         (
             lambda: corrections.truncation_correction(model.Truncation(1, F(1), ())),
             model.truncation_violations(model.Truncation(1, F(1), ())),
@@ -439,6 +440,18 @@ def test_multiple_point_is_tangent_cone_plus_branch_contacts():
             assert corrections.multiple_point_correction(m, (r,)) == corrections.Correction(
                 corrections.KIND_LOCAL, expected
             ), (m, r)
+
+
+@settings(max_examples=100)
+@given(multiple_points())
+def test_multiple_point_terms_are_the_cone_and_side_builders(point):
+    # part by part, the terms the engine lists for the point, and their sum
+    m, contacts = point
+    terms = corrections.multiple_point_terms(m, contacts)
+    sides = [(f"sides[{i}]", corrections.newton_side_correction(side)) for i, side in enumerate(model.branch_sides(m, contacts))]
+    assert terms == [("tangent_cone", corrections.tangent_cone_correction((1,) * m))] + sides
+    total = tuple(sum(column) for column in zip(*[corr.a for _, corr in terms]))
+    assert corrections.multiple_point_correction(m, contacts) == corrections.Correction(corrections.KIND_LOCAL, total)
 
 
 def test_smooth_branches_display():

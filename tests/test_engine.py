@@ -13,7 +13,7 @@ from orbitdeg import corpus, corrections, engine, model
 from orbitdeg import series as shipped
 from orbitdeg.series import TRUNCATION_ORDER
 from oracles import TruncSeries, exp_linear, factor, ring
-from strategies import cusp_curves, descriptors, scaled_descriptor
+from strategies import cusp_curves, descriptors, multiple_point_curves, scaled_descriptor, unions
 
 ONE = TruncSeries.one()
 
@@ -105,7 +105,7 @@ CONIC_AND_SECANT = model.CurveDescriptor(
     3,
     linear=(model.LinearComponent(1, (1, 1)),),
     nonlinear=(model.NonlinearComponent(2),),
-    points=(model.ordinary_multiple_point(2, (3,)),) * 2,
+    points=(model.OrdinaryMultiplePoint(2, (3,)),) * 2,
 )
 
 #: Families whose orbit has dimension below dim PGL(3) = 8 (or reaches 8
@@ -290,7 +290,10 @@ _ASKS = {
     "tuple[NonlinearComponent, ...]": ("a tuple of NonlinearComponent records", "a NonlinearComponent record"),
     "tuple[NewtonSide, ...]": ("a tuple of NewtonSide records", "a NewtonSide record"),
     "tuple[Truncation, ...]": ("a tuple of Truncation records", "a Truncation record"),
-    "tuple[PointFeature, ...]": ("a tuple of point records", "a FlexPoint or IrreducibleSingularity or CompositePoint record"),
+    "tuple[PointFeature, ...]": (
+        "a tuple of point records",
+        "a FlexPoint or IrreducibleSingularity or CompositePoint or OrdinaryMultiplePoint record",
+    ),
 }
 
 
@@ -321,7 +324,7 @@ def test_validation_refuses_wrongly_typed_scalars(fields, path):
             model.CurveDescriptor,
             {"degree": 4, "points": ("cusp",)},
             "points[0]",
-            "expected a FlexPoint or IrreducibleSingularity or CompositePoint record, got str",
+            "expected a FlexPoint or IrreducibleSingularity or CompositePoint or OrdinaryMultiplePoint record, got str",
         ),
         (model.CurveDescriptor, {"degree": 1, "linear": (1,)}, "linear[0]", "expected a LinearComponent record, got int"),
         (model.NewtonSide, {"j0": 1, "k0": 1, "j1": 3, "k1": 0, "s": None}, "s", "expected a tuple of integers, got NoneType"),
@@ -332,6 +335,8 @@ def test_validation_refuses_wrongly_typed_scalars(fields, path):
         (model.NonlinearComponent, {"deg": 4, "mult": True}, "mult", "expected an integer, got bool"),
         (model.FlexPoint, {"contact": 3, "label": 5}, "label", "expected a string, got int"),
         (model.CompositePoint, {"absorbed_flexes": 0.0}, "absorbed_flexes", "expected an integer, got float"),
+        (model.OrdinaryMultiplePoint, {"m": 2, "contacts": (3, "4")}, "contacts[1]", "expected an integer, got str"),
+        (model.OrdinaryMultiplePoint, {"m": 2, "absorbed_flexes": True}, "absorbed_flexes", "expected an integer, got bool"),
     ],
 )
 def test_validation_refuses_wrongly_typed_nested_fields(cls, fields, path, message):
@@ -343,12 +348,25 @@ def test_validation_refuses_wrongly_typed_nested_fields(cls, fields, path, messa
     assert str(excinfo.value) == f"{path}: {message}"
 
 
+#: The wrong values the property draws that a field of the annotation
+#: takes after all (`validate` refuses a `flexes` string other than "auto"
+#: as a value).
+_TAKES = {
+    "Optional[str]": ("1", None),
+    "Optional[int]": (None,),
+    "Optional[tuple[int, ...]]": (None,),
+    "bool": (True,),
+    "Union[int, str]": ("1",),
+}
+
+
 def _swappable(record):
-    """(key, what, value, rebuild) for each field of `record`, each entry of
-    its tuples and the same below each record it holds: the key that the
-    record holding the value names it by (its field's, or key[i] for an
-    entry), what the field or entry asks for, and rebuild(new), which is
-    `record` with that one value replaced by `new`."""
+    """(key, what, taken, value, rebuild) for each field of `record`, each
+    entry of its tuples and the same below each record it holds: the key
+    that the record holding the value names it by (its field's, or key[i]
+    for an entry), what the field or entry asks for, the wrong values it
+    takes after all, and rebuild(new), which is `record` with that one
+    value replaced by `new`."""
     annotations = type(record).__annotations__
     for name in records.fields(type(record)):
         value, key = getattr(record, name), "W" if name == "weight" else name
@@ -357,26 +375,15 @@ def _swappable(record):
         def put(new, name=name):
             return records.replace(record, **{name: new})
 
-        yield key, what, value, put
+        yield key, what, _TAKES.get(annotations[name], ()), value, put
         for idx, item in enumerate(value if type(value) is tuple else ()):
 
             def put_item(new, value=value, idx=idx, put=put):
                 return put(value[:idx] + (new,) + value[idx + 1 :])
 
-            yield f"{key}[{idx}]", entry_what, item, put_item
-            for inner_key, inner_what, inner, rebuild in _swappable(item) if type(item) is not int else ():
-                yield inner_key, inner_what, inner, lambda new, rebuild=rebuild, put_item=put_item: put_item(rebuild(new))
-
-
-#: The wrong values the property draws that a field takes after all
-#: (`validate` refuses a `flexes` string other than "auto" as a value).
-_TAKES = {
-    "label": ("1", None),
-    "stabilizer_degree": (None,),
-    "tangent_cone": (None,),
-    "suppress": (True,),
-    "flexes": ("1",),
-}
+            yield f"{key}[{idx}]", entry_what, (), item, put_item
+            for *inner, rebuild in _swappable(item) if type(item) is not int else ():
+                yield *inner, lambda new, rebuild=rebuild, put_item=put_item: put_item(rebuild(new))
 
 
 @settings(max_examples=200)
@@ -384,9 +391,8 @@ _TAKES = {
 def test_validation_names_the_field_of_the_wrong_type(descriptor, data):
     # the innermost record built with the wrong value refuses it
     slots = list(_swappable(descriptor))
-    key, what, value, rebuild = slots[data.draw(st.integers(0, len(slots) - 1), label="slot")]
+    key, what, taken, value, rebuild = slots[data.draw(st.integers(0, len(slots) - 1), label="slot")]
     other = model.LinearComponent(1) if type(value) is model.NonlinearComponent else model.NonlinearComponent(2)
-    taken = _TAKES.get(key, ())
     wrong = data.draw(st.sampled_from([v for v in (1.5, "1", True, None, [1], other) if v not in taken]), label="wrong")
     with pytest.raises(model.DescriptorSchemaError) as excinfo:
         rebuild(wrong)
@@ -515,6 +521,35 @@ def test_union_matches_direct_descriptor():
     )
     conic_report = engine.assemble(CONIC)
     assert engine.assemble(two_conics).app == engine.union(conic_report, conic_report, crossings=4).app
+
+
+@settings(max_examples=100)
+@given(unions())
+def test_union_matches_the_curve_it_makes(case):
+    # the union's own descriptor ties each universal factor to the local
+    # term of a node or a tangency point, and the product of the two
+    # curves' global terms to those of the union, whose degree and `meets`
+    # have grown
+    left, right, counts, union = case
+    assert model.validate(union) == []
+    for strict in (False, True):
+        via_union = engine.union(*(engine.assemble(d, erratum_strict=strict) for d in (left, right)), **counts)
+        direct = engine.assemble(union, erratum_strict=strict)
+        assert (direct.app, direct.erratum_notes) == (via_union.app, via_union.erratum_notes)
+
+
+@settings(max_examples=200)
+@given(multiple_point_curves())
+def test_ordinary_multiple_point_assembles_as_the_composite_it_stands_for(descriptor):
+    # the record's terms come from `corrections.multiple_point_terms`, its
+    # reference expansion's from the cone and side builders
+    expansion = oracles.expanded(descriptor)
+    violations = model.validate(descriptor)
+    assert violations == model.validate(expansion)
+    for strict in () if violations else (False, True):
+        report, expected = (engine.assemble(d, erratum_strict=strict) for d in (descriptor, expansion))
+        assert report == expected
+        assert engine.report_to_obj(report) == engine.report_to_obj(expected)
 
 
 def test_scale_line_to_double_line():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import records
-from orbitdeg import corpus, model
+from orbitdeg import corpus, engine, model
 from strategies import descriptors, irreducibles
 
 
@@ -129,6 +129,22 @@ CONIC = model.NonlinearComponent(2, 1)
             ["points[0].absorbed_flexes: absorbed flex count must be >= 0"],
         ),
         (
+            lambda: model.validate(model.CurveDescriptor(2, nonlinear=(CONIC,), points=(model.OrdinaryMultiplePoint(1),))),
+            ["points[0].m: multiple points need multiplicity >= 2"],
+        ),
+        (
+            lambda: model.validate(model.CurveDescriptor(2, nonlinear=(CONIC,), points=(model.OrdinaryMultiplePoint(2, (3, 2)),))),
+            ["points[0].contacts[1]: contact must be >= m + 1 = 3"],
+        ),
+        (
+            lambda: model.validate(model.CurveDescriptor(2, nonlinear=(CONIC,), points=(model.OrdinaryMultiplePoint(2, (3, 3, 3)),))),
+            ["points[0].contacts: at most m = 2 branches"],
+        ),
+        (
+            lambda: model.validate(model.CurveDescriptor(2, nonlinear=(CONIC,), points=(model.OrdinaryMultiplePoint(2, (), -1),))),
+            ["points[0].absorbed_flexes: absorbed flex count must be >= 0"],
+        ),
+        (
             lambda: model.validate(model.CurveDescriptor(2, nonlinear=(CONIC,), flexes="three")),
             ['flexes: flex count must be an integer or "auto"'],
         ),
@@ -182,7 +198,7 @@ def _truncation_doc(truncation):
     return _point_doc({"kind": "composite", "truncations": [truncation]})
 
 
-SCHEMA, VALUE = model.DescriptorSchemaError, model.DescriptorValueError
+SCHEMA = model.DescriptorSchemaError
 
 
 @pytest.mark.parametrize(
@@ -222,11 +238,7 @@ SCHEMA, VALUE = model.DescriptorSchemaError, model.DescriptorValueError
         (_point_doc([1]), SCHEMA, "points[0]: expected an object, got list"),
         (_point_doc({"kind": "irreducible", "m": 2}), SCHEMA, 'points[0]: missing "n"'),
         (_point_doc({"kind": "flex", "contact": 3, "m": 2}), SCHEMA, "points[0].m: unknown field"),
-        (
-            _point_doc({"kind": "ordinary_multiple_point", "m": 2, "contacts": [3, 2]}),
-            VALUE,
-            "points[0].contacts[1]: contact must be >= m + 1 = 3",
-        ),
+        (_point_doc({"kind": "ordinary_multiple_point", "m": "2"}), SCHEMA, "points[0].m: expected an integer, got str"),
         (
             _point_doc({"kind": "ordinary_multiple_point", "m": 2, "contacts": [3, "4"]}),
             SCHEMA,
@@ -236,6 +248,11 @@ SCHEMA, VALUE = model.DescriptorSchemaError, model.DescriptorValueError
         (_point_doc({"kind": "composite", "tangent_cone": [1, [1]]}), SCHEMA, "points[0].tangent_cone[1]: expected an integer, got list"),
         (_point_doc({"kind": "composite", "absorbed_flexes": "2"}), SCHEMA, "points[0].absorbed_flexes: expected an integer, got str"),
         ({"degree": 4, "points": {}}, SCHEMA, "points: expected an array, got dict"),
+        (
+            _point_doc({"kind": "ordinary_multiple_point", "m": 2, "absorbed_flexes": None}),
+            SCHEMA,
+            "points[0].absorbed_flexes: expected an integer, got NoneType",
+        ),
     ],
 )
 def test_parse_error_class_path_and_message(document, error, message):
@@ -268,26 +285,24 @@ def test_parse_biflecnode_shorthand():
     )
     descriptor = model.parse(text)
     assert descriptor.degree == 4
-    assert len(descriptor.points) == 3
-    feature = descriptor.points[0]
-    assert isinstance(feature, model.CompositePoint)
-    assert feature.tangent_cone == (1, 1)
-    assert [ (s.j0, s.k0, s.j1, s.k1, s.s) for s in feature.sides ] == [(1, 1, 4, 0, (1,)), (1, 1, 4, 0, (1,))]
-    assert feature.absorbed_flexes == 8
+    assert descriptor.points == (model.OrdinaryMultiplePoint(2, (4, 4), 8),) * 3
+    # the point stands for the composite of its two tangent lines and one side per branch
+    side = model.NewtonSide(1, 1, 4, 0, (1,))
+    composite = records.replace(descriptor, points=(model.CompositePoint((1, 1), (side, side), (), 8),) * 3)
+    assert engine.assemble(descriptor) == engine.assemble(composite)
 
 
 def test_multiple_point_absorbed_default():
-    # all branches nonlinear: 3m(m-1) + sum(contacts) - m(m+1)
-    descriptor = model.parse(
-        '{"degree": 4, "flexes": 0, "nonlinear": [{"deg": 4, "mult": 1}],'
-        ' "points": [{"kind": "ordinary_multiple_point", "m": 2, "contacts": [4, 4]}]}'
-    )
-    assert descriptor.points[0].absorbed_flexes == 8
-    with_line_branch = model.parse(
-        '{"degree": 4, "flexes": 0, "nonlinear": [{"deg": 4, "mult": 1}],'
-        ' "points": [{"kind": "ordinary_multiple_point", "m": 2, "contacts": [3]}]}'
-    )
-    assert with_line_branch.points[0].absorbed_flexes == 0
+    # all branches nonlinear: 3m(m-1) + sum(contacts) - m(m+1); else 0
+    def absorbed(point):
+        document = {"degree": 4, "flexes": 0, "nonlinear": [{"deg": 4, "mult": 1}], "points": [point]}
+        parsed = model.parse(json.dumps(document)).points[0]
+        return parsed.absorbed_flexes, model.absorbed_flexes(parsed)
+
+    assert absorbed({"kind": "ordinary_multiple_point", "m": 2, "contacts": [4, 4]}) == (None, 8)
+    assert absorbed({"kind": "ordinary_multiple_point", "m": 3, "contacts": [4, 5, 4]}) == (None, 19)
+    assert absorbed({"kind": "ordinary_multiple_point", "m": 2, "contacts": [3]}) == (None, 0)
+    assert absorbed({"kind": "ordinary_multiple_point", "m": 2, "contacts": [4, 4], "absorbed_flexes": 3}) == (3, 3)
 
 
 @st.composite
@@ -334,6 +349,7 @@ def test_serialize_text():
                 absorbed_flexes=3,
                 label="tacnode",
             ),
+            model.OrdinaryMultiplePoint(3, (4,), label="triple"),
         ),
     )
     text = (
@@ -342,7 +358,8 @@ def test_serialize_text():
         '{"kind": "irreducible", "label": "cusp", "m": 2, "n": 3, "essential": [3]}, '
         '{"kind": "composite", "label": "tacnode", "tangent_cone": [2], '
         '"sides": [{"from": [0, 2], "to": [4, 0], "s": [1, 1]}, {"from": [1, 1], "to": [3, 0], "s": [1], "suppress": true}], '
-        '"truncations": [{"ell": 1, "W": "5/2", "s": [1, 1]}], "absorbed_flexes": 3}]}'
+        '"truncations": [{"ell": 1, "W": "5/2", "s": [1, 1]}], "absorbed_flexes": 3}, '
+        '{"kind": "ordinary_multiple_point", "label": "triple", "m": 3, "contacts": [4]}]}'
     )
     assert model.serialize(descriptor, indent=None) == text
     assert model.serialize(descriptor) == json.dumps(json.loads(text), indent=2)

@@ -290,7 +290,8 @@ def test_fixture_sides_rebuilt_from_local_equations():
     written = {}
     for path in corpus.fixture_paths(corpus.corpus_dir()):
         descriptor = model.descriptor_from_obj(json.loads(path.read_text(encoding="utf-8"))["descriptor"])
-        sides = [side for point in descriptor.points if isinstance(point, model.CompositePoint) for side in point.sides]
+        points = oracles.expanded(descriptor).points
+        sides = [side for point in points if isinstance(point, model.CompositePoint) for side in point.sides]
         if sides:
             written[path.stem] = sides
     assert rebuilt == written
