@@ -10,12 +10,15 @@ exp(d*H) * (1 + sum of all terms): the paper's factor of a point is
 
 Every term is built in the predegree basis: integers a_0..a_8 over one
 positive denominator, standing for the sum of a_i * H^i / (i! * den).
+Every local term's a_6..a_8 are a sum of one jet, the k^0..k^2 Taylor
+coefficients of p/((1+a*k)^3 (1+b*k)^3) (`_jets`); a polygon side's vertex
+polynomial is that jet's integral along the side, by the seven-point rule.
 """
 
 from __future__ import annotations
 
 from math import comb, lcm
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import model
 from .record import record
@@ -33,6 +36,13 @@ KIND_LOCAL = "local"
 
 class FeatureError(ValueError):
     """A correction was requested for data violating its preconditions."""
+
+
+def _check_ints(*values: object) -> None:
+    """Raise FeatureError, in the records' words, at the first value not exactly an int."""
+    for value in values:
+        if type(value) is not int:
+            raise FeatureError(f"expected an integer, got {type(value).__name__}")
 
 
 def _check(problems: list[model.Violation]) -> None:
@@ -64,8 +74,13 @@ def _local(kind: str, a6: int, a7: int, a8: int, den: int = 1) -> Correction:
     return Correction(kind, (0, 0, 0, 0, 0, 0, a6, a7, a8), den)
 
 
-def _power_sum(values: Sequence[int], power: int) -> int:
-    return sum(v**power for v in values)
+def _jets(terms: Iterable[tuple[int, int, int]]) -> tuple[int, int, int]:
+    """The k^0, k^1, k^2 Taylor coefficients of the sum over (p, a, b) of
+    p/((1+a*k)^3 (1+b*k)^3): the sum of p*(1, -3(a+b), 3(2a^2+3ab+2b^2))."""
+    q0 = q1 = q2 = 0
+    for p, a, b in terms:
+        q0, q1, q2 = q0 + p, q1 + p * (a + b), q2 + p * (2 * a * a + 3 * a * b + 2 * b * b)
+    return q0, -3 * q1, 3 * q2
 
 
 def _elementary_symmetric(values: Sequence[int], upto: int) -> list[int]:
@@ -93,24 +108,14 @@ def line_correction(mult: int, meets: Sequence[int], degree: int) -> Correction:
     -m^3, 3m^4, -6m^5, 10m^3(m^3 + r_3), -15m^3(m^4 + 4m*r_3 + 3r_4) and
     21m^3(m^5 + 10m^2*r_3 + 15m*r_4 + 6r_5).  The curve degree drops out.
     """
+    _check_ints(mult, degree, *meets)
     _check(model.line_violations(mult, meets, degree))
-    m = mult
-    m3 = m**3
-    r3 = _power_sum(meets, 3)
-    r4 = _power_sum(meets, 4)
-    r5 = _power_sum(meets, 5)
-    a = (
-        0,
-        0,
-        0,
-        -m3,
-        3 * m3 * m,
-        -6 * m3 * m * m,
-        10 * m3 * (m3 + r3),
-        -15 * m3 * (m3 * m + 4 * m * r3 + 3 * r4),
-        21 * m3 * (m3 * m * m + 10 * m * m * r3 + 15 * m * r4 + 6 * r5),
-    )
-    return Correction(KIND_LINE, a)
+    m, m3 = mult, mult**3
+    r3, r4, r5 = (sum([r**k for r in meets]) for k in (3, 4, 5))
+    a6 = 10 * m3 * (m3 + r3)
+    a7 = -15 * m3 * (m3 * m + 4 * m * r3 + 3 * r4)
+    a8 = 21 * m3 * (m3 * m * m + 10 * m * m * r3 + 15 * m * r4 + 6 * r5)
+    return Correction(KIND_LINE, (0, 0, 0, -m3, 3 * m3 * m, -6 * m3 * m * m, a6, a7, a8))
 
 
 def nonlinear_correction(degree: int, component_degree: int, mult: int) -> Correction:
@@ -118,6 +123,7 @@ def nonlinear_correction(degree: int, component_degree: int, mult: int) -> Corre
     -2*e*m^5 * (H^5/20 - (5d+18m)H^6/360 + (9d+8m)m*H^7/420 - d*m^2*H^8/60).
     """
     d, e, m = degree, component_degree, mult
+    _check_ints(d, e, m)
     _check(model.nonlinear_violations(e, m))
     if e * m > d:
         raise FeatureError(f"component accounts for degree {e * m} > curve degree {d}")
@@ -139,15 +145,15 @@ def tangent_cone_correction(line_mults: Sequence[int]) -> Correction:
     -e1*(e2*e3 - e1*e4 - e5) * (H^6/24 - e1*H^7/28 + e1^2*H^8/64).
     The prefactor vanishes identically when there are at most two lines.
     """
+    _check_ints(*line_mults)
     _check(model.tangent_cone_violations(line_mults))
     return _cone_term(_elementary_symmetric(line_mults, 5))
 
 
 def _cone_term(es: Sequence[int]) -> Correction:
-    """The tangent-cone term from e_0..e_5 of the line multiplicities."""
+    """The tangent-cone term from e_0..e_5 of the lines: the jet at (-30*e1*(e2*e3 - e1*e4 - e5), e1, e1)."""
     e1 = es[1]
-    prefactor = -e1 * (es[2] * es[3] - e1 * es[4] - es[5])
-    return _local(KIND_TANGENT_CONE, 30 * prefactor, -180 * e1 * prefactor, 630 * e1 * e1 * prefactor)
+    return _local(KIND_TANGENT_CONE, *_jets([(-30 * e1 * (es[2] * es[3] - e1 * es[4] - es[5]), e1, e1)]))
 
 
 #: Weights of the closed seven-point Newton-Cotes rule on [0, 1], over 840.
@@ -157,11 +163,12 @@ _NEWTON_COTES_7 = (41, 216, 27, 272, 27, 216, 41)
 def _side_vertex_polynomials(j0: int, k0: int, j1: int, k1: int) -> tuple[int, int, int]:
     """(l6, l7, l8) = 30, 180 and 630 times the integrals over 0 <= t <= 1 of
     (jk)^2, (jk)^2 (j+k) and (jk)^2 (j+k)^2 along the side j = (1-t)j0 + t*j1,
-    k = (1-t)k0 + t*k1, by the seven-point rule: exact to degree 7 in t, and
-    symmetric in the endpoints as its weights are.  At t = i/6, 6j and 6k are
-    integers, and each division is exact: (1-t)^a t^b integrates to
-    a! b! / (a+b+1)!, which 30, 180 and 630 make integral except for odd a, where
-    the squares (jk)^2 and (jk(j+k))^2 have even coefficients as forms in (1-t, t).
+    k = (1-t)k0 + t*k1, so that (l6, -l7, l8) integrates the jet at (30(jk)^2, j+k, j+k),
+    by the seven-point rule: exact to degree 7 in t, and symmetric in the endpoints
+    as its weights are.  At t = i/6, 6j and 6k are integers, and each division is
+    exact: (1-t)^a t^b integrates to a! b! / (a+b+1)!, which 30, 180 and 630 make
+    integral except for odd a, where the squares (jk)^2 and (jk(j+k))^2 have even
+    coefficients as forms in (1-t, t).
     """
     dj, dk = j1 - j0, k1 - k0
     s6 = s7 = s8 = 0
@@ -176,36 +183,26 @@ def newton_side_correction(side: model.NewtonSide) -> Correction:
     """Correction for one qualifying polygon side, -R * (L - G), where R is
     twice the area of the triangle cut out by the side and the origin, L the
     vertex polynomial (l6*H^6/6! - l7*H^7/7! + l8*H^8/8!, symmetric in the
-    two endpoints) and G the root data (4*p5*H^6/6! - 36*p6*H^7/7! +
-    192*p7*H^8/8!) / S, with S the lattice span and p_k the power sums of
-    the root multiplicities.  S divides R, so the term is integral.
+    two endpoints) and G the root data, 1/S times the jets at (4*s^5, s, 2s)
+    over the root multiplicities s, with S the lattice span.  S divides R,
+    so the term is integral.
     """
     _check(model.side_violations(side))
     area2 = side.j1 * side.k0 - side.j0 * side.k1
     q = area2 // side.span()
     l6, l7, l8 = _side_vertex_polynomials(side.j0, side.k0, side.j1, side.k1)
-    return _local(
-        KIND_SIDE,
-        -(area2 * l6 - 4 * q * _power_sum(side.s, 5)),
-        area2 * l7 - 36 * q * _power_sum(side.s, 6),
-        -(area2 * l8 - 192 * q * _power_sum(side.s, 7)),
-    )
+    g6, g7, g8 = _jets([(4 * q * s**5, s, 2 * s) for s in side.s])
+    return _local(KIND_SIDE, g6 - area2 * l6, g7 + area2 * l7, g8 - area2 * l8)
 
 
 def truncation_correction(trunc: model.Truncation) -> Correction:
-    """Correction for a branch truncation:
-    -ell*W*(4*(S^5-p5)H^6/6! - 36*(S^6-p6)H^7/7! + 192*(S^7-p7)H^8/8!).
-    """
+    """Correction for a branch truncation: ell*W times the jets at (4*s^5, s, 2s)
+    over the conic multiplicities s, less the jet at (4*S^5, S, 2S) of their sum S."""
     _check(model.truncation_violations(trunc))
     total = sum(trunc.s)
     w = trunc.ell * trunc.weight.numerator
-    return _local(
-        KIND_TRUNCATION,
-        -4 * w * (total**5 - _power_sum(trunc.s, 5)),
-        36 * w * (total**6 - _power_sum(trunc.s, 6)),
-        -192 * w * (total**7 - _power_sum(trunc.s, 7)),
-        trunc.weight.denominator,
-    )
+    jets = _jets([(4 * w * s**5, s, 2 * s) for s in trunc.s] + [(-4 * w * total**5, total, 2 * total)])
+    return _local(KIND_TRUNCATION, *jets, trunc.weight.denominator)
 
 
 def local_correction_from_quadratic(
@@ -217,6 +214,7 @@ def local_correction_from_quadratic(
     -delta * (P''(-rho)*H^6/(42*6!) + P'(-rho)*H^7/(7*7!) + P(-rho)*H^8/8!).
     """
     a, b, c, r = (to_rational(v) for v in (alpha, beta, gamma, rho))
+    _check_ints(delta)
     if delta < 1:
         raise FeatureError("the covering degree must be a positive integer")
     values = (-delta * 2 * a / 42, -delta * (-2 * a * r + b) / 7, -delta * (a * r * r - b * r + c))
@@ -229,36 +227,29 @@ def local_correction_from_quadratic(
 # ---------------------------------------------------------------------------
 
 
-def pair_jet(a: int, b: int) -> tuple[int, int, int]:
-    """The k^0, k^1, k^2 Taylor coefficients of
-    a^2*b^2/((1+a*k)^3 (1+b*k)^3) - 4/((1+k)^3 (1+2k)^3)."""
-    p = a * a * b * b
-    return (p - 4, -3 * p * (a + b) + 36, 3 * p * (2 * a * a + 3 * a * b + 2 * b * b) - 192)
-
-
 def irreducible_correction(sing: model.IrreducibleSingularity) -> Correction:
     """Correction term of an irreducible singularity.
 
-    With e_0 = n, e_{r+1} = 0, and d_j the running gcd chain, the jet
-    q = m*n*P(m, n) + sum_j (e_{j+1} - e_j) * d_j * P(d_j, 2*d_j) gives
-    term = -(q0*H^6/6! + q1*H^7/7! + q2*H^8/8!).
+    With e_0 = n, e_{r+1} = 0, and d_j the running gcd chain, the weights
+    w = m*n at (m, n) and w = (e_{j+1} - e_j) * d_j at (d_j, 2*d_j) give the
+    term as the jets at (-w*a^2*b^2, a, b), plus the jet at (4*sum(w), 1, 2).
     """
     _check(model.irreducible_violations(sing))
-    weighted = [(sing.m * sing.n, pair_jet(sing.m, sing.n))]
-    weighted += [(step * d, pair_jet(d, 2 * d)) for step, d in sing.chain_steps()]
-    q0, q1, q2 = (sum(w * jet[i] for w, jet in weighted) for i in range(3))
-    return _local(KIND_IRREDUCIBLE, -q0, -q1, -q2)
+    weighted = [(sing.m * sing.n, sing.m, sing.n)] + [(step * d, d, 2 * d) for step, d in sing.chain_steps()]
+    terms = [(-w * a * a * b * b, a, b) for w, a, b in weighted]
+    return _local(KIND_IRREDUCIBLE, *_jets(terms + [(4 * sum([w for w, _, _ in weighted]), 1, 2)]))
 
 
 def flex_correction(count: int, printed: bool = False, contact: int = 3) -> Correction:
     """`count` times the term of an inflection of contact c >= 3: the irreducible
-    term at m = 1, n = c, whose one chain step weighs pair_jet(1, 2) = (0, 0, 0).
+    term at m = 1, n = c, which is the jets at (-c^3, 1, c) and (4c, 1, 2).
     At c = 3 that is -H^6/48 + 3*H^7/70 - 197*H^8/4480; `printed` gives H^6 the
     coefficient -1/42 that circulates in print (6! * -1/42 = -120/7), which
     every cross-check in this package refutes (see README).
     """
+    _check_ints(count, contact)
     _check(model.flex_count_violations(count) + model.flex_violations(contact))
-    q0, q1, q2 = (-count * contact * v for v in pair_jet(1, contact))
+    q0, q1, q2 = _jets([(-count * contact**3, 1, contact), (4 * count * contact, 1, 2)])
     if printed and contact == 3:
         return _local(KIND_FLEX, -120 * count, 7 * q1, 7 * q2, 7)
     return _local(KIND_FLEX, q0, q1, q2)
@@ -280,6 +271,7 @@ def multiple_point_terms(m: int, contacts: Sequence[int]) -> list[tuple[str, Cor
     with that branch's tangent line.  Linear branches carry no term of
     their own but enter through m.
     """
+    _check_ints(m, *contacts)
     _check(model.multiple_point_violations(m, contacts))
     sides = [(f"sides[{i}]", newton_side_correction(side)) for i, side in enumerate(model.branch_sides(m, contacts))]
     return [("tangent_cone", _cone_term([comb(m, k) for k in range(6)]))] + sides

@@ -18,7 +18,10 @@ product, the side vertex polynomials hand-expanded (`_side_l6/7/8`, where
 the package integrates along the side), the ordinary multiple point
 through elementary symmetric functions of the contacts and per branch
 in closed form (`_branch_contact`, where the package adds one side term
-per branch), and the union factors as printed.
+per branch), and the union factors as printed.  Elementary symmetric
+functions are sums over subsets (`elementary_symmetric`, where the package
+runs a recurrence), and the jet of a (t^m, t^n) point is multiplied out
+(`pair_jet`, where the package sums `corrections._jets`).
 
 `ordinary_multiple_point` is the reference expansion of an ordinary
 multiple point into the composite point it stands for, whose terms the
@@ -33,8 +36,8 @@ form for line-free curves whose special points are all (t^m, t^n) points.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import zip_longest
-from math import factorial, gcd
+from itertools import combinations, zip_longest
+from math import factorial, gcd, prod
 from typing import Iterable, Mapping, Sequence
 
 from orbitdeg import corrections, engine, model, series
@@ -500,6 +503,11 @@ def _branch_contact(m: int, r: int) -> tuple[int, int, int]:
     return h6, h7, h8
 
 
+def elementary_symmetric(values: Sequence[int], k: int) -> int:
+    """e_k of the values, as the sum of the products of their k-subsets."""
+    return sum(prod(subset) for subset in combinations(values, k))
+
+
 def line_term(mult: int, meets: Sequence[int], degree: int) -> TruncSeries:
     """The line correction as the antiderivative (zero constant term) of
     -(m^3/2) * exp(-d*H) * H^2 * prod(1 + r*H + r^2*H^2/2)."""
@@ -512,8 +520,7 @@ def line_term(mult: int, meets: Sequence[int], degree: int) -> TruncSeries:
 def ordinary_multiple_point_factor_sym(m: int, contacts: Sequence[int]) -> TruncSeries:
     """1 + `corrections.multiple_point_correction` through the
     elementary-symmetric form of the contacts, an independent transcription."""
-    e = corrections._elementary_symmetric(contacts, 5)
-    e1, e2, e3, e4, e5 = e[1], e[2], e[3], e[4], e[5]
+    e1, e2, e3, e4, e5 = (elementary_symmetric(contacts, k) for k in range(1, 6))
     h6 = (
         -2 * e1
         + 3 * e1**2
@@ -634,7 +641,7 @@ def _direct_nonlinear(d: int, e: int, m: int) -> Fraction:
 
 
 def _direct_tangent_cone(d: int, line_mults: Sequence[int]) -> Fraction:
-    es = corrections._elementary_symmetric(line_mults, 5)
+    es = [elementary_symmetric(line_mults, k) for k in range(6)]
     e1 = es[1]
     return F(30 * e1 * (es[2] * es[3] - e1 * es[4] - es[5]) * (28 * d**2 - 48 * d * e1 + 21 * e1**2))
 
@@ -857,6 +864,13 @@ def predegree_direct(descriptor: model.CurveDescriptor) -> int:
 # ---------------------------------------------------------------------------
 
 
+def pair_jet(a: int, b: int) -> tuple[int, int, int]:
+    """The k^0, k^1, k^2 Taylor coefficients of
+    a^2*b^2/((1+a*k)^3 (1+b*k)^3) - 4/((1+k)^3 (1+2k)^3), multiplied out."""
+    p = a * a * b * b
+    return (p - 4, -3 * p * (a + b) + 36, 3 * p * (2 * a * a + 3 * a * b + 2 * b * b) - 192)
+
+
 def predegree_from_cusp_types(degree: int, points: Sequence[tuple[int, int]]) -> int:
     """Predegree of a reduced line-free curve whose special points are all
     parametrized as (t^m, t^n) with coprime exponents (ordinary flexes
@@ -874,7 +888,7 @@ def predegree_from_cusp_types(degree: int, points: Sequence[tuple[int, int]]) ->
     remaining = 3 * d * (d - 2) - sum(3 * m * n - 2 * m - 2 * n for m, n in points)
     if remaining < 0:
         raise engine.EngineError("absorbed flexes exceed the 3d(d-2) budget")
-    weighted = [(4 * d * d, (1, -9, 48)), (3 * remaining, corrections.pair_jet(1, 3))]
-    weighted += [(m * n, corrections.pair_jet(m, n)) for m, n in points]
+    weighted = [(4 * d * d, (1, -9, 48)), (3 * remaining, pair_jet(1, 3))]
+    weighted += [(m * n, pair_jet(m, n)) for m, n in points]
     q0, q1, q2 = (sum(w * jet[i] for w, jet in weighted) for i in range(3))
     return d**8 - (q2 + 8 * d * q1 + 28 * d * d * q0)

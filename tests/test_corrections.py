@@ -4,13 +4,13 @@ from fractions import Fraction as F
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from orbitdeg import corrections, model
 from oracles import TruncSeries, exp_linear, factor, ring
-from strategies import compositions, irreducibles, sides, truncations
+from strategies import compositions, irreducibles, rationals, sides, truncations
 
 ONE = TruncSeries.one()
 
@@ -126,6 +126,60 @@ def test_builders_raise_the_first_model_violation(build, problems):
     with pytest.raises(corrections.FeatureError) as excinfo:
         build()
     assert str(excinfo.value) == str(problems[0])
+
+
+@pytest.mark.parametrize(
+    "build, got",
+    [
+        (lambda: corrections.flex_correction(1.5), "float"),
+        (lambda: corrections.flex_correction(3, contact=3.0), "float"),
+        (lambda: corrections.flex_correction(True), "bool"),
+        (lambda: corrections.flex_correction("-1"), "str"),
+        (lambda: corrections.line_correction(2.0, (), 2), "float"),
+        (lambda: corrections.line_correction(1, (1.0,), 2), "float"),
+        (lambda: corrections.line_correction(1, ["1"], 2), "str"),
+        (lambda: corrections.nonlinear_correction(4, 2.0, 1), "float"),
+        (lambda: corrections.nonlinear_correction(4.0, 2, 1), "float"),
+        (lambda: corrections.tangent_cone_correction((1.5, 2, 3)), "float"),
+        (lambda: corrections.tangent_cone_correction(("0",)), "str"),
+        (lambda: corrections.multiple_point_correction(2.0, ()), "float"),
+        (lambda: corrections.multiple_point_terms(3, (4, "5")), "str"),
+        (lambda: corrections.local_correction_from_quadratic(1, 1, 1, 1, delta=1.5), "float"),
+        (lambda: corrections.local_correction_from_quadratic(1, 1, 1, 1, delta=True), "bool"),
+    ],
+)
+def test_builders_refuse_a_non_int_before_the_rules(build, got):
+    # the records' wording, also where a rule would break first or fail to compare
+    with pytest.raises(corrections.FeatureError, match=f"^expected an integer, got {got}$"):
+        build()
+
+
+@settings(max_examples=100)
+@given(
+    line_components(),
+    st.integers(2, 9).flatmap(lambda d: st.tuples(st.just(d), st.integers(2, d))),
+    cone_mults(min_lines=0),
+    sides(),
+    truncations(),
+    irreducibles(),
+    st.tuples(st.integers(0, 20), st.booleans(), st.integers(3, 12)),
+    st.tuples(rationals(), rationals(), rationals(), rationals(), st.integers(1, 5)),
+)
+def test_every_builder_returns_exact_ints(line, nonlinear, mults, side, trunc, sing, flex, quadratic):
+    m = nonlinear[1]
+    built = [
+        corrections.line_correction(*line),
+        corrections.nonlinear_correction(*nonlinear, 1),
+        corrections.tangent_cone_correction(mults),
+        corrections.newton_side_correction(side),
+        corrections.truncation_correction(trunc),
+        corrections.irreducible_correction(sing),
+        corrections.flex_correction(*flex),
+        corrections.local_correction_from_quadratic(*quadratic),
+        corrections.multiple_point_correction(m, (m + 1,) * m),
+    ]
+    for corr in built:
+        assert {type(v) for v in corr.a + (corr.den,)} == {int}, corr
 
 
 # -- tangent cones -----------------------------------------------------------
@@ -272,7 +326,7 @@ def test_quadratic_route_zero():
 @settings(max_examples=40)
 @given(cone_mults(min_lines=3, max_mult=4))
 def test_quadratic_route_rederives_tangent_cone(mults):
-    es = corrections._elementary_symmetric(mults, 5)
+    es = [oracles.elementary_symmetric(mults, k) for k in range(6)]
     e1 = es[1]
     prefactor = es[2] * es[3] - e1 * es[4] - es[5]
     rederived = e1 * ring(corrections.local_correction_from_quadratic(630 * prefactor, 0, 0, e1).term)
@@ -307,12 +361,18 @@ def taylor_k2(numerator, linear_roots):
     return [numerator * c for c in inverse]
 
 
-def test_pair_jet_against_taylor_expansion():
-    base = taylor_k2(4, (1, 2))
-    for a in range(1, 9):
-        for b in range(1, 9):
-            main = taylor_k2(a * a * b * b, (a, b))
-            assert corrections.pair_jet(a, b) == tuple(x - y for x, y in zip(main, base)), (a, b)
+JET_ENTRIES = st.tuples(*[st.integers(-50, 50)] * 3)
+
+
+@settings(max_examples=200)
+@given(JET_ENTRIES, st.lists(JET_ENTRIES, max_size=6))
+@example((0, 7, -3), [])
+@example((5, 4, 4), [(-2, -1, -1), (3, 0, 50)])
+def test_jets_against_taylor_expansion(entry, entries):
+    p, a, b = entry
+    assert corrections._jets([entry]) == tuple(taylor_k2(p, (a, b)))
+    total = [sum(column) for column in zip(*[taylor_k2(p, (a, b)) for p, a, b in entries])] or [0, 0, 0]
+    assert corrections._jets(entries) == tuple(total)
 
 
 def test_unibranch_factor_smooth_point():
