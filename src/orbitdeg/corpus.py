@@ -25,7 +25,7 @@ class FixtureResult:
     """A fixture's name and its mismatches."""
 
     name: str
-    failures: list[str]
+    failures: tuple[str, ...]
 
     @property
     def passed(self) -> bool:
@@ -85,10 +85,10 @@ def check_fixture(path: Path, erratum_strict: bool = False) -> FixtureResult:
         descriptor = model.descriptor_from_obj(data["descriptor"])
         report = engine.assemble(descriptor, erratum_strict=erratum_strict)
     except (OSError, ValueError, AttributeError, KeyError, model.DescriptorError, engine.EngineError) as exc:
-        return FixtureResult(name, [f"fixture did not compute: {exc}"])
+        return FixtureResult(name, (f"fixture did not compute: {exc}",))
     expected = data.get("expected", {})
     if type(expected) is not dict:
-        return FixtureResult(name, [f"expected values must be an object, got {type(expected).__name__}"])
+        return FixtureResult(name, (f"expected values must be an object, got {type(expected).__name__}",))
     try:
         obj = engine.report_to_obj(report)
         unknown = set(expected) - _EXPECTED_KEYS
@@ -99,7 +99,7 @@ def check_fixture(path: Path, erratum_strict: bool = False) -> FixtureResult:
                 failures.append(f"{label}: expected {want}, got {got}")
     except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
         failures.append(f"expected values could not be compared: {exc}")
-    return FixtureResult(name, failures)
+    return FixtureResult(name, tuple(failures))
 
 
 def run(directory: str | os.PathLike | None = None, erratum_strict: bool = False) -> list[FixtureResult]:

@@ -45,6 +45,18 @@ def _check_ints(*values: object) -> None:
             raise FeatureError(f"expected an integer, got {type(value).__name__}")
 
 
+def _check_type(value: object, classes: tuple[type, ...], what: str) -> None:
+    """Raise FeatureError, in the records' words, when the class of `value` is not one of `classes`."""
+    if type(value) not in classes:
+        raise FeatureError(f"expected {what}, got {type(value).__name__}")
+
+
+def _check_int_sequence(values: object) -> None:
+    """Raise FeatureError, in the records' words, unless `values` is a list or tuple of exact ints."""
+    _check_type(values, (list, tuple), "a list or tuple of integers")
+    _check_ints(*values)
+
+
 def _check(problems: list[model.Violation]) -> None:
     """Raise FeatureError with the first of the model's violations, if any."""
     if problems:
@@ -98,7 +110,7 @@ def _elementary_symmetric(values: Sequence[int], upto: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def line_correction(mult: int, meets: Sequence[int], degree: int) -> Correction:
+def line_correction(mult: int, meets: list[int] | tuple[int, ...], degree: int) -> Correction:
     """Correction for a line of multiplicity `mult` meeting the rest of the
     curve with multiplicities `meets`, on a curve of the given degree.
 
@@ -108,7 +120,8 @@ def line_correction(mult: int, meets: Sequence[int], degree: int) -> Correction:
     -m^3, 3m^4, -6m^5, 10m^3(m^3 + r_3), -15m^3(m^4 + 4m*r_3 + 3r_4) and
     21m^3(m^5 + 10m^2*r_3 + 15m*r_4 + 6r_5).  The curve degree drops out.
     """
-    _check_ints(mult, degree, *meets)
+    _check_ints(mult, degree)
+    _check_int_sequence(meets)
     _check(model.line_violations(mult, meets, degree))
     m, m3 = mult, mult**3
     r3, r4, r5 = (sum([r**k for r in meets]) for k in (3, 4, 5))
@@ -137,7 +150,7 @@ def nonlinear_correction(degree: int, component_degree: int, mult: int) -> Corre
 # ---------------------------------------------------------------------------
 
 
-def tangent_cone_correction(line_mults: Sequence[int]) -> Correction:
+def tangent_cone_correction(line_mults: list[int] | tuple[int, ...]) -> Correction:
     """Correction for the tangent-cone fan at a point, from the multiplicities
     of the distinct tangent lines.
 
@@ -145,7 +158,7 @@ def tangent_cone_correction(line_mults: Sequence[int]) -> Correction:
     -e1*(e2*e3 - e1*e4 - e5) * (H^6/24 - e1*H^7/28 + e1^2*H^8/64).
     The prefactor vanishes identically when there are at most two lines.
     """
-    _check_ints(*line_mults)
+    _check_int_sequence(line_mults)
     _check(model.tangent_cone_violations(line_mults))
     return _cone_term(_elementary_symmetric(line_mults, 5))
 
@@ -187,6 +200,7 @@ def newton_side_correction(side: model.NewtonSide) -> Correction:
     over the root multiplicities s, with S the lattice span.  S divides R,
     so the term is integral.
     """
+    _check_type(side, (model.NewtonSide,), "a NewtonSide record")
     _check(model.side_violations(side))
     area2 = side.j1 * side.k0 - side.j0 * side.k1
     q = area2 // side.span()
@@ -198,6 +212,7 @@ def newton_side_correction(side: model.NewtonSide) -> Correction:
 def truncation_correction(trunc: model.Truncation) -> Correction:
     """Correction for a branch truncation: ell*W times the jets at (4*s^5, s, 2s)
     over the conic multiplicities s, less the jet at (4*S^5, S, 2S) of their sum S."""
+    _check_type(trunc, (model.Truncation,), "a Truncation record")
     _check(model.truncation_violations(trunc))
     total = sum(trunc.s)
     w = trunc.ell * trunc.weight.numerator
@@ -234,6 +249,7 @@ def irreducible_correction(sing: model.IrreducibleSingularity) -> Correction:
     w = m*n at (m, n) and w = (e_{j+1} - e_j) * d_j at (d_j, 2*d_j) give the
     term as the jets at (-w*a^2*b^2, a, b), plus the jet at (4*sum(w), 1, 2).
     """
+    _check_type(sing, (model.IrreducibleSingularity,), "an IrreducibleSingularity record")
     _check(model.irreducible_violations(sing))
     weighted = [(sing.m * sing.n, sing.m, sing.n)] + [(step * d, d, 2 * d) for step, d in sing.chain_steps()]
     terms = [(-w * a * a * b * b, a, b) for w, a, b in weighted]
@@ -260,7 +276,7 @@ def flex_correction(count: int, printed: bool = False, contact: int = 3) -> Corr
 # ---------------------------------------------------------------------------
 
 
-def multiple_point_terms(m: int, contacts: Sequence[int]) -> list[tuple[str, Correction]]:
+def multiple_point_terms(m: int, contacts: list[int] | tuple[int, ...]) -> list[tuple[str, Correction]]:
     """The terms of an ordinary multiple point, each after the part it
     comes from: "tangent_cone", the m reduced tangent lines, whose e_k =
     C(m, k) keep the cost from growing with m, and "sides[i]", the polygon
@@ -271,13 +287,14 @@ def multiple_point_terms(m: int, contacts: Sequence[int]) -> list[tuple[str, Cor
     with that branch's tangent line.  Linear branches carry no term of
     their own but enter through m.
     """
-    _check_ints(m, *contacts)
+    _check_ints(m)
+    _check_int_sequence(contacts)
     _check(model.multiple_point_violations(m, contacts))
     sides = [(f"sides[{i}]", newton_side_correction(side)) for i, side in enumerate(model.branch_sides(m, contacts))]
     return [("tangent_cone", _cone_term([comb(m, k) for k in range(6)]))] + sides
 
 
-def multiple_point_correction(m: int, contacts: Sequence[int]) -> Correction:
+def multiple_point_correction(m: int, contacts: list[int] | tuple[int, ...]) -> Correction:
     """Correction of an ordinary multiple point: the sum of its
     `multiple_point_terms`."""
     terms = [corr.a for _, corr in multiple_point_terms(m, contacts)]

@@ -5,7 +5,6 @@ import contextlib
 import copy
 import io
 import json
-import os
 import pickle
 import re
 import subprocess
@@ -17,8 +16,6 @@ import pytest
 import orbitdeg
 from orbitdeg import corpus, engine, model, newton
 from orbitdeg.record import Record
-
-SRC = Path(__file__).resolve().parent.parent / "src"
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -79,10 +76,19 @@ def test_an_unknown_name_is_an_attribute_error_naming_the_module():
 
 
 def test_import_orbitdeg_loads_no_submodule():
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
     script = "import sys, orbitdeg; print(*[m for m in sys.modules if m.startswith('orbitdeg')])"
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env, text=True, timeout=60)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "orbitdeg\n", "")
+
+
+def test_a_child_imports_the_package_under_test():
+    """A child started with the inherited environment runs the same
+    `orbitdeg` as the suite: a checkout's `src/` under `PYTHONPATH=src`, an
+    installed copy when the suite runs against one."""
+    script = "import orbitdeg; print(orbitdeg.__file__)"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert Path(proc.stdout.strip()).resolve() == Path(orbitdeg.__file__).resolve()
 
 
 EVERY_POINT_KIND = {

@@ -21,8 +21,6 @@ from orbitdeg import cli, corpus, engine, model, newton
 from oracles import TruncSeries
 from strategies import descriptors, ordinary_multiple_points, supports
 
-SRC = Path(__file__).resolve().parent.parent / "src"
-
 CONIC_TEXT = '{"degree": 2, "flexes": 0, "nonlinear": [{"deg": 2, "mult": 1}]}'
 LINE_TEXT = '{"degree": 1, "flexes": 0, "linear": [{"mult": 1, "meets": []}]}'
 
@@ -106,10 +104,12 @@ def test_compute_malformed_json(capsys, tmp_path):
 
 def test_compute_schema_error(capsys, tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text('{"degree": "4"}', encoding="utf-8")
-    code, _, err = run(capsys, "compute", str(path))
-    assert code == 2
-    assert "expected an integer" in err
+    for text, message in (
+        ('{"degree": "4"}', "degree: expected an integer, got str"),
+        ('{"degree": 2, "nonlinear": [{"deg": 2, "mult": true}]}', "nonlinear[0].mult: expected an integer, got bool"),
+    ):
+        path.write_text(text, encoding="utf-8")
+        assert run(capsys, "compute", str(path)) == (2, "", f"error: {path}: {message}\n")
 
 
 def test_compute_validation_failure(capsys, tmp_path):
@@ -121,11 +121,23 @@ def test_compute_validation_failure(capsys, tmp_path):
     assert "invalid" in err
 
 
-def test_contribution_truncation(capsys):
-    code, out, _ = run(capsys, "contribution", "type5", "--ell", "1", "--W", "5", "--s", "1,1")
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["term"] == ["0", "0", "0", "0", "0", "0", "-5/6", "31/14", "-3"]
+@pytest.mark.parametrize(
+    "args, field, tail",
+    [
+        ("type5 --ell 1 --W 5 --s 1,1", "term", ["-5/6", "31/14", "-3"]),
+        ("type3 --lines 1,1", "term", ["0", "0", "0"]),
+        ("type3 --lines 1,1,1", "term", ["-3/8", "27/28", "-81/64"]),
+        ("flexes --count 1", "factor", ["-1/48", "3/70", "-197/4480"]),
+        ("flexes --count 1 --erratum strict", "factor", ["-1/42", "3/70", "-197/4480"]),
+    ],
+)
+def test_contribution_prints_the_exact_term(capsys, args, field, tail):
+    """The H^6..H^8 coefficients of a term or factor; the ones below are 0,
+    or 1 in front of a factor."""
+    code, out, err = run(capsys, "contribution", *args.split())
+    assert (code, err) == (0, "")
+    head = ["1" if field == "factor" else "0"] + ["0"] * 5
+    assert json.loads(out)[field] == head + tail
 
 
 def test_contribution_irreducible(capsys):
@@ -136,12 +148,6 @@ def test_contribution_irreducible(capsys):
     assert TruncSeries.from_strings(payload["factor"]) == TruncSeries.from_terms(
         {0: 1, 6: F(-4, 15), 7: F(3, 5), 8: F(-19, 28)}
     )
-
-
-def test_contribution_tangent_cone_two_lines(capsys):
-    code, out, _ = run(capsys, "contribution", "type3", "--lines", "1,1")
-    assert code == 0
-    assert json.loads(out)["term"] == ["0"] * 9
 
 
 def test_contribution_precondition_failure(capsys):
@@ -204,6 +210,8 @@ def test_contribution_negative_fraction_values(capsys, spaced, joined, code):
 def test_usage_errors_are_one_line(capsys):
     argv = ["contribution", "truncation", "--ell", "1", "--W", "1/0", "--s", "1"]
     assert run(capsys, *argv) == (2, "", "error: argument --W/--weight: invalid rational literal: '1/0'\n")
+    code, out, err = run(capsys, "compute")
+    assert (code, out, err.count("\n")) == (2, "", 1) and err.startswith("error: "), err
 
 
 def test_help_still_prints_usage(capsys):
@@ -228,13 +236,11 @@ def test_contribution_multiple_point_with_a_huge_m(capsys):
 def test_closed_stdout_exits_2_without_traceback():
     read_end, write_end = os.pipe()
     os.close(read_end)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "orbitdeg.cli", "corpus"],
             stdout=write_end,
             stderr=subprocess.PIPE,
-            env=env,
             text=True,
             timeout=120,
         )
@@ -247,18 +253,20 @@ def test_closed_stdout_exits_2_without_traceback():
 def cold_cli(*argv):
     """Run `orbitdeg` in a fresh interpreter: its exit code, its stderr and the
     modules it loaded."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
     script = "import sys\nfrom orbitdeg.cli import main\ncode = main(sys.argv[1:])\nprint(*sys.modules)\nsys.exit(code)"
-    proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, env=env, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True, timeout=120)
     return proc.returncode, proc.stderr, set(proc.stdout.splitlines()[-1].split())
 
 
 def test_each_command_loads_only_the_modules_it_uses(tmp_path, conic_path):
     """`compute`, `union` and `scale` load neither `newton` nor `corpus`, nor
     `dataclasses` and `inspect` unless the bare interpreter has them; `newton`
-    does not load `corpus`.  (`pathlib` is not checked: `site` imports it.)"""
+    does not load `corpus`.  (`pathlib` is not checked: `site` imports it.)
+    Every command imports only `orbitdeg` and the standard library, beyond
+    what the bare interpreter already loaded, as `dependencies = []` says."""
     bare = subprocess.run([sys.executable, "-c", "import sys; print(*sys.modules)"], capture_output=True, text=True)
-    heavy = {"orbitdeg.newton", "orbitdeg.corpus", "dataclasses", "inspect"} - set(bare.stdout.split())
+    bare = set(bare.stdout.split())
+    heavy = {"orbitdeg.newton", "orbitdeg.corpus", "dataclasses", "inspect"} - bare
     support = tmp_path / "support.json"
     support.write_text(json.dumps({"degree": 4, "terms": [[4, 0, "1"], [2, 1, "-2"], [0, 2, "1"], [3, 1, "-1"]]}))
     for argv, unused in (
@@ -270,6 +278,8 @@ def test_each_command_loads_only_the_modules_it_uses(tmp_path, conic_path):
         code, err, loaded = cold_cli(*argv)
         assert (code, err) == (0, ""), argv
         assert "orbitdeg.cli" in loaded and loaded & unused == set(), argv
+        foreign = {m.split(".")[0] for m in loaded - bare} - set(sys.stdlib_module_names) - {"orbitdeg"}
+        assert foreign == set(), argv
 
 
 @settings(max_examples=40)
@@ -304,6 +314,17 @@ def test_newton_command(capsys, tmp_path):
     assert side["span"] == 2
     assert side["coefficients"] == ["1", "-2", "1"]
     assert side["s"] == [2]
+    # (z - y^2)^3 (z + 2y^2): a cubed factor beside a simple one takes Yun's
+    # loop through three levels; the side polynomial (x - 1)(x - 2)(x + 2)
+    # refuses the first heuristic gcd candidate, so the retry path runs
+    for degree, terms, s in (
+        (8, [[0, 4, "1"], [2, 3, "-1"], [4, 2, "-3"], [6, 1, "5"], [8, 0, "-2"]], [[3, 1]]),
+        (6, [[0, 3, "1"], [2, 2, "-1"], [4, 1, "-4"], [6, 0, "4"]], [[1, 1, 1]]),
+    ):
+        path.write_text(json.dumps({"degree": degree, "terms": terms}), encoding="utf-8")
+        code, out, err = run(capsys, "newton", str(path))
+        assert (code, err) == (0, "")
+        assert [side["s"] for side in json.loads(out)["sides"]] == s
 
 
 def test_union_command(capsys, conic_path, line_path):
@@ -390,10 +411,12 @@ def test_corpus_detects_perturbed_expectation(capsys, tmp_path):
 
 
 def test_corpus_strict_erratum_fails_nodal_quartic(capsys):
+    """The printed -1/42 for every contact-3 flex, listed or counted, breaks 13 fixtures."""
     code, out, _ = run(capsys, "corpus", "--erratum", "strict")
     assert code == 1
     lines = [line for line in out.splitlines() if line.startswith("nodal-quartic ")]
-    assert lines and "FAIL" in lines[0]
+    assert lines and lines[0].split() == ["nodal-quartic", "FAIL"]
+    assert out.splitlines()[-1] == "11/24 fixtures passed"
 
 
 def test_corpus_missing_dir(capsys, tmp_path):
@@ -409,15 +432,15 @@ def test_corpus_empty_dir(capsys, tmp_path):
 @pytest.mark.parametrize(
     "expected, failures",
     [
-        ({"predegree": "8", "bogus": 1}, ["unknown expected keys: ['bogus']"]),
-        ({"orbit_dimension": 4}, ["orbit_dimension: expected 4, got 5"]),
-        ({"a": {"5": "8", "4": "3/2"}}, ["a4: expected 3/2, got 16"]),
-        ({"app": ["1", "2"]}, ["app: expected ['1', '2'], got ['1', '2', '2', '4/3', '2/3', '1/15', '0', '0', '0']"]),
-        ("degree", ["expected values must be an object, got str"]),
-        ("xyz", ["expected values must be an object, got str"]),
-        (["predegree"], ["expected values must be an object, got list"]),
-        (5, ["expected values must be an object, got int"]),
-        (None, ["expected values must be an object, got NoneType"]),
+        ({"predegree": "8", "bogus": 1}, ("unknown expected keys: ['bogus']",)),
+        ({"orbit_dimension": 4}, ("orbit_dimension: expected 4, got 5",)),
+        ({"a": {"5": "8", "4": "3/2"}}, ("a4: expected 3/2, got 16",)),
+        ({"app": ["1", "2"]}, ("app: expected ['1', '2'], got ['1', '2', '2', '4/3', '2/3', '1/15', '0', '0', '0']",)),
+        ("degree", ("expected values must be an object, got str",)),
+        ("xyz", ("expected values must be an object, got str",)),
+        (["predegree"], ("expected values must be an object, got list",)),
+        (5, ("expected values must be an object, got int",)),
+        (None, ("expected values must be an object, got NoneType",)),
     ],
 )
 def test_check_fixture_names_each_mismatch(tmp_path, expected, failures):
@@ -435,16 +458,17 @@ def test_check_fixture_keeps_the_mismatches_before_a_value_it_cannot_compare(tmp
     result = corpus.check_fixture(path)
     assert result == corpus.FixtureResult(
         "smooth-conic",
-        [
+        (
             "orbit_dimension: expected 4, got 5",
             "predegree: expected 9, got 8",
             "a4: expected 3/2, got 16",
             "expected values could not be compared: tuple index out of range",
-        ],
+        ),
     )
     assert not result.passed
+    assert hash(result) == hash(corpus.FixtureResult("smooth-conic", result.failures))
     with pytest.raises(AttributeError):
-        result.failures = []
+        result.failures = ()
 
 
 def test_compute_oversized_integer_is_a_parse_error(capsys, tmp_path):

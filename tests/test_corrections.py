@@ -154,6 +154,26 @@ def test_builders_refuse_a_non_int_before_the_rules(build, got):
         build()
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: corrections.newton_side_correction(None), "expected a NewtonSide record, got NoneType"),
+        (lambda: corrections.newton_side_correction(model.Truncation(1, F(1), (1,))), "expected a NewtonSide record, got Truncation"),
+        (lambda: corrections.truncation_correction((1, 2)), "expected a Truncation record, got tuple"),
+        (lambda: corrections.irreducible_correction(None), "expected an IrreducibleSingularity record, got NoneType"),
+        (lambda: corrections.irreducible_correction(model.FlexPoint(3)), "expected an IrreducibleSingularity record, got FlexPoint"),
+        (lambda: corrections.line_correction(1, 3, 4), "expected a list or tuple of integers, got int"),
+        (lambda: corrections.tangent_cone_correction(5), "expected a list or tuple of integers, got int"),
+        (lambda: corrections.multiple_point_terms(3, 5), "expected a list or tuple of integers, got int"),
+    ],
+)
+def test_builders_refuse_a_wrong_record_or_sequence_before_the_rules(build, message):
+    # each raised AttributeError, or a bare TypeError from unpacking, before
+    with pytest.raises(corrections.FeatureError) as excinfo:
+        build()
+    assert str(excinfo.value) == message
+
+
 @settings(max_examples=100)
 @given(
     line_components(),

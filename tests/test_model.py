@@ -180,6 +180,41 @@ CONIC = model.NonlinearComponent(2, 1)
             lambda: model.truncation_violations(model.Truncation(0, Fraction(1), (1,))),
             ["truncation.ell: ell must be a positive integer"],
         ),
+        (
+            lambda: model.irreducible_violations(model.IrreducibleSingularity(1, 1)),
+            ["singularity.n: contact order must exceed the multiplicity 1"],
+        ),
+        (
+            # the other rules take each of these, whose absorbed-flex counts are -1, -2, 8 and 29
+            lambda: model.validate(
+                model.CurveDescriptor(
+                    2,
+                    nonlinear=(CONIC,),
+                    points=tuple(
+                        model.IrreducibleSingularity(*args) for args in ((1, 1), (1, 0), (3, 2, (2,)), (5, 3, (3,)))
+                    ),
+                )
+            ),
+            [
+                "points[0].n: contact order must exceed the multiplicity 1",
+                "points[1].n: contact order must exceed the multiplicity 1",
+                "points[2].n: contact order must exceed the multiplicity 3",
+                "points[3].n: contact order must exceed the multiplicity 5",
+            ],
+        ),
+        (
+            lambda: model.side_violations(model.NewtonSide(3, 1, 1, 0, (1,))),
+            ["side: endpoints must satisfy j0 < j1"],
+        ),
+        (
+            # the slope rule refuses this side too, but names the wrong cause
+            lambda: model.validate(
+                model.CurveDescriptor(
+                    2, nonlinear=(CONIC,), points=(model.CompositePoint(sides=(model.NewtonSide(3, 1, 1, 0, (1,)),)),)
+                )
+            ),
+            ["points[0].sides[0]: endpoints must satisfy j0 < j1"],
+        ),
     ],
 )
 def test_each_rule_names_its_field(problems, expected):
