@@ -72,18 +72,33 @@ def _comparisons(expected: dict, obj: dict):
             yield f"a{index}", rational_to_string(value), polynomial[int(index)]
 
 
+def _report(descriptor: model.CurveDescriptor, erratum_strict: bool) -> tuple[engine.OrbitReport, str | None]:
+    """The descriptor's report and None; or, when its stabilizer degree does
+    not divide this mode's predegree into a positive integer, the report
+    without it and why there is no degree, so the other values still compare."""
+    try:
+        return engine.assemble(descriptor, erratum_strict=erratum_strict), None
+    except engine.ValidationError:
+        raise
+    except engine.EngineError as exc:
+        d = descriptor
+        bare = model.CurveDescriptor(d.degree, None, d.flexes, d.linear, d.nonlinear, d.points)
+        return engine.assemble(bare, erratum_strict=erratum_strict), f"no degree ({exc})"
+
+
 def check_fixture(path: Path, erratum_strict: bool = False) -> FixtureResult:
     """Recompute one fixture and collect exact-value mismatches.
 
     A fixture that cannot be read, decoded, computed or compared fails
-    with a one-line reason, so one bad file does not stop the replay.
+    with a one-line reason, so one bad file does not stop the replay.  A
+    stabilizer degree that does not divide the predegree fails only the
+    `degree` comparison.
     """
     name, failures = path.stem, []
     try:
         data = model.decode_json(path.read_text(encoding="utf-8"))
         name = str(data.get("name", path.stem))
-        descriptor = model.descriptor_from_obj(data["descriptor"])
-        report = engine.assemble(descriptor, erratum_strict=erratum_strict)
+        report, degree = _report(model.descriptor_from_obj(data["descriptor"]), erratum_strict)
     except (OSError, ValueError, AttributeError, KeyError, model.DescriptorError, engine.EngineError) as exc:
         return FixtureResult(name, (f"fixture did not compute: {exc}",))
     expected = data.get("expected", {})
@@ -91,6 +106,8 @@ def check_fixture(path: Path, erratum_strict: bool = False) -> FixtureResult:
         return FixtureResult(name, (f"expected values must be an object, got {type(expected).__name__}",))
     try:
         obj = engine.report_to_obj(report)
+        if degree is not None:
+            obj["degree"] = degree
         unknown = set(expected) - _EXPECTED_KEYS
         if unknown:
             failures.append(f"unknown expected keys: {sorted(unknown)}")

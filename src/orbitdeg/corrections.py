@@ -12,12 +12,17 @@ Every term is built in the predegree basis: integers a_0..a_8 over one
 positive denominator, standing for the sum of a_i * H^i / (i! * den).
 Every local term's a_6..a_8 are a sum of one jet, the k^0..k^2 Taylor
 coefficients of p/((1+a*k)^3 (1+b*k)^3) (`_jets`); a polygon side's vertex
-polynomial is that jet's integral along the side, by the seven-point rule.
+polynomial is that jet's integral along the side, in closed form.
+
+Each public builder checks its arguments, raising FeatureError, and then
+runs its term's kernel (`_line_term`, `_side_term`, ...), which assumes
+valid data.  `engine.assemble` calls the kernels directly, after
+`model.validate` has checked every rule and the records their types.
 """
 
 from __future__ import annotations
 
-from math import comb, lcm
+from math import comb, gcd, lcm
 from typing import Iterable, Sequence
 
 from . import model
@@ -123,7 +128,12 @@ def line_correction(mult: int, meets: list[int] | tuple[int, ...], degree: int) 
     _check_ints(mult, degree)
     _check_int_sequence(meets)
     _check(model.line_violations(mult, meets, degree))
-    m, m3 = mult, mult**3
+    return _line_term(mult, meets)
+
+
+def _line_term(m: int, meets: Sequence[int]) -> Correction:
+    """`line_correction` without its checks."""
+    m3 = m**3
     r3, r4, r5 = (sum([r**k for r in meets]) for k in (3, 4, 5))
     a6 = 10 * m3 * (m3 + r3)
     a7 = -15 * m3 * (m3 * m + 4 * m * r3 + 3 * r4)
@@ -140,6 +150,11 @@ def nonlinear_correction(degree: int, component_degree: int, mult: int) -> Corre
     _check(model.nonlinear_violations(e, m))
     if e * m > d:
         raise FeatureError(f"component accounts for degree {e * m} > curve degree {d}")
+    return _nonlinear_term(d, e, m)
+
+
+def _nonlinear_term(d: int, e: int, m: int) -> Correction:
+    """`nonlinear_correction` without its checks."""
     s = -2 * e * m**5
     a = (0, 0, 0, 0, 0, 6 * s, -2 * s * (5 * d + 18 * m), 12 * s * m * (9 * d + 8 * m), -672 * s * d * m * m)
     return Correction(KIND_NONLINEAR, a)
@@ -169,27 +184,25 @@ def _cone_term(es: Sequence[int]) -> Correction:
     return _local(KIND_TANGENT_CONE, *_jets([(-30 * e1 * (es[2] * es[3] - e1 * es[4] - es[5]), e1, e1)]))
 
 
-#: Weights of the closed seven-point Newton-Cotes rule on [0, 1], over 840.
-_NEWTON_COTES_7 = (41, 216, 27, 272, 27, 216, 41)
-
-
 def _side_vertex_polynomials(j0: int, k0: int, j1: int, k1: int) -> tuple[int, int, int]:
     """(l6, l7, l8) = 30, 180 and 630 times the integrals over 0 <= t <= 1 of
-    (jk)^2, (jk)^2 (j+k) and (jk)^2 (j+k)^2 along the side j = (1-t)j0 + t*j1,
-    k = (1-t)k0 + t*k1, so that (l6, -l7, l8) integrates the jet at (30(jk)^2, j+k, j+k),
-    by the seven-point rule: exact to degree 7 in t, and symmetric in the endpoints
-    as its weights are.  At t = i/6, 6j and 6k are integers, and each division is
-    exact: (1-t)^a t^b integrates to a! b! / (a+b+1)!, which 30, 180 and 630 make
-    integral except for odd a, where the squares (jk)^2 and (jk(j+k))^2 have even
-    coefficients as forms in (1-t, t).
+    (jk)^2, (jk)^2 (j+k) and (jk)^2 (j+k)^2 along the side j = j0 + t*(j1-j0),
+    k = k0 + t*(k1-k0), so that (l6, -l7, l8) integrates the jet at (30(jk)^2, j+k, j+k).
+
+    With jk = A + B*t + C*t^2 and j+k = E + F*t, (jk)^2 is the sum of c_i*t^i
+    over c = (A^2, 2AB, B^2+2AC, 2BC, C^2), and t^i integrates to 1/(i+1).  So
+    l6 = P, l7 = 6E*P + F*Q and l8 = 21E^2*P + 7EF*Q + F^2*R, where P, Q and R
+    are 30, 180 and 630 times the sums of c_i/(i+1), c_i/(i+2) and c_i/(i+3):
+    integer forms, the factor 2 of c_1 and c_3 clearing their odd denominators.
     """
     dj, dk = j1 - j0, k1 - k0
-    s6 = s7 = s8 = 0
-    for i, w in enumerate(_NEWTON_COTES_7):
-        j, k = 6 * j0 + i * dj, 6 * k0 + i * dk
-        v = w * (j * k) ** 2
-        s6, s7, s8 = s6 + v, s7 + v * (j + k), s8 + v * (j + k) ** 2
-    return 30 * s6 // (840 * 6**4), 180 * s7 // (840 * 6**5), 630 * s8 // (840 * 6**6)
+    a, b, c = j0 * k0, j0 * dk + k0 * dj, dj * dk
+    aa, ab, x, bc, cc = a * a, a * b, b * b + 2 * a * c, b * c, c * c
+    e, f = j0 + k0, dj + dk
+    p = 30 * aa + 30 * ab + 10 * x + 15 * bc + 6 * cc
+    q = 90 * aa + 120 * ab + 45 * x + 72 * bc + 30 * cc
+    r = 210 * aa + 315 * ab + 126 * x + 210 * bc + 90 * cc
+    return p, 6 * e * p + f * q, e * (21 * e * p + 7 * f * q) + f * f * r
 
 
 def newton_side_correction(side: model.NewtonSide) -> Correction:
@@ -202,10 +215,15 @@ def newton_side_correction(side: model.NewtonSide) -> Correction:
     """
     _check_type(side, (model.NewtonSide,), "a NewtonSide record")
     _check(model.side_violations(side))
-    area2 = side.j1 * side.k0 - side.j0 * side.k1
-    q = area2 // side.span()
-    l6, l7, l8 = _side_vertex_polynomials(side.j0, side.k0, side.j1, side.k1)
-    g6, g7, g8 = _jets([(4 * q * s**5, s, 2 * s) for s in side.s])
+    return _side_term(side.j0, side.k0, side.j1, side.k1, side.s)
+
+
+def _side_term(j0: int, k0: int, j1: int, k1: int, roots: Sequence[int]) -> Correction:
+    """`newton_side_correction` of the side (j0, k0) -> (j1, k1) with root multiplicities `roots`, unchecked."""
+    area2 = j1 * k0 - j0 * k1
+    q = area2 // gcd(j1 - j0, k0 - k1)
+    l6, l7, l8 = _side_vertex_polynomials(j0, k0, j1, k1)
+    g6, g7, g8 = _jets([(4 * q * s**5, s, 2 * s) for s in roots])
     return _local(KIND_SIDE, g6 - area2 * l6, g7 + area2 * l7, g8 - area2 * l8)
 
 
@@ -214,6 +232,11 @@ def truncation_correction(trunc: model.Truncation) -> Correction:
     over the conic multiplicities s, less the jet at (4*S^5, S, 2S) of their sum S."""
     _check_type(trunc, (model.Truncation,), "a Truncation record")
     _check(model.truncation_violations(trunc))
+    return _truncation_term(trunc)
+
+
+def _truncation_term(trunc: model.Truncation) -> Correction:
+    """`truncation_correction` without its checks."""
     total = sum(trunc.s)
     w = trunc.ell * trunc.weight.numerator
     jets = _jets([(4 * w * s**5, s, 2 * s) for s in trunc.s] + [(-4 * w * total**5, total, 2 * total)])
@@ -251,6 +274,11 @@ def irreducible_correction(sing: model.IrreducibleSingularity) -> Correction:
     """
     _check_type(sing, (model.IrreducibleSingularity,), "an IrreducibleSingularity record")
     _check(model.irreducible_violations(sing))
+    return _irreducible_term(sing)
+
+
+def _irreducible_term(sing: model.IrreducibleSingularity) -> Correction:
+    """`irreducible_correction` without its checks."""
     weighted = [(sing.m * sing.n, sing.m, sing.n)] + [(step * d, d, 2 * d) for step, d in sing.chain_steps()]
     terms = [(-w * a * a * b * b, a, b) for w, a, b in weighted]
     return _local(KIND_IRREDUCIBLE, *_jets(terms + [(4 * sum([w for w, _, _ in weighted]), 1, 2)]))
@@ -265,6 +293,11 @@ def flex_correction(count: int, printed: bool = False, contact: int = 3) -> Corr
     """
     _check_ints(count, contact)
     _check(model.flex_count_violations(count) + model.flex_violations(contact))
+    return _flex_term(count, printed, contact)
+
+
+def _flex_term(count: int, printed: bool, contact: int = 3) -> Correction:
+    """`flex_correction` without its checks."""
     q0, q1, q2 = _jets([(-count * contact**3, 1, contact), (4 * count * contact, 1, 2)])
     if printed and contact == 3:
         return _local(KIND_FLEX, -120 * count, 7 * q1, 7 * q2, 7)
@@ -280,7 +313,8 @@ def multiple_point_terms(m: int, contacts: list[int] | tuple[int, ...]) -> list[
     """The terms of an ordinary multiple point, each after the part it
     comes from: "tangent_cone", the m reduced tangent lines, whose e_k =
     C(m, k) keep the cost from growing with m, and "sides[i]", the polygon
-    side of the i-th nonlinear branch (`model.branch_sides`).
+    side (m-1, 1) -> (r, 0), with a simple root, of the i-th nonlinear
+    branch, of contact r.
 
     `m` counts all branches (linear and nonlinear); `contacts` lists, for
     each nonlinear branch, the intersection multiplicity of the curve
@@ -290,7 +324,12 @@ def multiple_point_terms(m: int, contacts: list[int] | tuple[int, ...]) -> list[
     _check_ints(m)
     _check_int_sequence(contacts)
     _check(model.multiple_point_violations(m, contacts))
-    sides = [(f"sides[{i}]", newton_side_correction(side)) for i, side in enumerate(model.branch_sides(m, contacts))]
+    return _multiple_point_terms(m, contacts)
+
+
+def _multiple_point_terms(m: int, contacts: Sequence[int]) -> list[tuple[str, Correction]]:
+    """`multiple_point_terms` without its checks."""
+    sides = [(f"sides[{i}]", _side_term(m - 1, 1, r, 0, (1,))) for i, r in enumerate(contacts)]
     return [("tangent_cone", _cone_term([comb(m, k) for k in range(6)]))] + sides
 
 

@@ -127,20 +127,21 @@ def _feature_corrections(
 ) -> Iterator[tuple[str, Correction]]:
     label = feature.label if feature.label is not None else f"points[{index}]"
     if isinstance(feature, model.FlexPoint):
-        yield label, corrections.flex_correction(1, erratum_strict, feature.contact)
+        yield label, corrections._flex_term(1, erratum_strict, feature.contact)
     elif isinstance(feature, model.IrreducibleSingularity):
-        yield label, corrections.irreducible_correction(feature)
+        yield label, corrections._irreducible_term(feature)
     elif isinstance(feature, model.OrdinaryMultiplePoint):
-        for part, corr in corrections.multiple_point_terms(feature.m, feature.contacts):
+        for part, corr in corrections._multiple_point_terms(feature.m, feature.contacts):
             yield f"{label}.{part}", corr
     else:
         if feature.tangent_cone is not None:
-            yield f"{label}.tangent_cone", corrections.tangent_cone_correction(feature.tangent_cone)
+            es = corrections._elementary_symmetric(feature.tangent_cone, 5)
+            yield f"{label}.tangent_cone", corrections._cone_term(es)
         for i, side in enumerate(feature.sides):
             if not side.suppress:
-                yield f"{label}.sides[{i}]", corrections.newton_side_correction(side)
+                yield f"{label}.sides[{i}]", corrections._side_term(side.j0, side.k0, side.j1, side.k1, side.s)
         for i, trunc in enumerate(feature.truncations):
-            yield f"{label}.truncations[{i}]", corrections.truncation_correction(trunc)
+            yield f"{label}.truncations[{i}]", corrections._truncation_term(trunc)
 
 
 def assemble(descriptor: model.CurveDescriptor, *, erratum_strict: bool = False) -> OrbitReport:
@@ -148,7 +149,8 @@ def assemble(descriptor: model.CurveDescriptor, *, erratum_strict: bool = False)
 
     Raises ValidationError when the descriptor breaks an invariant and
     EngineError when a supplied stabilizer degree does not divide the
-    predegree.
+    predegree.  Once `model.validate` has passed, each term comes from its
+    builder's unchecked kernel.
     """
     violations = model.validate(descriptor)
     if violations:
@@ -156,16 +158,16 @@ def assemble(descriptor: model.CurveDescriptor, *, erratum_strict: bool = False)
     d = descriptor.degree
     breakdown: list[tuple[str, Correction]] = []
     for i, line in enumerate(descriptor.linear):
-        breakdown.append((f"linear[{i}]", corrections.line_correction(line.mult, line.meets, d)))
+        breakdown.append((f"linear[{i}]", corrections._line_term(line.mult, line.meets)))
     for i, comp in enumerate(descriptor.nonlinear):
-        breakdown.append((f"nonlinear[{i}]", corrections.nonlinear_correction(d, comp.deg, comp.mult)))
+        breakdown.append((f"nonlinear[{i}]", corrections._nonlinear_term(d, comp.deg, comp.mult)))
 
     for i, feature in enumerate(descriptor.points):
         breakdown.extend(_feature_corrections(feature, i, erratum_strict))
 
     count = model.resolved_flex_count(descriptor)
     if count:
-        breakdown.append(("ordinary_flexes", corrections.flex_correction(count, printed=erratum_strict)))
+        breakdown.append(("ordinary_flexes", corrections._flex_term(count, erratum_strict)))
 
     den = lcm(*[corr.den for _, corr in breakdown])
     total = [den] + [0] * (TRUNCATION_ORDER - 1)

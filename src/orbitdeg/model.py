@@ -65,25 +65,47 @@ class Violation:
         return f"{self.path}: {self.message}"
 
 
-def _typed(value: Any) -> None:
-    """The `__post_init__` of each descriptor record: refuse the first field
-    whose value's own class its annotation does not allow (so a bool is no
-    int), at the field's key, or at key[i] for a tuple entry.  A record in a
-    tuple checked its fields when it was built, so only its class is checked."""
-    for name, key, classes, entries, what in _FIELD_TYPES[type(value)]:
-        field = getattr(value, name)
-        if type(field) not in classes:
-            raise DescriptorSchemaError(key, f"expected {what}, got {type(field).__name__}")
-        for idx, item in enumerate(field if entries and field else ()):
-            if type(item) not in entries:
-                entry = "an integer" if entries is _INTS else f"a {' or '.join([c.__name__ for c in entries])} record"
-                raise DescriptorSchemaError(f"{key}[{idx}]", f"expected {entry}, got {type(item).__name__}")
+_NONE, _INTS, _TUPLE = type(None), frozenset({int}), frozenset({tuple})
+
+#: Per field annotation: the classes its value may have, `_INTS` or the
+#: record classes the entries of its tuple may have, and what it asks for.
+#: An optional field names only the value it asks for, as the reader does.
+#: Each descriptor record class adds the tuples of its records.
+_TYPES: dict[str, tuple[frozenset, Any, str]] = {
+    "int": (_INTS, (), "an integer"),
+    "bool": (frozenset({bool}), (), "a boolean"),
+    "Fraction": (frozenset({Fraction, int}), (), "a Fraction or an integer"),
+    "Optional[int]": (frozenset({int, _NONE}), (), "an integer"),
+    "Optional[str]": (frozenset({str, _NONE}), (), "a string"),
+    "Union[int, str]": (frozenset({int, str}), (), "an integer or a string"),
+    "tuple[int, ...]": (_TUPLE, _INTS, "a tuple of integers"),
+    "Optional[tuple[int, ...]]": (frozenset({tuple, _NONE}), _INTS, "a tuple of integers"),
+}
 
 
 def _typed_record(cls: type) -> type:
-    """The `record` of `cls`, with `_typed` as its `__post_init__`."""
-    cls.__post_init__ = _typed  # type: ignore[attr-defined]
-    return record(cls)
+    """The `record` of `cls` whose `__init__` refuses the first field whose
+    value's own class its annotation does not allow (so a bool is no int),
+    with DescriptorSchemaError at the field's key, or at key[i] for a tuple
+    entry.  A record in a tuple checked its fields when it was built, so
+    only its class is checked.  The rules name a truncation's weight by its
+    JSON key."""
+    fields = {name: _TYPES[hint] for name, hint in cls.__annotations__.items()}
+
+    def refuse(*values: Any) -> None:
+        for (name, (classes, entries, what)), value in zip(fields.items(), values):
+            key = "W" if name == "weight" else name
+            if type(value) not in classes:
+                raise DescriptorSchemaError(key, f"expected {what}, got {type(value).__name__}")
+            for idx, item in enumerate(value if entries and value else ()):
+                if type(item) not in entries:
+                    names = " or ".join([c.__name__ for c in entries])
+                    entry = "an integer" if entries is _INTS else f"a {names} record"
+                    raise DescriptorSchemaError(f"{key}[{idx}]", f"expected {entry}, got {type(item).__name__}")
+
+    new = record(cls, {name: (classes, entries) for name, (classes, entries, _) in fields.items()}, refuse)
+    _TYPES[f"tuple[{new.__name__}, ...]"] = (_TUPLE, (new,), f"a tuple of {new.__name__} records")
+    return new
 
 
 @_typed_record
@@ -216,6 +238,7 @@ class OrdinaryMultiplePoint:
 
 
 PointFeature = Union[FlexPoint, IrreducibleSingularity, CompositePoint, OrdinaryMultiplePoint]
+_TYPES["tuple[PointFeature, ...]"] = (_TUPLE, get_args(PointFeature), "a tuple of point records")
 
 
 @_typed_record
@@ -229,35 +252,6 @@ class CurveDescriptor:
 
     def flexes_auto(self) -> bool:
         return self.flexes == AUTO_FLEXES
-
-
-_NONE, _INTS, _TUPLE = type(None), frozenset({int}), frozenset({tuple})
-
-#: Per field annotation: the classes its value may have, `_INTS` or the
-#: record classes the entries of its tuple may have, and what it asks for.
-#: An optional field names only the value it asks for, as the reader does.
-_TYPES: dict[str, tuple[frozenset, Any, str]] = {
-    "int": (_INTS, (), "an integer"),
-    "bool": (frozenset({bool}), (), "a boolean"),
-    "Fraction": (frozenset({Fraction, int}), (), "a Fraction or an integer"),
-    "Optional[int]": (frozenset({int, _NONE}), (), "an integer"),
-    "Optional[str]": (frozenset({str, _NONE}), (), "a string"),
-    "Union[int, str]": (frozenset({int, str}), (), "an integer or a string"),
-    "tuple[int, ...]": (_TUPLE, _INTS, "a tuple of integers"),
-    "Optional[tuple[int, ...]]": (frozenset({tuple, _NONE}), _INTS, "a tuple of integers"),
-    "tuple[LinearComponent, ...]": (_TUPLE, (LinearComponent,), "a tuple of LinearComponent records"),
-    "tuple[NonlinearComponent, ...]": (_TUPLE, (NonlinearComponent,), "a tuple of NonlinearComponent records"),
-    "tuple[NewtonSide, ...]": (_TUPLE, (NewtonSide,), "a tuple of NewtonSide records"),
-    "tuple[Truncation, ...]": (_TUPLE, (Truncation,), "a tuple of Truncation records"),
-    "tuple[PointFeature, ...]": (_TUPLE, get_args(PointFeature), "a tuple of point records"),
-}
-
-#: (field, path key, *its `_TYPES` entry) per field of each descriptor
-#: record class; the rules name a truncation's weight by its JSON key.
-_FIELD_TYPES = {
-    cls: [(name, "W" if name == "weight" else name, *_TYPES[hint]) for name, hint in cls.__annotations__.items()]
-    for cls in (CurveDescriptor, LinearComponent, NonlinearComponent, NewtonSide, Truncation, *get_args(PointFeature))
-}
 
 
 def absorbed_flexes(feature: PointFeature) -> int:
@@ -349,12 +343,6 @@ def multiple_point_violations(m: int, contacts: Sequence[int], path: str = "mult
         if r < m + 1:
             return [Violation(f"{path}.contacts[{i}]", f"contact must be >= m + 1 = {m + 1}")]
     return []
-
-
-def branch_sides(m: int, contacts: Sequence[int]) -> tuple[NewtonSide, ...]:
-    """Per nonlinear branch of contact r at an ordinary m-fold point, one
-    polygon side (m-1, 1) -> (r, 0) with a simple root."""
-    return tuple(NewtonSide(m - 1, 1, r, 0, (1,)) for r in contacts)
 
 
 def irreducible_violations(sing: IrreducibleSingularity, path: str = "singularity") -> list[Violation]:
@@ -536,15 +524,19 @@ def _as_is(value: Any) -> Any:
     return value
 
 
+def _list(value: Any) -> list:
+    if not isinstance(value, list):
+        raise DescriptorSchemaError("", f"expected an array, got {type(value).__name__}")
+    return value
+
+
 def _array(read: Callable[[Any], Any]) -> Callable[[Any], tuple]:
     """The reader of a JSON array whose entries `read` reads."""
 
     def read_array(value: Any) -> tuple:
-        if not isinstance(value, list):
-            raise DescriptorSchemaError("", f"expected an array, got {type(value).__name__}")
-        out = []
+        items, out = _list(value), []
         try:
-            for item in value:
+            for item in items:
                 out.append(read(item))
         except DescriptorSchemaError as exc:
             raise exc.under(f"[{len(out)}]") from None
@@ -553,7 +545,12 @@ def _array(read: Callable[[Any], Any]) -> Callable[[Any], tuple]:
     return read_array
 
 
-_ints, _tuple = _array(_int), _array(_as_is)
+def _tuple(value: Any) -> tuple:
+    """A JSON array as a tuple: the record it is read into checks the entries."""
+    return tuple(_list(value))
+
+
+_ints = _array(_int)
 
 
 def _pair(value: Any) -> tuple[int, ...]:

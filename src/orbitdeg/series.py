@@ -68,8 +68,15 @@ def rational_to_string(value: RationalLike) -> str:
 def predegree_strings(a: Sequence[int], den: int = 1) -> list[str]:
     """The coefficients of H^0..H^8 of the sum of a[i] * H^i / (i! * den),
     as "num/den" strings (integers over a positive denominator den).  A
-    zero, six of the nine in every local term, skips the call."""
-    return [ratio_string(v, f * den) if v else "0" for v, f in zip(a, FACTORIALS)]
+    zero, six of the nine in every local term, stays "0"; the others are
+    `ratio_string(a[i], i! * den)`, written out."""
+    out = ["0"] * TRUNCATION_ORDER
+    for i, v in enumerate(a):
+        if v:
+            f = FACTORIALS[i] * den
+            g = gcd(v, f)
+            out[i] = str(v // g) if g == f else f"{v // g}/{f // g}"
+    return out
 
 
 class TruncSeries(Record):

@@ -776,6 +776,23 @@ def irreducible_truncations(sing: model.IrreducibleSingularity) -> list[model.Tr
     return out
 
 
+def irreducible_composite(sing: model.IrreducibleSingularity) -> model.CompositePoint:
+    """The composite point a valid irreducible singularity (m, n) stands
+    for: a tangent cone of one line of multiplicity m, the side
+    (0, m) -> (n, 0) with root multiplicity gcd(m, n), its
+    `irreducible_truncations`, and the flexes it absorbs."""
+    m, n = sing.m, sing.n
+    sides = (model.NewtonSide(0, m, n, 0, (gcd(m, n),)),)
+    truncations = tuple(irreducible_truncations(sing))
+    return model.CompositePoint((m,), sides, truncations, sing.absorbed_flex_count(), sing.label)
+
+
+def branch_sides(m: int, contacts: Sequence[int]) -> tuple[model.NewtonSide, ...]:
+    """Per nonlinear branch of contact r at an ordinary m-fold point, one
+    polygon side (m-1, 1) -> (r, 0) with a simple root."""
+    return tuple(model.NewtonSide(m - 1, 1, r, 0, (1,)) for r in contacts)
+
+
 def ordinary_multiple_point(
     m: int, contacts: Sequence[int], absorbed_flexes: int | None = None, label: str | None = None
 ) -> model.CompositePoint:
@@ -787,8 +804,7 @@ def ordinary_multiple_point(
     0 otherwise."""
     if absorbed_flexes is None:
         absorbed_flexes = 3 * m * (m - 1) + sum(contacts) - m * (m + 1) if len(contacts) == m else 0
-    sides = tuple(model.NewtonSide(m - 1, 1, r, 0, (1,)) for r in contacts)
-    return model.CompositePoint((1,) * m, sides, (), absorbed_flexes, label)
+    return model.CompositePoint((1,) * m, branch_sides(m, contacts), (), absorbed_flexes, label)
 
 
 def expanded(descriptor: model.CurveDescriptor) -> model.CurveDescriptor:

@@ -419,6 +419,35 @@ def test_corpus_strict_erratum_fails_nodal_quartic(capsys):
     assert out.splitlines()[-1] == "11/24 fixtures passed"
 
 
+def test_strict_corpus_diffs_the_cuspidal_cubic_exactly():
+    # the printed factor's predegree -540 leaves no degree for the stabilizer
+    # degree 3, and the other values still compare
+    result = corpus.check_fixture(corpus.corpus_dir() / "cuspidal-cubic.json", erratum_strict=True)
+    app = ["1", "3", "9/2", "9/2", "27/8", "69/40"]
+    assert result.failures == (
+        "orbit_dimension: expected 7, got 8",
+        "predegree: expected 72, got -540",
+        "degree: expected 24, got no degree (stabilizer degree 3 does not divide the predegree -540 into a positive integer)",
+        f"app: expected {app + ['3/8', '1/70', '0']}, got {app + ['125/336', '3/560', '-3/224']}",
+    )
+
+
+@pytest.mark.parametrize(
+    "stabilizer, failures",
+    [
+        (2, ()),
+        (3, ("degree: expected 4, got no degree (stabilizer degree 3 does not divide the predegree 8 into a positive integer)",)),
+        (0, ("fixture did not compute: invalid descriptor: stabilizer_degree: stabilizer degree must be a positive integer",)),
+    ],
+)
+def test_check_fixture_compares_the_degree_on_its_own(tmp_path, stabilizer, failures):
+    good = json.loads((corpus.corpus_dir() / "smooth-conic.json").read_text(encoding="utf-8"))
+    good["descriptor"]["stabilizer_degree"] = stabilizer
+    path = tmp_path / "conic.json"
+    path.write_text(json.dumps(dict(good, expected={"predegree": "8", "degree": "4"})), encoding="utf-8")
+    assert corpus.check_fixture(path).failures == failures
+
+
 def test_corpus_missing_dir(capsys, tmp_path):
     code, _, err = run(capsys, "corpus", "--dir", str(tmp_path / "missing"))
     assert code == 2

@@ -302,11 +302,22 @@ def test_side_vertex_integral_matches_expanded_forms(vertices):
 
 
 @settings(max_examples=200)
-@given(st.tuples(*[st.integers(-(10**6), 10**6)] * 4))
+@given(st.tuples(*[st.integers(-(10**30), 10**30)] * 4))
 def test_side_vertex_integral_exact_on_large_coordinates(vertices):
-    # the quadrature's sums reach about 6^6 * 10^36; the divisions stay exact
+    # the closed form multiplies integers of up to about 10^180 and divides nothing
     expanded = tuple(l(*vertices) for l in (oracles._side_l6, oracles._side_l7, oracles._side_l8))
     assert corrections._side_vertex_polynomials(*vertices) == expanded
+
+
+@settings(max_examples=300)
+@given(irreducibles())
+def test_irreducible_term_is_its_cone_side_and_truncations(sing):
+    # the composite form the top-coefficient oracle reads the point in
+    point = oracles.irreducible_composite(sing)
+    parts = [corrections.tangent_cone_correction(point.tangent_cone)]
+    parts += [corrections.newton_side_correction(side) for side in point.sides]
+    parts += [corrections.truncation_correction(trunc) for trunc in point.truncations]
+    assert corrections.irreducible_correction(sing).term == sum([part.term for part in parts], TruncSeries.zero())
 
 
 def test_side_precondition():
@@ -528,7 +539,7 @@ def test_multiple_point_terms_are_the_cone_and_side_builders(point):
     # part by part, the terms the engine lists for the point, and their sum
     m, contacts = point
     terms = corrections.multiple_point_terms(m, contacts)
-    sides = [(f"sides[{i}]", corrections.newton_side_correction(side)) for i, side in enumerate(model.branch_sides(m, contacts))]
+    sides = [(f"sides[{i}]", corrections.newton_side_correction(side)) for i, side in enumerate(oracles.branch_sides(m, contacts))]
     assert terms == [("tangent_cone", corrections.tangent_cone_correction((1,) * m))] + sides
     total = tuple(sum(column) for column in zip(*[corr.a for _, corr in terms]))
     assert corrections.multiple_point_correction(m, contacts) == corrections.Correction(corrections.KIND_LOCAL, total)

@@ -552,6 +552,60 @@ def test_ordinary_multiple_point_assembles_as_the_composite_it_stands_for(descri
         assert engine.report_to_obj(report) == engine.report_to_obj(expected)
 
 
+def builder_breakdown(descriptor, strict):
+    """The breakdown of a valid descriptor, term by term from the public
+    builders, each checking its arguments, where `assemble` runs their kernels."""
+    d = descriptor.degree
+    out = [(f"linear[{i}]", corrections.line_correction(c.mult, c.meets, d)) for i, c in enumerate(descriptor.linear)]
+    out += [(f"nonlinear[{i}]", corrections.nonlinear_correction(d, c.deg, c.mult)) for i, c in enumerate(descriptor.nonlinear)]
+    for i, point in enumerate(descriptor.points):
+        label = point.label if point.label is not None else f"points[{i}]"
+        if isinstance(point, model.FlexPoint):
+            out.append((label, corrections.flex_correction(1, strict, point.contact)))
+        elif isinstance(point, model.IrreducibleSingularity):
+            out.append((label, corrections.irreducible_correction(point)))
+        elif isinstance(point, model.OrdinaryMultiplePoint):
+            terms = corrections.multiple_point_terms(point.m, point.contacts)
+            out += [(f"{label}.{part}", corr) for part, corr in terms]
+        else:
+            if point.tangent_cone is not None:
+                out.append((f"{label}.tangent_cone", corrections.tangent_cone_correction(point.tangent_cone)))
+            out += [
+                (f"{label}.sides[{j}]", corrections.newton_side_correction(side))
+                for j, side in enumerate(point.sides)
+                if not side.suppress
+            ]
+            out += [
+                (f"{label}.truncations[{j}]", corrections.truncation_correction(trunc))
+                for j, trunc in enumerate(point.truncations)
+            ]
+    count = model.resolved_flex_count(descriptor)
+    if count:
+        out.append(("ordinary_flexes", corrections.flex_correction(count, printed=strict)))
+    return tuple(out)
+
+
+@settings(max_examples=200)
+@given(descriptors())
+def test_assembly_kernels_agree_with_the_builders(descriptor):
+    for strict in () if model.validate(descriptor) else (False, True):
+        assert engine.assemble(descriptor, erratum_strict=strict).breakdown == builder_breakdown(descriptor, strict)
+
+
+@settings(max_examples=200)
+@given(descriptors())
+def test_irreducible_points_assemble_as_their_composite_form(descriptor):
+    points = tuple(
+        oracles.irreducible_composite(p) if isinstance(p, model.IrreducibleSingularity) else p for p in descriptor.points
+    )
+    composite = records.replace(descriptor, points=points)
+    for strict in (False, True):
+        report, expected = (engine.assemble(d, erratum_strict=strict) for d in (descriptor, composite))
+        obj, expected_obj = (engine.report_to_obj(r) for r in (report, expected))
+        assert (report.app, report.erratum_notes) == (expected.app, expected.erratum_notes)
+        assert {**obj, "breakdown": None} == {**expected_obj, "breakdown": None}
+
+
 def test_scale_line_to_double_line():
     report = engine.scale(engine.assemble(LINE), 2)
     assert report.app == series({0: 1, 1: 2, 2: 2})

@@ -239,7 +239,7 @@ def test_side_of_the_shorthand_branch(point):
     supp = support_of([(1, r - m + 1, 1)] + [(c, 1, 1) for c in cs])
     polygon = newton.newton_polygon(supp)
     sides = [newton.side_data(supp, side).as_newton_side() for side in newton.qualifying_sides(polygon)]
-    assert sides == list(model.branch_sides(m, [r]))
+    assert sides == list(oracles.branch_sides(m, [r]))
 
 
 def test_tacnode_side():
