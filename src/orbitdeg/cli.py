@@ -25,7 +25,7 @@ from typing import Any, NoReturn
 
 # `newton` and `corpus` are imported by the commands that use them.
 from . import corrections, engine, model
-from .series import predegree_strings, rational_to_string, to_rational
+from .series import predegree_strings, ratio_string, to_rational
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -294,7 +294,7 @@ def _cmd_newton(args: argparse.Namespace) -> int:
                 "from": [s.j0, s.k0],
                 "to": [s.j1, s.k1],
                 "span": s.span,
-                "coefficients": [rational_to_string(g) for g in s.gammas],
+                "coefficients": [ratio_string(g.numerator, g.denominator) for g in s.gammas],
                 "profile": [list(pair) for pair in s.profile],
                 "s": list(s.s_values()),
             }

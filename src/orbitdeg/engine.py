@@ -150,9 +150,10 @@ def assemble(descriptor: model.CurveDescriptor, *, erratum_strict: bool = False)
     Raises ValidationError when the descriptor breaks an invariant and
     EngineError when a supplied stabilizer degree does not divide the
     predegree.  Once `model.validate` has passed, each term comes from its
-    builder's unchecked kernel.
+    builder's unchecked kernel, and the ordinary-flex term from the count
+    the validation resolved.
     """
-    violations = model.validate(descriptor)
+    violations, count = model._violations_and_flex_count(descriptor)
     if violations:
         raise ValidationError(violations)
     d = descriptor.degree
@@ -165,7 +166,6 @@ def assemble(descriptor: model.CurveDescriptor, *, erratum_strict: bool = False)
     for i, feature in enumerate(descriptor.points):
         breakdown.extend(_feature_corrections(feature, i, erratum_strict))
 
-    count = model.resolved_flex_count(descriptor)
     if count:
         breakdown.append(("ordinary_flexes", corrections._flex_term(count, erratum_strict)))
 

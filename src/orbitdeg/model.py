@@ -413,11 +413,18 @@ def validate(descriptor: CurveDescriptor) -> list[Violation]:
     them.  Only values are checked here: each record checked the types of
     its fields when it was built.
     """
+    return _violations_and_flex_count(descriptor)[0]
+
+
+def _violations_and_flex_count(descriptor: CurveDescriptor) -> tuple[list[Violation], int | None]:
+    """`validate`'s violations and, whenever there are none, the descriptor's
+    `resolved_flex_count`, which the budget check has already computed."""
     out: list[Violation] = []
+    count = None
     d = descriptor.degree
     if d < 1:
         out.append(Violation("degree", "degree must be a positive integer"))
-        return out
+        return out, None
 
     degree_sum = 0
     for idx, line in enumerate(descriptor.linear):
@@ -459,22 +466,20 @@ def validate(descriptor: CurveDescriptor) -> list[Violation]:
             out.append(
                 Violation("flexes", "automatic flex counting requires a single reduced nonlinear component")
             )
-        elif not out and resolved_flex_count(descriptor) < 0:
-            out.append(
-                Violation(
-                    "flexes",
-                    f"absorbed flexes exceed the budget 3d(d-2) = {3 * d * (d - 2)}",
-                )
-            )
+        elif not out:
+            count = resolved_flex_count(descriptor)
+            if count < 0:
+                out.append(Violation("flexes", f"absorbed flexes exceed the budget 3d(d-2) = {3 * d * (d - 2)}"))
     elif type(descriptor.flexes) is int:
         out += flex_count_violations(descriptor.flexes)
+        count = descriptor.flexes
     else:
         out.append(Violation("flexes", 'flex count must be an integer or "auto"'))
 
     stabilizer = descriptor.stabilizer_degree
     if stabilizer is not None and stabilizer < 1:
         out.append(Violation("stabilizer_degree", "stabilizer degree must be a positive integer"))
-    return out
+    return out, count
 
 
 # ---------------------------------------------------------------------------

@@ -23,9 +23,12 @@ A side's lattice span, and with it the work on the side, grows with the
 curve's degree rather than with the size of the input, so supports of
 degree above MAX_DEGREE are refused.
 
+Every coefficient is exact: an int when it is integral, else a Fraction,
+from `MonomialSupport.from_terms` through the side's coefficient string.
 Univariate polynomials are plain lists of integers, constant term first,
-with no trailing zeros; only the reported squarefree factors are monic
-lists of Fractions.
+with no trailing zeros, and a side's profile is read off the primitive
+integer factors of `_squarefree`; only the public `yun_squarefree`
+reports its factors as monic lists of Fractions.
 """
 
 from __future__ import annotations
@@ -42,6 +45,10 @@ from .series import RationalLike, to_rational
 
 Poly = list[Fraction]
 ZPoly = list[int]
+
+#: An exact coefficient: an int when it is integral, else a Fraction.
+#: Both have `numerator` and `denominator`.
+Coefficient = int | Fraction
 
 Side = tuple[tuple[int, int], tuple[int, int]]
 
@@ -62,11 +69,12 @@ class MonomialSupport:
     """The support of a degree-d equation sum coeff * x^(d-j-k) y^j z^k.
 
     `from_terms` leaves the terms sorted by (j, k), each (j, k) once and
-    every coefficient nonzero; the readers below rely on that.
+    every coefficient nonzero, an int when it is integral, else a
+    Fraction; the readers below rely on that.
     """
 
     degree: int
-    terms: tuple[tuple[int, int, Fraction], ...]
+    terms: tuple[tuple[int, int, Coefficient], ...]
 
     @classmethod
     def from_terms(cls, degree: int, terms: Sequence[Sequence[Any]]) -> "MonomialSupport":
@@ -74,7 +82,9 @@ class MonomialSupport:
         each a list or a tuple.  The degree and the exponents must be exactly
         `int`: a float, a string or a boolean is rejected, not coerced.  The
         coefficient is anything `to_rational` reads; a bad term is reported
-        with its index.  The degree must lie in 1..MAX_DEGREE."""
+        with its index.  It is kept as an int when it is integral ("6/3" and
+        Fraction(4, 2) become 2), else as a Fraction.  The degree must lie
+        in 1..MAX_DEGREE."""
         if type(degree) is not int:
             raise SupportError(f'"degree": expected an integer, got {type(degree).__name__}')
         if not isinstance(terms, (list, tuple)):
@@ -83,17 +93,20 @@ class MonomialSupport:
             raise SupportError("degree must be a positive integer")
         if degree > MAX_DEGREE:
             raise SupportError(f"degree must be at most {MAX_DEGREE}")
-        cleaned: dict[tuple[int, int], Fraction] = {}
+        cleaned: dict[tuple[int, int], Coefficient] = {}
         for index, term in enumerate(terms):
             if not (isinstance(term, (list, tuple)) and len(term) == 3 and type(term[0]) is int and type(term[1]) is int):
                 raise SupportError(
                     f"term {index}: expected [j, k, coefficient] with integer j and k, got {reprlib.repr(term)}"
                 )
-            j, k, coeff = term
-            try:
-                value = to_rational(coeff)
-            except (TypeError, ValueError) as exc:
-                raise SupportError(f"term {index}: {exc}") from None
+            j, k, value = term
+            if type(value) is not int:
+                try:
+                    value = to_rational(value)
+                except (TypeError, ValueError) as exc:
+                    raise SupportError(f"term {index}: {exc}") from None
+                if value.denominator == 1:
+                    value = value.numerator
             if j < 0 or k < 0:
                 raise SupportError(f"exponents must be non-negative, got ({j}, {k})")
             if j + k > degree:
@@ -118,8 +131,9 @@ class SideData:
     """One side with its coefficient string and root-multiplicity profile.
 
     `gammas` holds the coefficient at each of the span+1 lattice points
-    of the side (zero where the support has no term); `profile` pairs
-    each multiplicity with the number of distinct roots carrying it.
+    of the side (0 where the support has no term), an int when it is
+    integral, else a Fraction; `profile` pairs each multiplicity with the
+    number of distinct roots carrying it.
     """
 
     j0: int
@@ -127,7 +141,7 @@ class SideData:
     j1: int
     k1: int
     span: int
-    gammas: tuple[Fraction, ...]
+    gammas: tuple[Coefficient, ...]
     profile: tuple[tuple[int, int], ...]
 
     def s_values(self) -> tuple[int, ...]:
@@ -187,12 +201,11 @@ def side_data(support: MonomialSupport, side: Side) -> SideData:
     span = gcd(j1 - j0, k0 - k1)
     step_j = (j1 - j0) // span
     step_k = (k0 - k1) // span
-    zero = Fraction(0)
-    gammas = tuple(lookup.get((j0 + t * step_j, k0 - t * step_k), zero) for t in range(span + 1))
+    gammas = tuple([lookup.get((j0 + t * step_j, k0 - t * step_k), 0) for t in range(span + 1)])
     # Dehomogenize the side polynomial at the second coordinate: the
     # coefficient of xi^u is gamma_{span - u}, and with both end
     # coefficients nonzero it has degree span: every root is finite.
-    profile = sorted(((mult, len(factor) - 1) for mult, factor in yun_squarefree(gammas[::-1])), reverse=True)
+    profile = sorted([(mult, len(factor) - 1) for mult, factor in _squarefree(gammas[::-1])], reverse=True)
     return SideData(j0, k0, j1, k1, span, gammas, tuple(profile))
 
 
@@ -339,18 +352,31 @@ def poly_gcd(a: Sequence[int], b: Sequence[int]) -> ZPoly:
 
 
 def yun_squarefree(p: Sequence[RationalLike]) -> list[tuple[int, Poly]]:
-    """Squarefree decomposition: pairs (multiplicity, monic factor).
+    """Squarefree decomposition: pairs (multiplicity, monic factor), each
+    factor a list of Fractions.
 
     The product of factor**multiplicity over all pairs reproduces the
     input up to its leading coefficient; factors of degree zero are not
-    reported.  Yun's algorithm runs on the primitive integer multiple of
-    the input and takes each gcd, with both exact quotients, from the
-    heuristic gcd `_gcd_cofactors`.
+    reported.  The coefficients are anything `to_rational` reads, and the
+    decomposition is `_squarefree`'s, each factor divided by its leading
+    coefficient.
     """
-    coeffs = _trim([to_rational(c) for c in p])
+    factors = _squarefree([to_rational(c) for c in p])
+    return [(mult, [Fraction(c, factor[-1]) for c in factor]) for mult, factor in factors]
+
+
+def _squarefree(p: Sequence[Coefficient]) -> list[tuple[int, ZPoly]]:
+    """Squarefree decomposition of a polynomial with int or Fraction
+    coefficients, constant term first: pairs (multiplicity, factor) in
+    increasing multiplicity, each factor primitive in Z[x] with a positive
+    leading coefficient and of degree at least one.  Yun's algorithm runs
+    on the primitive integer multiple of the input and takes each gcd,
+    with both exact quotients, from the heuristic gcd `_gcd_cofactors`.
+    """
+    coeffs = _trim(list(p))
     if not coeffs:
         raise ValueError("zero polynomial has no squarefree decomposition")
-    out: list[tuple[int, Poly]] = []
+    out: list[tuple[int, ZPoly]] = []
     scale = lcm(*(c.denominator for c in coeffs))
     f = _primitive([c.numerator * (scale // c.denominator) for c in coeffs])
     _, b, c = _gcd_cofactors(f, poly_derivative(f))
@@ -359,7 +385,7 @@ def yun_squarefree(p: Sequence[RationalLike]) -> list[tuple[int, Poly]]:
     while len(b) > 1:
         factor, b, c = _gcd_cofactors(b, d)
         if len(factor) > 1:
-            out.append((i, [Fraction(x, factor[-1]) for x in factor]))
+            out.append((i, factor))
         d = _difference(c, poly_derivative(b))
         i += 1
     return out

@@ -767,6 +767,24 @@ def test_mutated_newton_inputs_end_in_a_report_or_one_error_line(document):
         assert_clean_exit(["newton", str(path)])
 
 
+def newton_stdout(document, fmt):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "support.json"
+        path.write_text(json.dumps(document), encoding="utf-8")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["newton", str(path), "--format", fmt]) == 0
+    return out.getvalue()
+
+
+@settings(max_examples=50)
+@given(supports(min_terms=2).filter(lambda supp: supp.terms[0][:2] != (0, 0)))
+def test_newton_prints_the_same_bytes_for_int_and_string_coefficients(supp):
+    as_ints = {"degree": supp.degree, "terms": [[j, k, c if F(c).denominator == 1 else str(c)] for j, k, c in supp.terms]}
+    for fmt in ("json", "pretty"):
+        assert newton_stdout(as_ints, fmt) == newton_stdout(newton_document(supp), fmt)
+
+
 #: Each contribution flag with the well-formed values it is drawn from, and
 #: the malformed ones every flag is drawn from too.
 CONTRIBUTION_FLAGS = {

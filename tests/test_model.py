@@ -113,6 +113,18 @@ def test_resolved_flex_count():
     assert model.resolved_flex_count(quartic) == 22
 
 
+@settings(max_examples=200)
+@given(descriptors(), st.booleans())
+def test_validation_resolves_the_flex_count(descriptor, auto):
+    # `assemble` takes the ordinary-flex count from its validation
+    if auto:
+        descriptor = records.replace(descriptor, flexes=model.AUTO_FLEXES)
+    violations, count = model._violations_and_flex_count(descriptor)
+    assert violations == model.validate(descriptor)
+    if not violations:
+        assert count == model.resolved_flex_count(descriptor)
+
+
 CONIC = model.NonlinearComponent(2, 1)
 
 

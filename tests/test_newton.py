@@ -155,6 +155,30 @@ def test_side_data_random_invariants(supp):
         assert sum(mult * count for mult, count in data.profile) == data.span
 
 
+def exact_type(value):
+    return int if F(value).denominator == 1 else F
+
+
+@settings(max_examples=200)
+@given(supports(min_terms=2), st.data())
+def test_integral_coefficients_are_stored_as_ints_however_written(supp, data):
+    # each coefficient written as a Fraction, as "num/den" or "2num/2den",
+    # or, when it is integral, as an int
+    terms = []
+    for j, k, c in supp.terms:
+        q = F(c)
+        forms = [q, f"{q.numerator}/{q.denominator}", f"{2 * q.numerator}/{2 * q.denominator}"]
+        if q.denominator == 1:
+            forms.append(q.numerator)
+        terms.append((j, k, data.draw(st.sampled_from(forms))))
+    written = support(supp.degree, terms)
+    assert [(j, k, c, type(c)) for j, k, c in written.terms] == [(j, k, c, exact_type(c)) for j, k, c in supp.terms]
+    for side in newton.qualifying_sides(newton.newton_polygon(written)):
+        side_data = newton.side_data(written, side)
+        assert side_data == newton.side_data(supp, side)
+        assert [type(g) for g in side_data.gammas] == [exact_type(g) for g in side_data.gammas]
+
+
 def expand_branches(branches):
     """The terms (j, k, coefficient) of the product of z^q - c y^p over the
     branches (c, p, q)."""
@@ -450,6 +474,39 @@ def test_yun_high_degree_product(degree):
         for _ in range(mult):
             rebuilt = _int_mul(rebuilt, factor)
     assert [-3 * c for c in rebuilt] == product
+
+
+small_int_factors = st.builds(
+    lambda constant, middle, lead: [constant, *middle, lead],
+    st.integers(-3, 3).filter(bool),
+    st.lists(st.integers(-3, 3), max_size=1),
+    st.integers(-3, 3).filter(bool),
+)
+
+
+@settings(max_examples=150)
+@given(st.lists(st.tuples(small_int_factors, st.integers(1, 3)), min_size=1, max_size=4))
+def test_side_profile_is_the_squarefree_profile(blocks):
+    # the side (0, n) -> (2n, 0) carries the product as its side polynomial:
+    # the lattice point (2t, n - t) holds the coefficient of xi^(n - t)
+    product = [1]
+    for factor, mult in blocks:
+        for _ in range(mult):
+            product = _int_mul(product, factor)
+    n = len(product) - 1
+    supp = support(2 * n, [(2 * t, n - t, product[n - t]) for t in range(n + 1) if product[n - t]])
+    [side] = newton.qualifying_sides(newton.newton_polygon(supp))
+    assert side == ((0, n), (2 * n, 0))
+
+    def profile(pairs):
+        return tuple(sorted(((mult, len(factor) - 1) for mult, factor in pairs), reverse=True))
+
+    assert newton.side_data(supp, side).profile == profile(yun_squarefree(product))
+    assert profile(yun_squarefree(product)) == profile(oracles.yun_squarefree(product))
+    # the wrapper's monic Fractions are the core's primitive integer factors
+    core = newton._squarefree(product)
+    assert all(type(c) is int for _, factor in core for c in factor)
+    assert yun_squarefree(product) == [(mult, poly_monic(factor)) for mult, factor in core]
 
 
 @settings(max_examples=300)
