@@ -207,7 +207,7 @@ def _factor(corr: corrections.Correction) -> dict[str, object]:
 def _irreducible(args: argparse.Namespace) -> dict[str, object]:
     sing = model.IrreducibleSingularity(args.m, args.n, tuple(args.essential))
     # irreducible_correction has checked the singularity
-    return {**_factor(corrections.irreducible_correction(sing)), "absorbs": sing.absorbed_flex_count()}
+    return {**_factor(corrections.irreducible_correction(sing)), "absorbs": model.absorbed_flexes(sing)}
 
 
 #: One row per contribution kind: its names (the type1..type5 aliases share

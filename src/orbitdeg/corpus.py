@@ -66,9 +66,11 @@ def _comparisons(expected: dict, obj: dict):
         yield "app", [rational_to_string(v) for v in expected["app"]], obj["app"]
     if "a" in expected:
         # a tuple, like OrbitReport.predegree_polynomial, so that a bad
-        # index fails as "tuple index out of range"
+        # index, a negative one too, fails as "tuple index out of range"
         polynomial = tuple(obj["predegree_polynomial"])
         for index, value in expected["a"].items():
+            if int(index) < 0:
+                raise IndexError("tuple index out of range")
             yield f"a{index}", rational_to_string(value), polynomial[int(index)]
 
 

@@ -251,7 +251,10 @@ def local_correction_from_quadratic(
 
     -delta * (P''(-rho)*H^6/(42*6!) + P'(-rho)*H^7/(7*7!) + P(-rho)*H^8/8!).
     """
-    a, b, c, r = (to_rational(v) for v in (alpha, beta, gamma, rho))
+    try:
+        a, b, c, r = (to_rational(v) for v in (alpha, beta, gamma, rho))
+    except (TypeError, ValueError) as exc:
+        raise FeatureError(str(exc)) from exc
     _check_ints(delta)
     if delta < 1:
         raise FeatureError("the covering degree must be a positive integer")

@@ -174,25 +174,15 @@ class IrreducibleSingularity:
     essential: tuple[int, ...] = ()
     label: Optional[str] = None
 
-    def gcd_chain(self) -> tuple[int, ...]:
-        """The chain d_0 = m, d_j = gcd(d_{j-1}, e_j)."""
-        chain = [self.m]
-        for e in self.essential:
-            chain.append(gcd(chain[-1], e))
-        return tuple(chain)
-
     def chain_steps(self) -> list[tuple[int, int]]:
         """The pairs (e_{j+1} - e_j, d_j) for j = 0..r, with e_0 = n,
-        e_1..e_r the essential exponents, e_{r+1} = 0 and d_j the gcd chain."""
-        exponents = (self.n,) + self.essential
-        return [(after - before, d) for before, after, d in zip(exponents, self.essential + (0,), self.gcd_chain())]
-
-    def absorbed_flex_count(self) -> int:
-        """How many ordinary inflections the singularity uses up:
-        (3mn - 2m - 2n) + 3 * sum (e_{j+1} - e_j)(d_j - 1) over `chain_steps`.
-        Never negative when valid: n >= m + 1 and the exponents increase."""
-        m, n = self.m, self.n
-        return 3 * m * n - 2 * m - 2 * n + 3 * sum(step * (d - 1) for step, d in self.chain_steps())
+        e_1..e_r the essential exponents, e_{r+1} = 0 and d_j the gcd chain
+        d_0 = m, d_{j+1} = gcd(d_j, e_{j+1}), computed in the same walk."""
+        steps, before, d = [], self.n, self.m
+        for e in self.essential:
+            steps.append((e - before, d))
+            before, d = e, gcd(d, e)
+        return steps + [(-before, d)]
 
 
 @_typed_record
@@ -250,19 +240,19 @@ class CurveDescriptor:
     nonlinear: tuple[NonlinearComponent, ...] = ()
     points: tuple[PointFeature, ...] = ()
 
-    def flexes_auto(self) -> bool:
-        return self.flexes == AUTO_FLEXES
-
 
 def absorbed_flexes(feature: PointFeature) -> int:
     """The number of ordinary inflections a feature removes from the budget.
-    An ordinary multiple point without a count whose branches are all
-    nonlinear absorbs 3m(m-1) + sum(contacts) - m(m+1): the smooth-branch
-    count 3m(m-1) plus one per extra contact order."""
+    An irreducible singularity absorbs 3mn - 2m - 2n + 3 * sum step * (d - 1)
+    over its `chain_steps`, never negative when valid.  An ordinary multiple
+    point without a count whose branches are all nonlinear absorbs
+    3m(m-1) + sum(contacts) - m(m+1): the smooth-branch count 3m(m-1) plus
+    one per extra contact order."""
     if isinstance(feature, FlexPoint):
         return feature.contact - 2
     if isinstance(feature, IrreducibleSingularity):
-        return feature.absorbed_flex_count()
+        m, n = feature.m, feature.n
+        return 3 * m * n - 2 * m - 2 * n + 3 * sum(step * (d - 1) for step, d in feature.chain_steps())
     if feature.absorbed_flexes is not None:
         return feature.absorbed_flexes
     m, contacts = feature.m, feature.contacts
@@ -272,7 +262,7 @@ def absorbed_flexes(feature: PointFeature) -> int:
 def resolved_flex_count(descriptor: CurveDescriptor) -> int:
     """The ordinary-flex count: the explicit value, or 3d(d-2) minus all
     absorbed flexes when the descriptor asks for automatic bookkeeping."""
-    if not descriptor.flexes_auto():
+    if descriptor.flexes != AUTO_FLEXES:
         assert isinstance(descriptor.flexes, int)
         return descriptor.flexes
     d = descriptor.degree
@@ -356,17 +346,12 @@ def irreducible_violations(sing: IrreducibleSingularity, path: str = "singularit
             return [Violation(f"{path}.essential[{idx}]", "exponents must be strictly increasing")]
     if sing.essential and sing.essential[0] < sing.n:
         return [Violation(f"{path}.essential[0]", f"first exponent must be >= the contact order {sing.n}")]
-    chain = sing.gcd_chain()
-    for idx, e in enumerate(sing.essential):
-        if e % chain[idx] == 0:
-            return [
-                Violation(
-                    f"{path}.essential[{idx}]",
-                    f"{e} is a multiple of gcd {chain[idx]}, so it is not essential",
-                )
-            ]
-    if chain[-1] != 1:
-        return [Violation(path, f"gcd of multiplicity and exponents is {chain[-1]}, not 1 (branch not reduced)")]
+    steps = sing.chain_steps()
+    for idx, (e, (_, d)) in enumerate(zip(sing.essential, steps)):
+        if e % d == 0:
+            return [Violation(f"{path}.essential[{idx}]", f"{e} is a multiple of gcd {d}, so it is not essential")]
+    if steps[-1][1] != 1:
+        return [Violation(path, f"gcd of multiplicity and exponents is {steps[-1][1]}, not 1 (branch not reduced)")]
     if sing.n % sing.m != 0 and (not sing.essential or sing.essential[0] != sing.n):
         return [
             Violation(
@@ -459,7 +444,7 @@ def _violations_and_flex_count(descriptor: CurveDescriptor) -> tuple[list[Violat
         if isinstance(feature, (CompositePoint, OrdinaryMultiplePoint)) and (feature.absorbed_flexes or 0) < 0:
             out.append(Violation(f"{path}.absorbed_flexes", "absorbed flex count must be >= 0"))
 
-    if descriptor.flexes_auto():
+    if descriptor.flexes == AUTO_FLEXES:
         if descriptor.linear:
             out.append(Violation("flexes", 'automatic flex counting refuses curves with line components'))
         elif len(descriptor.nonlinear) != 1 or descriptor.nonlinear[0].mult != 1:

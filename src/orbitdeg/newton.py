@@ -324,8 +324,9 @@ def _heuristic_candidates(a: ZPoly, b: ZPoly) -> Iterator[ZPoly]:
 
 
 def _gcd_cofactors(a: Sequence[int], b: Sequence[int]) -> tuple[ZPoly, ZPoly, ZPoly]:
-    """(g, a/g, b/g) for g the gcd `poly_gcd` returns, with both quotients
-    exact: the first heuristic candidate that divides a and b exactly.
+    """(g, a/g, b/g) for g the gcd of a and b in Z[x], primitive with a
+    positive leading coefficient, and both quotients exact: the first
+    heuristic candidate that divides a and b exactly.
     gcd(p, 0) is the primitive part of p, and gcd(0, 0) is 0 with zero
     quotients.
 
@@ -343,12 +344,6 @@ def _gcd_cofactors(a: Sequence[int], b: Sequence[int]) -> tuple[ZPoly, ZPoly, ZP
         quotients = _exact_quotients(g, a, b)
         if quotients:
             return g, *quotients
-
-
-def poly_gcd(a: Sequence[int], b: Sequence[int]) -> ZPoly:
-    """Greatest common divisor in Z[x], primitive with a positive leading
-    coefficient, by the heuristic gcd (see `_gcd_cofactors`)."""
-    return _gcd_cofactors(a, b)[0]
 
 
 def yun_squarefree(p: Sequence[RationalLike]) -> list[tuple[int, Poly]]:

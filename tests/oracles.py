@@ -756,8 +756,10 @@ def _direct_truncation(d: int, trunc: model.Truncation) -> Fraction:
 def irreducible_truncations(sing: model.IrreducibleSingularity) -> list[model.Truncation]:
     """The truncation features through which an irreducible singularity
     contributes, one per essential exponent past the initial grouping."""
-    chain = sing.gcd_chain()
     es = sing.essential
+    chain = [sing.m]
+    for e in es:
+        chain.append(gcd(chain[-1], e))
     out: list[model.Truncation] = []
     if es and sing.n % sing.m == 0:
         out.append(model.Truncation(ell=1, weight=F(es[0]), s=(chain[1],) * (sing.m // chain[1])))
@@ -784,7 +786,7 @@ def irreducible_composite(sing: model.IrreducibleSingularity) -> model.Composite
     m, n = sing.m, sing.n
     sides = (model.NewtonSide(0, m, n, 0, (gcd(m, n),)),)
     truncations = tuple(irreducible_truncations(sing))
-    return model.CompositePoint((m,), sides, truncations, sing.absorbed_flex_count(), sing.label)
+    return model.CompositePoint((m,), sides, truncations, model.absorbed_flexes(sing), sing.label)
 
 
 def branch_sides(m: int, contacts: Sequence[int]) -> tuple[model.NewtonSide, ...]:

@@ -464,6 +464,8 @@ def test_corpus_empty_dir(capsys, tmp_path):
         ({"predegree": "8", "bogus": 1}, ("unknown expected keys: ['bogus']",)),
         ({"orbit_dimension": 4}, ("orbit_dimension: expected 4, got 5",)),
         ({"a": {"5": "8", "4": "3/2"}}, ("a4: expected 3/2, got 16",)),
+        ({"a": {"-1": "0"}}, ("expected values could not be compared: tuple index out of range",)),
+        ({"a": {"4": "3/2", "-4": "16"}}, ("a4: expected 3/2, got 16", "expected values could not be compared: tuple index out of range")),
         ({"app": ["1", "2"]}, ("app: expected ['1', '2'], got ['1', '2', '2', '4/3', '2/3', '1/15', '0', '0', '0']",)),
         ("degree", ("expected values must be an object, got str",)),
         ("xyz", ("expected values must be an object, got str",)),

@@ -155,6 +155,23 @@ def test_builders_refuse_a_non_int_before_the_rules(build, got):
 
 
 @pytest.mark.parametrize(
+    "args, message",
+    [
+        ((1.5, 0, 0, 0), "cannot interpret float as a rational"),
+        (("x", 0, 0, 0), "invalid rational literal: 'x'"),
+        ((0, "1/0", 0, 0), "invalid rational literal: '1/0'"),
+        ((0, 0, True, 0), "booleans are not rational numbers"),
+        ((0, 0, 0, None), "cannot interpret NoneType as a rational"),
+    ],
+)
+def test_quadratic_builder_refuses_what_to_rational_refuses(args, message):
+    # each leaked to_rational's bare TypeError or ValueError before
+    with pytest.raises(corrections.FeatureError) as excinfo:
+        corrections.local_correction_from_quadratic(*args)
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize(
     "build, message",
     [
         (lambda: corrections.newton_side_correction(None), "expected a NewtonSide record, got NoneType"),
